@@ -246,7 +246,8 @@ def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]
         del current[i][j]
         chain.append(tuple(tuple(q) for q in current))
     chain.reverse()
-    assert chain[0] == lower
+    if chain[0] != lower:
+        raise NotASubconfigurationError(f"{lower} is not a substate of {upper}")
     return chain
 
 

@@ -28,6 +28,8 @@ from .qprocess import (
 
 StateDistribution = dict[NetworkState, float]
 
+_POISSON_MAX_TERMS = 100_000  # longest jump-count mixture a transient may need
+
 
 class ExactEngine:
     """Breadth-first exact distribution engine with a per-state kernel cache.
@@ -117,7 +119,8 @@ class ExactEngine:
         for _ in range(n):
             dist = self.step(dist)
         mass = sum(dist.values())
-        assert abs(mass - 1.0) < 1e-10, f"mass drifted to {mass}"
+        if abs(mass - 1.0) >= 1e-10:
+            raise RuntimeError(f"mass drifted to {mass}")
         return dist
 
     def functional_series(
@@ -166,20 +169,35 @@ class ExactEngine:
 
 
 def poisson_weights(x: float, tol: float) -> list[float]:
-    """Poisson(x) pmf values 0..M with tail mass beyond M below tol."""
+    """Poisson(x) pmf values 0..M with tail mass beyond M below tol.
+
+    After Fox & Glynn (1988): the pmf at the mode floor(x) comes from log
+    space and the recurrence runs from there down to 0 and up to M, so the
+    weights near the bulk never underflow, however large x is. M is the
+    first index past the mode where the geometric tail bound
+    p_M x / (M + 1 - x) falls below tol.
+    """
     if x < 0:
         raise ValueError("Poisson mean must be nonnegative")
-    w = math.exp(-x)
-    out = [w]
-    cum = w
-    n = 0
-    while 1.0 - cum > tol:
-        n += 1
-        w *= x / n
+    if tol <= 0:
+        raise ValueError("Poisson tail tolerance must be positive")
+    if x == 0:
+        return [1.0]
+    mode = math.floor(x)
+    if mode > _POISSON_MAX_TERMS:
+        raise RuntimeError(f"Poisson mean {x} is beyond the {_POISSON_MAX_TERMS}-term mixture")
+    w = math.exp(mode * math.log(x) - x - math.lgamma(mode + 1))
+    out = [0.0] * (mode + 1)
+    out[mode] = w
+    for k in range(mode, 0, -1):
+        w *= k / x
+        out[k - 1] = w
+    w = out[mode]
+    k = mode
+    while w * x / (k + 1 - x) >= tol:
+        k += 1
+        w *= x / k
         out.append(w)
-        cum += w
-        if n > 100_000:
-            raise RuntimeError("Poisson truncation did not converge")
     return out
 
 

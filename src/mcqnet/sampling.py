@@ -9,7 +9,9 @@ through its composition.
 
 ``batch_terminal_norms`` vectorizes many replications at once for networks in
 which every station serves a single class, where the state reduces to a count
-vector.
+vector. It draws its uniforms in blocks of steps and resolves each block's
+events and routing with array operations, so only the count updates run step
+by step; the random stream is consumed exactly as by drawing per step.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .configurations import insertion_index
 from .network import NetworkSpec
 from .qprocess import (
     NetworkState,
+    event_alphabet,
     routing_choices,
     state_composition,
     state_norm,
@@ -287,6 +290,13 @@ class PathSampler:
         return steps, False
 
 
+# Uniforms drawn per block of the batch stepper (at least one step per block):
+# small enough that a block's arrays add little to the peak RSS.
+_BLOCK_UNIFORMS = 1 << 14
+# Count held by the batch stepper's sink column; no run empties it.
+_SINK = 1 << 62
+
+
 def is_single_class_network(spec: NetworkSpec) -> bool:
     return all(len(classes) == 1 for classes in spec.stations)
 
@@ -297,59 +307,64 @@ def batch_terminal_norms(
     """Terminal job counts of ``reps`` independent replications, vectorized.
 
     Only valid when every station holds a single class (the state lumps to a
-    per-class count vector). One event draw and one routing draw per step are
-    shared across replications; each step reduces to a fixed handful of array
-    operations via gather tables.
+    per-class count vector). Each replication draws its own event uniform and
+    its own routing uniform at every step. Steps run in blocks: one
+    ``rng.random((steps, 2, reps))`` call yields the same doubles in the same
+    order as two ``rng.random(reps)`` calls per step, and everything that does
+    not depend on the state (event, class, routing pick, source and target
+    column) is resolved for the whole block at once. A step then moves one
+    job per replication from its source column to its target column if the
+    source is nonempty. Column 0 is a sink that never empties: arrivals leave
+    it and exits enter it.
     """
     if not is_single_class_network(spec):
         raise ValueError("batch stepping requires single-class stations")
     d = spec.class_count
-    lam = uniformization_rate(spec)
-    event_cum: list[float] = []
-    event_cls: list[int] = []
-    event_dep: list[bool] = []
-    cum = 0.0
-    for k in range(1, d + 1):
-        if spec.theta[k - 1] > 0:
-            cum += spec.theta[k - 1] / lam
-            event_cum.append(cum)
-            event_cls.append(k)
-            event_dep.append(False)
-    for i in range(spec.station_count):
-        cum += station_top_rate(spec, i) / lam
-        event_cum.append(cum)
-        event_cls.append(spec.stations[i][0])
-        event_dep.append(True)
-    event_cum_arr = np.asarray(event_cum)
-    event_cls_arr = np.asarray(event_cls)
-    event_dep_arr = np.asarray(event_dep)
-
+    entries = event_alphabet(spec).entries
+    event_cum = np.asarray([cum for cum, _, _ in entries])
     routes = {k: routing_choices(spec, k) for k in range(1, d + 1)}
     width = max(len(r) for r in routes.values())
-    route_cum = np.full((d + 1, width), 2.0)  # pads never selected
-    route_tgt = np.zeros((d + 1, width), dtype=np.int64)
-    for k, choices in routes.items():
-        for j, (c, l) in enumerate(choices):
-            route_cum[k, j] = c
-            route_tgt[k, j] = l
+    # per event: routing thresholds (pads at 2.0 are never passed) and the
+    # source and target column of each routing pick; pads exit
+    thresholds = np.full((len(entries), width), 2.0)
+    src_of = np.zeros((len(entries), width), dtype=np.intp)
+    dst_of = np.zeros((len(entries), width), dtype=np.intp)
+    for e, (_, kind, idx) in enumerate(entries):
+        if kind == "A":
+            dst_of[e] = idx
+            continue
+        k = spec.stations[idx][0]
+        src_of[e] = k
+        for j, (cum, l) in enumerate(routes[k]):
+            thresholds[e, j] = cum
+            dst_of[e, j] = l
+    src_of = src_of.ravel()
+    dst_of = dst_of.ravel()
 
-    counts = np.tile(np.asarray(state_composition(spec, xi0), dtype=np.int64), (reps, 1))
-    rows = np.arange(reps)
-    top = len(event_cls) - 1
-    for _ in range(n):
-        u = rng.random(reps)
-        v = rng.random(reps)
-        ev = np.searchsorted(event_cum_arr, u, side="right")
-        np.clip(ev, 0, top, out=ev)
-        k_of = event_cls_arr[ev]
-        dep = event_dep_arr[ev]
-        active_dep = dep & (counts[rows, k_of - 1] > 0)
-        pick = (v[:, None] >= route_cum[k_of]).sum(axis=1)
-        np.clip(pick, 0, width - 1, out=pick)
-        target = route_tgt[rows * 0 + k_of, pick]
-        plus = np.where(~dep, k_of, np.where(active_dep, target, 0))
-        minus = np.where(active_dep, k_of, 0)
-        for c in range(1, d + 1):
-            counts[:, c - 1] += plus == c
-            counts[:, c - 1] -= minus == c
-    return counts.sum(axis=1)
+    counts = np.empty((reps, d + 1), dtype=np.int64)
+    counts[:, 0] = _SINK
+    counts[:, 1:] = state_composition(spec, xi0)
+    flat = counts.reshape(-1)
+    row = np.arange(reps) * (d + 1)
+    steps = max(1, _BLOCK_UNIFORMS // (2 * reps))
+    for start in range(0, n, steps):
+        draws = rng.random((min(steps, n - start), 2, reps))
+        u, v = draws[:, 0], draws[:, 1]
+        # count the thresholds at or below each draw, leaving out the last:
+        # a searchsorted clipped to the table
+        ev = np.zeros(u.shape, dtype=np.intp)
+        for cum in event_cum[:-1]:
+            ev += u >= cum
+        code = ev * width
+        for column in thresholds.T[:-1]:
+            code += v >= column[ev]
+        src = src_of[code]
+        src += row
+        dst = dst_of[code]
+        dst += row
+        for s, t in zip(src, dst):
+            held = flat[s]
+            act = held > 0
+            flat[s] = held - act
+            flat[t] += act  # after the source update, so a self-route nets zero
+    return counts[:, 1:].sum(axis=1)

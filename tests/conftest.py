@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +29,18 @@ class ScriptedRng:
 
     def spawn(self, n):
         return [self] * n  # children share the script, consumed in call order
+
+
+def run_optimized(code: str) -> str:
+    """Run ``code`` under ``python -O`` (asserts stripped) and return its stdout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    prelude = "import sys\nif not sys.flags.optimize:\n    raise SystemExit('not optimized')\n"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", prelude + code],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return done.stdout
 
 
 @pytest.fixture

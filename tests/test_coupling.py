@@ -25,7 +25,7 @@ from mcqnet.qprocess import (
     state_norm,
 )
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, run_optimized
 
 MM1 = builtin_fixture("mm1")
 LK_SBP = builtin_fixture("lk-sbp")
@@ -289,3 +289,16 @@ def test_delta_relation_against_manual_recount(rng):
                 down_up += 1
             expected = down_low + (1 if path.tau is not None and m >= path.tau else 0)
             assert down_up == expected
+
+
+def test_interpolation_check_survives_python_O():
+    # one station fewer in the lower state: the chain cannot start there
+    out = run_optimized(
+        "from mcqnet.coupling import _interpolate\n"
+        "from mcqnet.errors import NotASubconfigurationError\n"
+        "try:\n"
+        "    _interpolate(((1,),), ((1,), (2,)))\n"
+        "except NotASubconfigurationError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    assert "raised" in out

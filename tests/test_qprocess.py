@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from mcqnet.allocation import ServiceAllocation, StationProtocol
 from mcqnet.configurations import QueuePolicy
@@ -20,6 +21,7 @@ from mcqnet.exact import (
     exact_step_distribution,
     expectation,
     norm_cdf,
+    poisson_weights,
     reachable_states,
     transient_functional,
 )
@@ -38,7 +40,7 @@ from mcqnet.qprocess import (
     uniformization_rate,
 )
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, run_optimized
 
 FCFS_HQ = StationProtocol(QueuePolicy.fcfs(), ServiceAllocation.head_of_queue())
 MM1 = builtin_fixture("mm1")
@@ -188,6 +190,45 @@ def test_transient_matches_expm_oracle():
     assert value == pytest.approx(oracle, abs=1e-6)
     tighter = transient_functional(MM1, empty_state(MM1), 1.0, phi_norm, 1e-10)
     assert tighter == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("x", [1e3, 1e4])
+def test_poisson_weights_match_scipy_at_large_means(x):
+    # exp(-x) alone underflows for x >= 746; the weights start from the mode
+    tol = 1e-8
+    weights = np.asarray(poisson_weights(x, tol))
+    support = np.arange(len(weights))
+    np.testing.assert_allclose(weights, scipy.stats.poisson.pmf(support, x), rtol=1e-9, atol=1e-300)
+    assert scipy.stats.poisson.sf(len(weights) - 1, x) < tol
+
+
+def test_poisson_weights_small_means_and_bad_tolerance():
+    assert poisson_weights(0.0, 1e-8) == [1.0]
+    weights = np.asarray(poisson_weights(2.5, 1e-12))
+    np.testing.assert_allclose(weights, scipy.stats.poisson.pmf(np.arange(len(weights)), 2.5), rtol=1e-13)
+    assert 1.0 - weights.sum() < 1e-12
+    with pytest.raises(ValueError):
+        poisson_weights(1.0, 0.0)
+
+
+def test_transient_at_long_horizon_reaches_product_form():
+    # t = 300 gives lambda t = 900 jumps; M/M/1 at rho = 1/2 has long mixed
+    value = transient_functional(MM1, empty_state(MM1), 300.0, phi_norm)
+    assert value == pytest.approx(0.5 / (1 - 0.5 / math.e), abs=1e-7)
+
+
+def test_mass_drift_check_survives_python_O():
+    out = run_optimized(
+        "from mcqnet.exact import ExactEngine\n"
+        "from mcqnet.network import builtin_fixture\n"
+        "engine = ExactEngine(builtin_fixture('mm1'))\n"
+        "engine.step = lambda dist: {s: m / 2 for s, m in dist.items()}\n"
+        "try:\n"
+        "    engine.distribution(((),), 1)\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    assert "raised mass drifted" in out
 
 
 def test_transient_edge_cases():
