@@ -374,6 +374,21 @@ def _cmd_cycle(args) -> int:
     return 0
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcqnet", description="Multi-class queueing network toolkit"
@@ -403,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", _cmd_simulate, help="sample embedded-chain paths to CSV")
     p.add_argument("--spec", required=True)
     p.add_argument("--theta-scale", type=float, default=1.0)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--steps", type=nonnegative_int, required=True)
+    p.add_argument("--reps", type=positive_int, default=1)
     p.add_argument("--out", default="paths.csv")
 
     p = add("exact", _cmd_exact, help="exact n-step law and functional")
     p.add_argument("--spec", required=True)
     p.add_argument("--theta-scale", type=float, default=1.0)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=nonnegative_int, required=True)
     p.add_argument("--functional", default="exp-norm")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--reduced", action="store_true")
@@ -419,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("phi", _cmd_phi, help="phi_n estimate (MC or exact)")
     p.add_argument("--spec", required=True)
     p.add_argument("--theta-scale", type=float, default=1.0)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=nonnegative_int, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=positive_int, default=1000)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--budget", type=int, default=10**6)
@@ -431,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", required=True, help="comma-separated theta scales")
     p.add_argument("--steps", required=True, help="comma-separated step counts")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--reps", type=int, default=2000)
+    p.add_argument("--reps", type=positive_int, default=2000)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--budget", type=int, default=10**6)
@@ -440,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--lower", required=True, help="state as JSON, e.g. [[1],[]]")
     p.add_argument("--upper", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--steps", type=nonnegative_int, required=True)
+    p.add_argument("--reps", type=positive_int, default=1)
     p.add_argument("--report", default="couple_report.json")
 
     p = add("threshold", _cmd_threshold, help="stability threshold along a ray")
@@ -449,24 +464,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True, help="comma-separated ray direction")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--method", choices=("bisect", "rm"), default="bisect")
-    p.add_argument("--steps", type=int, default=4000)
+    p.add_argument("--steps", type=nonnegative_int, default=4000)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--reps", type=int, default=400)
+    p.add_argument("--reps", type=positive_int, default=400)
     p.add_argument("--iters", type=int, default=2000)
 
     p = add("region", _cmd_region, help="star-shaped region scan over rays")
     p.add_argument("--spec", required=True)
     p.add_argument("--rays", type=int, default=4)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--steps", type=int, default=4000)
+    p.add_argument("--steps", type=nonnegative_int, default=4000)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--reps", type=int, default=400)
+    p.add_argument("--reps", type=positive_int, default=400)
 
     p = add("cycle", _cmd_cycle, help="regenerative return-time estimate")
     p.add_argument("--spec", required=True)
     p.add_argument("--theta-scale", type=float, default=1.0)
-    p.add_argument("--cap", type=int, default=100000)
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--cap", type=positive_int, default=100000)
+    p.add_argument("--reps", type=positive_int, default=200)
 
     return parser
 

@@ -1,6 +1,9 @@
 """Markovian coupling of two ordered copies of the network chain.
 
-Both copies consume one shared event stream. The upper copy evolves exactly
+Both copies consume one shared event stream, drawn from the spec's compiled
+``qprocess.TransitionTable`` (event alphabet and per-class branch tables);
+the exact pair engine reads the same table's arrival and serve rates, so every
+copy of the chain runs on one set of laws. The upper copy evolves exactly
 like the embedded chain; the lower copy mirrors each transition whenever the
 served heads agree and freezes otherwise. While uncoupled, the pair differs by
 exactly one extra job (the mark b): arrivals and mirrored services preserve
@@ -20,24 +23,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import (
-    BudgetExceededError,
-    NotASubconfigurationError,
-    UnsupportedCouplingError,
-)
-from .exact import ExactEngine, norm_cdf
+from .errors import NotASubconfigurationError, UnsupportedCouplingError
+from .exact import ExactEngine, norm_cdf, propagate
 from .network import NetworkSpec
 from .qprocess import (
     NetworkState,
     TransitionLabel,
     apply_transition,
     check_state,
-    event_alphabet,
     is_substate,
-    routing_choices,
     state_canonicalizer,
     state_norm,
-    station_top_rate,
+    transition_table,
 )
 from .rng import Uniforms
 
@@ -108,7 +105,7 @@ class CouplingKernel:
     def __init__(self, spec: NetworkSpec):
         _require_coupling_regime(spec)
         self.spec = spec
-        self.alphabet = event_alphabet(spec)
+        self.table = transition_table(spec)
         self.canon = state_canonicalizer(spec)
         self._ranked = []
         for protocol in spec.protocols:
@@ -116,15 +113,6 @@ class CouplingKernel:
             self._ranked.append(
                 tuple(next(iter(c)) for c in ranking.castes) if ranking else None
             )
-        self.branch: list[dict[int, tuple[float, tuple[tuple[float, int], ...]]]] = []
-        for i in range(spec.station_count):
-            top = station_top_rate(spec, i)
-            per_class = {}
-            for k in spec.stations[i]:
-                scale = spec.beta[k - 1] / top
-                table = tuple((cum * scale, l) for cum, l in routing_choices(spec, k))
-                per_class[k] = (scale, table)
-            self.branch.append(per_class)
 
     def head(self, i: int, q) -> int | None:
         if not q:
@@ -152,7 +140,7 @@ class CouplingKernel:
         return CoupledState(low, up, mark)
 
     def step(self, cs: CoupledState, uni: Uniforms) -> tuple[CoupledState, tuple[str, int]]:
-        kind, idx = self.alphabet.draw(uni.next())
+        kind, idx = self.table.alphabet.draw(uni.next())
         if kind == "A":
             return (
                 replace(
@@ -170,13 +158,13 @@ class CouplingKernel:
         h_up = self.head(i, q_up)
         h_low = self.head(i, cs.lower[i])
         mirrored = cs.mark == 0 or h_low == h_up
-        active, table = self.branch[i][h_up]
+        active, routes = self.table.branch[h_up]
         u = uni.next()
         if u >= active:  # upper self-loop
             if mirrored:
                 return cs, event
             return replace(cs, frozen_count=cs.frozen_count + 1), event
-        for cum, l in table:
+        for cum, l in routes:
             if u < cum:
                 break
         upper = self._apply(cs.upper, h_up, l)
@@ -320,23 +308,7 @@ class PairEngine:
         self.kernel_tables = CouplingKernel(spec)
         self.spec = spec
         self.budget = budget
-        self.rate = self.kernel_tables.alphabet.rate
-        self._arrivals = tuple(
-            (k, spec.theta[k - 1] / self.rate)
-            for k in range(1, spec.class_count + 1)
-            if spec.theta[k - 1] > 0
-        )
-        self._serve = {}
-        for k in range(1, spec.class_count + 1):
-            rows = []
-            for l in range(1, spec.class_count + 1):
-                r = spec.routing[k - 1][l - 1]
-                if r > 0:
-                    rows.append((l, spec.beta[k - 1] * r))
-            exit_p = spec.exit_probability(k)
-            if exit_p > 0:
-                rows.append((0, spec.beta[k - 1] * exit_p))
-            self._serve[k] = tuple(rows)
+        self.rate = self.kernel_tables.table.alphabet.rate
         self._cache: dict[tuple[NetworkState, NetworkState], tuple] = {}
 
     def kernel(self, pair):
@@ -347,7 +319,7 @@ class PairEngine:
         kt = self.kernel_tables
         acc: dict[tuple[NetworkState, NetworkState], float] = {}
         total = 0.0
-        for k, p in self._arrivals:
+        for k, p in kt.table.arrivals:
             target = (kt._apply(lower, 0, k), kt._apply(upper, 0, k))
             acc[target] = acc.get(target, 0.0) + p
             total += p
@@ -358,7 +330,7 @@ class PairEngine:
             h_up = kt.head(i, q_up)
             h_low = kt.head(i, lower[i])
             mirrored = lower == upper or h_low == h_up
-            for l, rate_kl in self._serve[h_up]:
+            for l, rate_kl in kt.table.serve[h_up]:
                 p = rate_kl / self.rate
                 up2 = kt._apply(upper, h_up, l)
                 low2 = kt._apply(lower, h_up, l) if mirrored else lower
@@ -376,13 +348,7 @@ class PairEngine:
         start = self.kernel_tables.start(lower, upper)
         dist = {(start.lower, start.upper): 1.0}
         for _ in range(n):
-            out: dict[tuple[NetworkState, NetworkState], float] = {}
-            for pair, mass in dist.items():
-                for target, p in self.kernel(pair):
-                    out[target] = out.get(target, 0.0) + mass * p
-            if len(out) > self.budget:
-                raise BudgetExceededError(f"pair support grew to {len(out)} states")
-            dist = out
+            dist = propagate(dist, self.kernel, self.budget)
         return dist
 
 

@@ -2,11 +2,13 @@
 
 Every transition adds at most one job, so the n-step reachable set from a
 fixed start is finite and the law of the chain can be computed by breadth-
-first probability propagation. One-step kernels are built per state (service
-fractions as exact rationals, one float conversion per branch), cached, and
-reused across sweeps; a configurable state-count budget guards against
-explosion. The transient (continuous-time) functional is recovered from the
-step laws through the Poisson jump-count mixture.
+first probability propagation (``propagate``, shared with the coupled pair
+chain). One-step kernels are built per state from the spec's compiled
+``TransitionTable`` (service fractions as exact rationals, one float
+conversion per branch), cached, and reused across sweeps; a configurable
+state-count budget guards against explosion. The transient (continuous-time)
+functional is recovered from the step laws through the Poisson jump-count
+mixture.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .qprocess import (
     apply_transition,
     state_canonicalizer,
     state_norm,
-    uniformization_rate,
+    transition_table,
 )
 
 StateDistribution = dict[NetworkState, float]
@@ -44,26 +46,10 @@ class ExactEngine:
         self.spec = spec
         self.reduced = reduced
         self.budget = budget
-        self.rate = uniformization_rate(spec)
+        self.table = transition_table(spec)
+        self.rate = self.table.alphabet.rate
         self._canon = state_canonicalizer(spec) if reduced else (lambda xi: xi)
         self._kernel: dict[NetworkState, tuple[tuple[NetworkState, float], ...]] = {}
-        self._arrivals = tuple(
-            (k, spec.theta[k - 1] / self.rate)
-            for k in range(1, spec.class_count + 1)
-            if spec.theta[k - 1] > 0
-        )
-        # (l, beta_k * R_kl) per class k, exits encoded as l = 0
-        self._serve: dict[int, tuple[tuple[int, float], ...]] = {}
-        for k in range(1, spec.class_count + 1):
-            rows = []
-            for l in range(1, spec.class_count + 1):
-                r = spec.routing[k - 1][l - 1]
-                if r > 0:
-                    rows.append((l, spec.beta[k - 1] * r))
-            exit_p = spec.exit_probability(k)
-            if exit_p > 0:
-                rows.append((0, spec.beta[k - 1] * exit_p))
-            self._serve[k] = tuple(rows)
 
     def canonical(self, xi: NetworkState) -> NetworkState:
         return self._canon(xi)
@@ -74,9 +60,10 @@ class ExactEngine:
             return cached
         spec = self.spec
         lam = self.rate
+        serve = self.table.serve
         acc: dict[NetworkState, float] = {}
         total = 0.0
-        for k, p in self._arrivals:
+        for k, p in self.table.arrivals:
             target = self._canon(apply_transition(spec, xi, TransitionLabel(0, k)))
             acc[target] = acc.get(target, 0.0) + p
             total += p
@@ -88,7 +75,7 @@ class ExactEngine:
                 if w == 0:
                     continue
                 wf = float(w)
-                for l, rate_kl in self._serve[k]:
+                for l, rate_kl in serve[k]:
                     p = wf * rate_kl / lam
                     target = self._canon(apply_transition(spec, xi, TransitionLabel(k, l)))
                     acc[target] = acc.get(target, 0.0) + p
@@ -103,15 +90,7 @@ class ExactEngine:
         return entries
 
     def step(self, dist: StateDistribution) -> StateDistribution:
-        out: dict[NetworkState, float] = {}
-        for state, mass in dist.items():
-            for target, p in self.kernel(state):
-                out[target] = out.get(target, 0.0) + mass * p
-        if len(out) > self.budget:
-            raise BudgetExceededError(
-                f"support grew to {len(out)} states (budget {self.budget})"
-            )
-        return out
+        return propagate(dist, self.kernel, self.budget)
 
     def distribution(self, xi0: NetworkState, n: int) -> StateDistribution:
         """Exact law of the embedded chain after n steps from xi0."""
@@ -166,6 +145,21 @@ class ExactEngine:
         return [
             sum(w * v for w, v in zip(ws, series)) for ws in weights
         ]
+
+
+def propagate(dist: dict, kernel: Callable, budget: int) -> dict:
+    """One BFS step: the law after pushing ``dist`` through ``kernel``.
+
+    ``kernel(state)`` returns (target, probability) pairs; raises
+    BudgetExceededError when the new support exceeds ``budget`` states.
+    """
+    out = {}
+    for state, mass in dist.items():
+        for target, p in kernel(state):
+            out[target] = out.get(target, 0.0) + mass * p
+    if len(out) > budget:
+        raise BudgetExceededError(f"support grew to {len(out)} states (budget {budget})")
+    return out
 
 
 def poisson_weights(x: float, tol: float) -> list[float]:

@@ -6,6 +6,11 @@ class k (l = 0) or a class change k -> l; (0, 0) is excluded. The chain is
 uniformized at rate lambda = sum(theta) + sum_i max_{k at i} beta_k, and the
 embedded chain is sampled by the event-alphabet scheme: one arrival event per
 class with positive rate, one potential-departure event per station.
+
+``apply_transition``, ``transition_rate`` and ``embedded_step`` are the
+reference semantics. ``transition_table`` compiles the same laws once per spec
+(event alphabet, arrival probabilities, routing, per-class branch tables and
+serve rates); the samplers, the exact engines and the coupling all read it.
 """
 
 from __future__ import annotations
@@ -114,14 +119,6 @@ def transition_rate(spec: NetworkSpec, xi: NetworkState, label: TransitionLabel)
     return w * spec.beta[k - 1] * routing
 
 
-def all_labels(spec: NetworkSpec):
-    d = spec.class_count
-    for k in range(0, d + 1):
-        for l in range(0, d + 1):
-            if (k, l) != (0, 0):
-                yield TransitionLabel(k, l)
-
-
 # ---------------------------------------------------------------------------
 # Event alphabet and the embedded chain
 
@@ -172,6 +169,46 @@ def routing_choices(spec: NetworkSpec, k: int) -> tuple[tuple[float, int], ...]:
         cum += exit_p
         out.append((cum, 0))
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class TransitionTable:
+    """The uniformized chain's laws for one spec, compiled once.
+
+    ``routes``, ``branch`` and ``serve`` are dicts keyed by class k:
+
+    * ``arrivals``: (k, theta_k/lambda) for every class with theta_k > 0;
+    * ``routes``: ``routing_choices(spec, k)``;
+    * ``branch``: (s, routes with cumulatives scaled by s), where
+      s = beta_k/beta_bar_i is the chance that a departure event at k's
+      station i serves a k-job holding the whole server;
+    * ``serve``: (l, beta_k R_kl) with exits as l = 0, zeros pruned.
+    """
+
+    alphabet: EventAlphabet
+    arrivals: tuple[tuple[int, float], ...]
+    routes: dict[int, tuple[tuple[float, int], ...]]
+    branch: dict[int, tuple[float, tuple[tuple[float, int], ...]]]
+    serve: dict[int, tuple[tuple[int, float], ...]]
+
+
+def transition_table(spec: NetworkSpec) -> TransitionTable:
+    """Compile the laws of ``spec``'s uniformized chain (see ``TransitionTable``)."""
+    alphabet = event_alphabet(spec)
+    classes = range(1, spec.class_count + 1)
+    tops = [station_top_rate(spec, i) for i in range(spec.station_count)]
+    routes = {k: routing_choices(spec, k) for k in classes}
+    branch = {}
+    serve = {}
+    for k in classes:
+        scale = spec.beta[k - 1] / tops[spec.station_of(k)]
+        branch[k] = (scale, tuple((cum * scale, l) for cum, l in routes[k]))
+        probs = (*enumerate(spec.routing[k - 1], start=1), (0, spec.exit_probability(k)))
+        serve[k] = tuple((l, spec.beta[k - 1] * r) for l, r in probs if r > 0)
+    arrivals = tuple(
+        (k, spec.theta[k - 1] / alphabet.rate) for k in classes if spec.theta[k - 1] > 0
+    )
+    return TransitionTable(alphabet, arrivals, routes, branch, serve)
 
 
 def embedded_step(
@@ -226,15 +263,6 @@ def simulate_path(
 
 # ---------------------------------------------------------------------------
 # Lumped (canonical) representations
-
-def station_reducible(spec: NetworkSpec, i: int) -> bool:
-    protocol = spec.protocols[i]
-    return (
-        len(spec.stations[i]) == 1
-        or protocol.allocation.order_insensitive
-        or protocol.policy.kind == "sbp"
-    )
-
 
 def station_canonicalizer(spec: NetworkSpec, i: int) -> Callable[[QueueConfig], QueueConfig]:
     """Map a station buffer to the canonical representative of its lumped class.

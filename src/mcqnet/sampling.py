@@ -7,6 +7,9 @@ snapshotted in class-sorted canonical order, which represents the same lumped
 state; every functional used on such networks depends on the state only
 through its composition.
 
+Both samplers read the spec's compiled ``qprocess.TransitionTable`` (event
+alphabet, per-class branch tables, routing) and build no laws of their own.
+
 ``batch_terminal_norms`` vectorizes many replications at once for networks in
 which every station serves a single class, where the state reduces to a count
 vector. It draws its uniforms in blocks of steps and resolves each block's
@@ -25,12 +28,10 @@ from .configurations import insertion_index
 from .network import NetworkSpec
 from .qprocess import (
     NetworkState,
-    event_alphabet,
-    routing_choices,
+    TransitionTable,
     state_composition,
     state_norm,
-    station_top_rate,
-    uniformization_rate,
+    transition_table,
 )
 from .rng import Uniforms
 
@@ -40,17 +41,12 @@ class _HQStation:
 
     __slots__ = ("policy", "fcfs", "buf", "branch")
 
-    def __init__(self, spec: NetworkSpec, i: int):
+    def __init__(self, spec: NetworkSpec, i: int, table: TransitionTable):
         protocol = spec.protocols[i]
         self.policy = protocol.policy
         self.fcfs = protocol.policy.kind == "fcfs"
         self.buf = deque() if self.fcfs else []
-        top = station_top_rate(spec, i)
-        self.branch = {}
-        for k in spec.stations[i]:
-            scale = spec.beta[k - 1] / top
-            table = tuple((cum * scale, l) for cum, l in routing_choices(spec, k))
-            self.branch[k] = (scale, table)
+        self.branch = table.branch
 
     def reset(self, q) -> None:
         if self.fcfs:
@@ -71,10 +67,10 @@ class _HQStation:
         if not buf:
             return None
         k = buf[0]
-        active, table = self.branch[k]
+        active, routes = self.branch[k]
         if u >= active:
             return None
-        for cum, l in table:
+        for cum, l in routes:
             if u < cum:
                 break
         if self.fcfs:
@@ -95,7 +91,7 @@ class _OIStation:
 
     __slots__ = ("classes", "kind", "order", "beta_scale", "routing", "counts", "total")
 
-    def __init__(self, spec: NetworkSpec, i: int):
+    def __init__(self, spec: NetworkSpec, i: int, table: TransitionTable):
         protocol = spec.protocols[i]
         self.classes = spec.stations[i]
         self.kind = protocol.allocation.kind
@@ -103,9 +99,8 @@ class _OIStation:
         self.order = (
             tuple(next(iter(c)) for c in ranking.castes) if ranking is not None else None
         )
-        top = station_top_rate(spec, i)
-        self.beta_scale = {k: spec.beta[k - 1] / top for k in self.classes}
-        self.routing = {k: routing_choices(spec, k) for k in self.classes}
+        self.beta_scale = {k: table.branch[k][0] for k in self.classes}
+        self.routing = table.routes
         self.counts = {k: 0 for k in self.classes}
         self.total = 0
 
@@ -175,20 +170,16 @@ class PathSampler:
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self.rate = uniformization_rate(spec)
-        entries = []
-        cum = 0.0
-        for k in range(1, spec.class_count + 1):
-            if spec.theta[k - 1] > 0:
-                cum += spec.theta[k - 1] / self.rate
-                entries.append((cum, k, None))
-        for i in range(spec.station_count):
-            cum += station_top_rate(spec, i) / self.rate
-            entries.append((cum, 0, i))
-        self.events = tuple(entries)
+        table = transition_table(spec)
+        self.rate = table.alphabet.rate
+        # (cum, class, None) for arrivals, (cum, 0, station) for departures
+        self.events = tuple(
+            (cum, idx, None) if kind == "A" else (cum, 0, idx)
+            for cum, kind, idx in table.alphabet.entries
+        )
         self.stations = [
-            _OIStation(spec, i) if spec.protocols[i].allocation.order_insensitive
-            else _HQStation(spec, i)
+            _OIStation(spec, i, table) if spec.protocols[i].allocation.order_insensitive
+            else _HQStation(spec, i, table)
             for i in range(spec.station_count)
         ]
         self.norm = 0
@@ -320,9 +311,10 @@ def batch_terminal_norms(
     if not is_single_class_network(spec):
         raise ValueError("batch stepping requires single-class stations")
     d = spec.class_count
-    entries = event_alphabet(spec).entries
+    table = transition_table(spec)
+    entries = table.alphabet.entries
     event_cum = np.asarray([cum for cum, _, _ in entries])
-    routes = {k: routing_choices(spec, k) for k in range(1, d + 1)}
+    routes = table.routes
     width = max(len(r) for r in routes.values())
     # per event: routing thresholds (pads at 2.0 are never passed) and the
     # source and target column of each routing pick; pads exit

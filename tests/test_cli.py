@@ -229,3 +229,22 @@ def test_spec_round_trip_through_files(tmp_path):
         dump_spec(load_spec(p1), p2)
         assert read(p1) == read(p2)
         assert load_spec(p2) == spec
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        # each wrote NaN, crashed or ran silently before counts were checked
+        (("phi", "--spec", "mm1", "--steps", "10", "--reps", "0"), "--reps"),
+        (("cycle", "--spec", "mm1", "--reps", "0"), "--reps"),
+        (("phi", "--spec", "mm1", "--steps", "-3"), "--steps"),
+        (("exact", "--spec", "mm1", "--steps", "-1"), "--steps"),
+        (("couple", "--spec", "mm1", "--lower", "[[]]", "--upper", "[[1]]", "--steps", "-5"),
+         "--steps"),
+        (("simulate", "--spec", "mm1", "--steps", "-5"), "--steps"),
+    ],
+)
+def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, option):
+    assert run_cli("--out-dir", str(tmp_path), *argv) == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

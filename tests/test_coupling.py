@@ -22,6 +22,7 @@ from mcqnet.network import builtin_fixture
 from mcqnet.qprocess import (
     TransitionLabel,
     apply_transition,
+    empty_state,
     state_norm,
 )
 
@@ -219,7 +220,7 @@ def test_case_table_exhaustive(name, seeds):
                 continue
             h_up = kt.head(i, upper[i])
             h_low = kt.head(i, lower[i])
-            for l, _ in engine._serve[h_up]:
+            for l, _ in kt.table.serve[h_up]:
                 up2 = kt.canon(apply_transition(spec, upper, TransitionLabel(h_up, l)))
                 if mark == 0 or h_low == h_up:
                     low2 = kt.canon(apply_transition(spec, lower, TransitionLabel(h_up, l)))
@@ -229,6 +230,27 @@ def test_case_table_exhaustive(name, seeds):
                     assert classify_pair(lower, up2) == l
                     if l == 0:
                         assert up2 == lower
+
+
+@pytest.mark.parametrize("name", ["mm1", "lk-sbp", "fcfs-reentrant"])
+def test_pair_kernel_upper_marginal_is_the_chain_kernel(name):
+    """The pair kernel's upper copy moves exactly as the reduced chain does."""
+    spec = builtin_fixture(name)
+    empty = empty_state(spec)
+    seeds = [
+        (empty, apply_transition(spec, empty, TransitionLabel(0, k)))
+        for k in range(1, spec.class_count + 1)
+    ]
+    pairs, engine = _pair_reachable(spec, seeds, 4)
+    chain = ExactEngine(spec, reduced=True)
+    for pair in pairs:
+        marginal = {}
+        for (_, up), p in engine.kernel(pair):
+            marginal[up] = marginal.get(up, 0.0) + p
+        expected = dict(chain.kernel(pair[1]))
+        assert marginal.keys() == expected.keys(), pair
+        for target, p in expected.items():
+            assert marginal[target] == pytest.approx(p, abs=1e-14), (pair, target)
 
 
 def test_frozen_deletion_reproduces_chain_moves(rng):

@@ -265,6 +265,33 @@ def test_arrival_maps_are_monotone(any_fixture):
             assert is_substate(state, grown)
 
 
+def test_exact_kernel_matches_reference_rates(any_fixture):
+    """The table-built kernel is transition_rate/lambda grouped by target."""
+    spec = any_fixture
+    lam = uniformization_rate(spec)
+    engine = ExactEngine(spec)
+    labels = [
+        TransitionLabel(k, l)
+        for k in range(spec.class_count + 1)
+        for l in range(spec.class_count + 1)
+        if (k, l) != (0, 0)
+    ]
+    for state in reachable_states(spec, 3):
+        expected = {}
+        for label in labels:
+            p = transition_rate(spec, state, label) / lam
+            if p > 0:
+                target = apply_transition(spec, state, label)
+                expected[target] = expected.get(target, 0.0) + p
+        rest = 1.0 - sum(expected.values())
+        if rest > 1e-15:
+            expected[state] = expected.get(state, 0.0) + rest
+        kernel = dict(engine.kernel(state))
+        assert kernel.keys() == expected.keys(), state
+        for target, p in expected.items():
+            assert kernel[target] == pytest.approx(p, abs=1e-14), (state, target)
+
+
 def _frequencies(spec, state, draws, rng):
     alphabet = event_alphabet(spec)
     counts = Counter()
