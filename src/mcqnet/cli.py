@@ -467,11 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=nonnegative_int, default=4000)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--reps", type=positive_int, default=400)
-    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--iters", type=positive_int, default=2000)
 
     p = add("region", _cmd_region, help="star-shaped region scan over rays")
     p.add_argument("--spec", required=True)
-    p.add_argument("--rays", type=int, default=4)
+    p.add_argument("--rays", type=positive_int, default=4)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--steps", type=nonnegative_int, default=4000)
     p.add_argument("--alpha", type=float, default=1.0)

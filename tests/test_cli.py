@@ -242,6 +242,9 @@ def test_spec_round_trip_through_files(tmp_path):
         (("couple", "--spec", "mm1", "--lower", "[[]]", "--upper", "[[1]]", "--steps", "-5"),
          "--steps"),
         (("simulate", "--spec", "mm1", "--steps", "-5"), "--steps"),
+        (("region", "--spec", "tandem2", "--rays", "0", "--epsilon", "0.3"), "--rays"),
+        (("threshold", "--spec", "mm1", "--direction", "1", "--epsilon", "0.3",
+          "--method", "rm", "--iters", "0"), "--iters"),
     ],
 )
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, option):

@@ -5,11 +5,17 @@ heads) is re-derived in this file from the raw transition maps and compared
 exhaustively against the kernel used by the implementation.
 """
 
+import random
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from mcqnet.coupling import (
+    CoupledPath,
     CouplingKernel,
     PairEngine,
+    _interpolate,
     classify_pair,
     coupled_step,
     exact_pair_law_check,
@@ -23,8 +29,10 @@ from mcqnet.qprocess import (
     TransitionLabel,
     apply_transition,
     empty_state,
+    is_substate,
     state_norm,
 )
+from mcqnet.rng import Uniforms, master_rng
 
 from conftest import ScriptedRng, run_optimized
 
@@ -324,3 +332,151 @@ def test_interpolation_check_survives_python_O():
         "    print('raised', exc)\n"
     )
     assert "raised" in out
+
+
+def test_fixed_time_dominance_fails_on_lk_sbp():
+    """One job fewer at the start can mean a heavier norm tail at a fixed step.
+
+    The coupling certifies only the time-changed order (lower at n - F_n inside
+    upper at n); criterion 3's grid (starts of norm <= 2, steps <= 8) misses
+    this lk-sbp pair, whose lower start has the heavier tail at step 24.
+    """
+    engine = ExactEngine(LK_SBP, reduced=True)
+
+    def tail(start):
+        return sum(p for s, p in engine.distribution(start, 24).items() if state_norm(s) > 5)
+
+    lower, upper = ((1,), (3,)), ((1, 4), (3,))
+    assert is_substate(lower, upper)
+    low, up = tail(lower), tail(upper)
+    assert low == pytest.approx(0.0183308, abs=1e-7)
+    assert up == pytest.approx(0.0180577, abs=1e-7)
+    assert low > up
+
+
+# the couple-verify workload's pairs: fixture, lower, upper
+COUPLE_PAIRS = [
+    (MM1, ((),), ((1,),)),
+    (FCFS, ((1,), ()), ((1, 4), (2,))),
+    (LK_SBP, ((1,), ()), ((1, 4), (2,))),
+]
+
+
+def _step_loop(kernel, lower, upper, n, rng):
+    """``CouplingKernel.run`` as a plain loop of reference ``step`` calls."""
+    uni = Uniforms(rng)
+    cs = kernel.start(lower, upper)
+    states = [cs]
+    events = []
+    for _ in range(n):
+        cs, ev = kernel.step(cs, uni)
+        states.append(cs)
+        events.append(ev)
+    tau = next((m for m, s in enumerate(states) if s.mark == 0), None)
+    return CoupledPath(states, events, tau)
+
+
+def _assert_same_path(fast, ref):
+    assert fast.tau == ref.tau
+    assert fast.events == ref.events
+    assert fast.states == ref.states
+
+
+@pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])
+def test_run_matches_step_loop(spec, lower, upper):
+    kernel = CouplingKernel(spec)
+    chain = _interpolate(kernel.canon(lower), kernel.canon(upper))
+    for seed in range(200):
+        for j, (a, b) in enumerate(zip(chain, chain[1:])):
+            fast = kernel.run(a, b, 200, master_rng(1000 * j + seed))
+            _assert_same_path(fast, _step_loop(kernel, a, b, 200, master_rng(1000 * j + seed)))
+
+
+def test_run_matches_step_loop_from_coupled_start():
+    kernel = CouplingKernel(FCFS)
+    start = ((1, 4), (2,))
+    for seed in range(50):
+        fast = kernel.run(start, start, 150, master_rng(seed))
+        assert fast.tau == 0
+        _assert_same_path(fast, _step_loop(kernel, start, start, 150, master_rng(seed)))
+
+
+def test_run_matches_step_loop_when_never_coupled():
+    # mm1: arrivals below 1/3; a departure (0.9, then 0.3) is mirrored while
+    # the lower copy holds a job, so the lower copy never empties
+    script = [0.1] + [0.1, 0.9, 0.3] * 10
+    kernel = CouplingKernel(MM1)
+    fast = kernel.run(((),), ((1,),), 21, ScriptedRng(script))
+    assert fast.tau is None
+    _assert_same_path(fast, _step_loop(kernel, ((),), ((1,),), 21, ScriptedRng(script)))
+
+
+def _reference_verify(path):
+    """The two-pass verifier that ``verify_coupling_path`` replaced."""
+    failures = []
+    states = path.states
+    tau = path.tau
+    start_coupled = states[0].mark == 0
+    lower_down = 0
+    upper_down = 0
+    for m, cs in enumerate(states):
+        cls = classify_pair(cs.lower, cs.upper)
+        if cls < 0:
+            failures.append(f"step {m}: pair left the one-extra-job relation")
+        elif cls != cs.mark:
+            failures.append(f"step {m}: recorded mark {cs.mark} but pair classifies as {cls}")
+        if cs.mark == 0 and cs.lower != cs.upper:
+            failures.append(f"step {m}: coupled mark with unequal states")
+        if m > 0:
+            prev = states[m - 1]
+            if prev.mark == 0 and cs.mark != 0:
+                failures.append(f"step {m}: left the absorbing coupled set")
+            if state_norm(cs.lower) < state_norm(prev.lower):
+                lower_down += 1
+            if state_norm(cs.upper) < state_norm(prev.upper):
+                upper_down += 1
+            if cs.frozen_count < prev.frozen_count:
+                failures.append(f"step {m}: frozen count decreased")
+        if cs.frozen_count > m:
+            failures.append(f"step {m}: frozen count exceeds the step index")
+        if (cs.lower_departures, cs.upper_departures) != (lower_down, upper_down):
+            failures.append(f"step {m}: departure counters disagree with the path")
+        expected_gap = 0 if (start_coupled or tau is None or m < tau) else 1
+        if upper_down - lower_down != expected_gap:
+            failures.append(
+                f"step {m}: departure gap {upper_down - lower_down}, expected {expected_gap}"
+            )
+    return failures
+
+
+def _corrupt(cs, field, spec, pick):
+    """``cs`` with one field moved off the value the runner recorded."""
+    if field in ("lower", "upper"):
+        state = getattr(cs, field)
+        if pick.random() < 0.5:  # one extra job at the first station
+            bad = (state[0] + (spec.stations[0][0],),) + state[1:]
+        else:  # the other copy's state
+            bad = cs.upper if field == "lower" else cs.lower
+        return replace(cs, **{field: bad})
+    if field == "mark":
+        return replace(cs, mark=pick.choice([k for k in range(spec.class_count + 1) if k != cs.mark]))
+    return replace(cs, **{field: getattr(cs, field) + pick.choice([-1, 1])})
+
+
+@pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])
+def test_verifier_matches_reference(spec, lower, upper):
+    pick = random.Random(5)
+    fields = ("lower", "upper", "mark", "frozen_count", "lower_departures", "upper_departures")
+    flagged = Counter()
+    for seed in range(60):
+        for path in run_coupling(spec, lower, upper, 120, master_rng(seed)):
+            assert verify_coupling_path(path).failures == _reference_verify(path) == []
+            for field in fields:
+                m = pick.randrange(len(path.states))
+                states = list(path.states)
+                states[m] = _corrupt(states[m], field, spec, pick)
+                bad = CoupledPath(states, path.events, path.tau)
+                failures = verify_coupling_path(bad).failures
+                assert failures == _reference_verify(bad), (field, m)
+                flagged[field] += bool(failures)
+    assert all(flagged[field] > 0 for field in fields), flagged

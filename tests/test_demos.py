@@ -1,4 +1,4 @@
-"""Smoke checks that the cheap narrative demos stay runnable."""
+"""Smoke checks that the narrative demos (all but the stability scan) stay runnable."""
 
 import runpy
 import sys
@@ -9,7 +9,16 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_network_basics.py", "02_queue_mechanics.py"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "01_network_basics.py",
+        "02_queue_mechanics.py",
+        "03_sampling_paths.py",
+        "04_exact_laws.py",
+        "05_coupling_verification.py",
+    ],
+)
 def test_demo_runs(name, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", [name])
     runpy.run_path(str(DEMOS / name), run_name="__main__")
