@@ -2,15 +2,17 @@
 policies, service allocations, and the lumped representations."""
 
 from mcqnet import (
+    NetworkSpec,
     PriorityRanking,
     QueuePolicy,
     ServiceAllocation,
+    StationProtocol,
     allocate,
     delete,
     insert,
     is_subconfig,
-    reduce_config,
 )
+from mcqnet.qprocess import station_canonicalizer
 
 print("A buffer is an ordered class sequence; position 1 holds the server.")
 print()
@@ -49,14 +51,26 @@ for alloc in (
     print(f"  {alloc.kind:13s} -> {shares}")
 print()
 
-print("lumped representations (when the protocol allows them):")
+
+def lumping(policy, allocation, classes):
+    """Canonical form of the buffer of a one-station network serving ``classes``."""
+    d = max(classes)
+    spec = NetworkSpec(
+        class_count=d,
+        stations=(tuple(classes),),
+        theta=(1.0,) * d,
+        beta=(1.0,) * d,
+        routing=((0.0,) * d,) * d,
+        protocols=(StationProtocol(policy, allocation),),
+    )
+    return station_canonicalizer(spec, 0)
+
+
+print("lumped (canonical) buffers, as the exact engine and the coupling store them:")
 hq = ServiceAllocation.head_of_queue()
-print("  single class, (1,1,1)   ->", reduce_config((1, 1, 1), QueuePolicy.fcfs(), hq, {1}))
-print(
-    "  proportional, (1,2,1)   ->",
-    reduce_config((1, 2, 1), QueuePolicy.fcfs(), ServiceAllocation.proportional(), {1, 2}),
-)
-print(
-    "  sbp + head-of-queue     ->",
-    reduce_config((1, 2, 1), QueuePolicy.sbp(ranking), hq, {1, 2}),
-)
+single = lumping(QueuePolicy.fcfs(), hq, (1,))
+print("  single class, (1,1,1)        ->", single((1, 1, 1)), "(the job count says it all)")
+prop = lumping(QueuePolicy.fcfs(), ServiceAllocation.proportional(), (1, 2))
+print("  proportional, (1,2,1)        ->", prop((1, 2, 1)), "(order is irrelevant)")
+sbp = lumping(QueuePolicy.sbp(ranking), hq, (1, 2))
+print("  sbp + head-of-queue, (1,1,2) ->", sbp((1, 1, 2)), "(head kept, tail caste-sorted)")

@@ -4,20 +4,17 @@ from .allocation import ServiceAllocation, StationProtocol, allocate, allocate_f
 from .configurations import (
     PriorityRanking,
     QueuePolicy,
-    ReducedConfig,
     composition,
     delete,
     head,
     insert,
     insertion_index,
     is_subconfig,
-    reduce_config,
 )
 from .coupling import (
     ComparisonReport,
     CoupledPath,
     CoupledState,
-    coupled_step,
     exact_pair_law_check,
     run_coupling,
     verify_coupling_path,

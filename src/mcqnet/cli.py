@@ -13,8 +13,10 @@ budget, failed bracket, ...), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -31,7 +33,6 @@ from .errors import (
     NotASubconfigurationError,
     UnknownFixtureError,
     UnsupportedCouplingError,
-    UnsupportedReductionError,
 )
 from .exact import ExactEngine, expectation
 from .network import (
@@ -62,7 +63,6 @@ _DOMAIN_ERRORS = (
     BracketFailureError,
     NotASubconfigurationError,
     UnsupportedCouplingError,
-    UnsupportedReductionError,
     UnknownFixtureError,
     NegativeRateError,
     DimensionMismatchError,
@@ -81,6 +81,21 @@ def _state_key(state) -> str:
     return json.dumps([list(q) for q in state], separators=(",", ":"))
 
 
+class _HashingSink(io.RawIOBase):
+    """Binary sink that passes every byte on to ``fh`` and hashes it on the way."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.fh.write(data)
+
+
 class RunWriter:
     """Collects output files and finalizes the run manifest."""
 
@@ -94,27 +109,28 @@ class RunWriter:
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def _register(self, path: str) -> None:
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        self.outputs[os.path.basename(path)] = digest
+    @contextlib.contextmanager
+    def _open(self, name: str, newline: str | None = None):
+        """Text stream to the output ``name``; its bytes are hashed as they go out."""
+        path = self.path(name)
+        with open(path, "wb") as raw:
+            sink = _HashingSink(raw)
+            with io.TextIOWrapper(io.BufferedWriter(sink), newline=newline) as fh:
+                yield fh
+        self.outputs[os.path.basename(path)] = sink.sha256.hexdigest()
 
     def write_json(self, name: str, payload) -> str:
-        path = self.path(name)
-        with open(path, "w") as fh:
+        with self._open(name) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        self._register(path)
-        return path
+        return self.path(name)
 
     def write_csv(self, name: str, header, rows) -> str:
-        path = self.path(name)
-        with open(path, "w", newline="") as fh:
+        with self._open(name, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-        self._register(path)
-        return path
+        return self.path(name)
 
     def finish(self, subcommand: str) -> None:
         params = {
@@ -396,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("QNET_THREADS", "1")),
+        type=positive_int,
+        default=os.environ.get("QNET_THREADS", "1"),
         help="replication worker threads (QNET_THREADS fallback)",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifest")
@@ -429,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", default="exp-norm")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=positive_int, default=10**6)
 
     p = add("phi", _cmd_phi, help="phi_n estimate (MC or exact)")
     p.add_argument("--spec", required=True)
@@ -439,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=positive_int, default=1000)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=positive_int, default=10**6)
 
     p = add("monotone", _cmd_monotone, help="phi table over theta scales and steps")
     p.add_argument("--spec", required=True)
@@ -449,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=positive_int, default=2000)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=positive_int, default=10**6)
 
     p = add("couple", _cmd_couple, help="run and verify the monotonicity coupling")
     p.add_argument("--spec", required=True)

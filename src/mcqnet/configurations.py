@@ -2,9 +2,9 @@
 
 A configuration is a finite ordered sequence of class identifiers (a tuple of
 ints, position 1 being the job in service). The module provides the composition
-vector, head/insert/delete operators parameterized by a queue policy, the
-subsequence partial order, and the lumped (reduced) representations available
-for single-class, order-insensitive and SBP head-of-queue protocols.
+vector, head/insert/delete operators parameterized by a queue policy and the
+subsequence partial order. The lumped (canonical) form of a station buffer is
+``qprocess.station_canonicalizer``, the toolkit's one lumping.
 
 Class ids are 1-based; 0 is reserved for the external virtual class used in
 transition labels and never appears inside a configuration.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyConfigurationError, UnsupportedReductionError
+from .errors import EmptyConfigurationError
 
 ClassId = int
 QueueConfig = tuple[int, ...]
@@ -182,49 +182,3 @@ def is_subconfig(p: QueueConfig, q: QueueConfig) -> bool:
     """Subsequence order: the digits of p occur in q in the same order."""
     it = iter(q)
     return all(digit in it for digit in p)
-
-
-@dataclass(frozen=True)
-class ReducedConfig:
-    """Lumped representative of a configuration.
-
-    kind "count": job count (single-class stations).
-    kind "composition": class-sorted digit tuple (order-insensitive protocols).
-    kind "head-castes": (head, per-caste tail subsequences) for SBP head-of-queue.
-    """
-
-    kind: str
-    value: object
-
-    def __post_init__(self):
-        if self.kind not in ("count", "composition", "head-castes"):
-            raise ValueError(f"unknown reduction kind {self.kind!r}")
-
-
-_EMPTY_HEAD_CASTES = (0, ())
-
-
-def reduce_config(p: QueueConfig, policy: QueuePolicy, allocation, classes) -> ReducedConfig:
-    """Reduced representation of ``p`` under the station's protocol.
-
-    Equal reduced values have equal compositions and allocations, and the
-    insert/delete operators commute with the reduction. For the SBP
-    head-of-queue case this holds on the states reachable under SBP dynamics
-    (caste-sorted tails); see the reduction-soundness tests.
-    """
-    classes = frozenset(classes)
-    if len(classes) == 1:
-        return ReducedConfig("count", len(p))
-    if allocation.order_insensitive:
-        return ReducedConfig("composition", tuple(sorted(p)))
-    if policy.kind == "sbp":
-        if not p:
-            return ReducedConfig("head-castes", _EMPTY_HEAD_CASTES)
-        tail = p[1:]
-        castes = tuple(
-            tuple(d for d in tail if d in caste) for caste in policy.ranking.castes
-        )
-        return ReducedConfig("head-castes", (p[0], castes))
-    raise UnsupportedReductionError(
-        f"no reduction for a multi-class {policy.kind} station with head-of-queue service"
-    )

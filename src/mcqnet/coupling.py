@@ -1,17 +1,19 @@
 """Markovian coupling of two ordered copies of the network chain.
 
 Both copies consume one shared event stream, drawn from the spec's compiled
-``qprocess.TransitionTable`` (event alphabet and per-class branch tables);
-the exact pair engine reads the same table's arrival and serve rates, so every
-copy of the chain runs on one set of laws. The upper copy evolves exactly
-like the embedded chain; the lower copy mirrors each transition whenever the
-served heads agree and freezes otherwise. While uncoupled, the pair differs by
-exactly one extra job (the mark b): arrivals and mirrored services preserve
-the relation, and the extra job's own departure either re-marks the pair (on a
-class change) or couples it for good (on an exit). ``CouplingKernel.step`` is
-the reference rule; ``CouplingKernel.run`` calls it until the pair couples and
-from then on advances one copy for both sides, station by station, on the
-same uniforms.
+``qprocess.TransitionTable`` (event alphabet and per-class branch tables).
+The exact law of the pair chain (``PairEngine``) is one more kernel on
+``exact.ExactEngine``, read from the same table's arrival and serve rates, so
+every copy of the chain runs on one set of laws and one BFS engine, with
+buffers lumped by ``qprocess.station_canonicalizer``. The upper copy evolves
+exactly like the embedded chain; the lower copy mirrors each transition
+whenever the served heads agree and freezes otherwise. While uncoupled, the
+pair differs by exactly one extra job (the mark b): arrivals and mirrored
+services preserve the relation, and the extra job's own departure either
+re-marks the pair (on a class change) or couples it for good (on an exit).
+``CouplingKernel.step`` is the reference rule; ``CouplingKernel.run`` calls it
+until the pair couples and from then on advances one copy for both sides,
+station by station, on the same uniforms.
 
 What the coupling certifies is a time-changed order: with F_n the number of
 frozen steps up to n, the lower copy at step n - F_n sits inside the upper copy
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 
 from .configurations import delete, insert
 from .errors import NotASubconfigurationError, UnsupportedCouplingError
-from .exact import ExactEngine, norm_cdf, propagate
+from .exact import ExactEngine, norm_cdf
 from .network import NetworkSpec
 from .qprocess import (
     NetworkState,
@@ -293,11 +295,6 @@ class CouplingKernel:
             states.append(cs)
 
 
-def coupled_step(spec: NetworkSpec, cs: CoupledState, rng) -> CoupledState:
-    """One shared-event transition of the coupled pair."""
-    return CouplingKernel(spec).step(cs, Uniforms(rng))[0]
-
-
 def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]:
     """Chain lower = Z_0 inside Z_1 ... inside Z_m = upper, one extra job each."""
     extras: list[tuple[int, int]] = []
@@ -397,55 +394,37 @@ def verify_coupling_path(path: CoupledPath) -> InvariantReport:
     return InvariantReport(ok=not failures, failures=failures, steps_checked=len(states))
 
 
-class PairEngine:
-    """Exact distribution of the coupled pair chain by BFS, for verification."""
+class PairEngine(ExactEngine):
+    """Exact law of the coupled pair chain, for verification.
+
+    The pair chain is one more kernel on ``ExactEngine``: states are canonical
+    (lower, upper) pairs, and only the moves of a pair and the start
+    canonicalization (``CouplingKernel.start``, which also checks the
+    one-extra-job relation) are its own. Kernel cache, self-loop remainder,
+    BFS step, budget and mass check are the engine's.
+    """
 
     def __init__(self, spec: NetworkSpec, budget: int = 10**6):
         self.kernel_tables = CouplingKernel(spec)
-        self.spec = spec
-        self.budget = budget
-        self.rate = self.kernel_tables.table.alphabet.rate
-        self._cache: dict[tuple[NetworkState, NetworkState], tuple] = {}
+        super().__init__(spec, reduced=True, budget=budget)
 
-    def kernel(self, pair):
-        cached = self._cache.get(pair)
-        if cached is not None:
-            return cached
+    def canonical(self, pair):
+        start = self.kernel_tables.start(*pair)
+        return start.lower, start.upper
+
+    def _moves(self, pair):
         lower, upper = pair
         kt = self.kernel_tables
-        acc: dict[tuple[NetworkState, NetworkState], float] = {}
-        total = 0.0
-        for k, p in kt.table.arrivals:
-            target = (kt._apply(lower, 0, k), kt._apply(upper, 0, k))
-            acc[target] = acc.get(target, 0.0) + p
-            total += p
-        for i in range(self.spec.station_count):
-            q_up = upper[i]
+        for k, p in self.table.arrivals:
+            yield (kt._apply(lower, 0, k), kt._apply(upper, 0, k)), p
+        for i, q_up in enumerate(upper):
             if not q_up:
                 continue
             h_up = kt.head(i, q_up)
-            h_low = kt.head(i, lower[i])
-            mirrored = lower == upper or h_low == h_up
-            for l, rate_kl in kt.table.serve[h_up]:
-                p = rate_kl / self.rate
-                up2 = kt._apply(upper, h_up, l)
+            mirrored = lower == upper or kt.head(i, lower[i]) == h_up
+            for l, rate_kl in self.table.serve[h_up]:
                 low2 = kt._apply(lower, h_up, l) if mirrored else lower
-                target = (low2, up2)
-                acc[target] = acc.get(target, 0.0) + p
-                total += p
-        rest = 1.0 - total
-        if rest > 1e-15:
-            acc[pair] = acc.get(pair, 0.0) + rest
-        entries = tuple(acc.items())
-        self._cache[pair] = entries
-        return entries
-
-    def distribution(self, lower, upper, n: int):
-        start = self.kernel_tables.start(lower, upper)
-        dist = {(start.lower, start.upper): 1.0}
-        for _ in range(n):
-            dist = propagate(dist, self.kernel, self.budget)
-        return dist
+                yield (low2, kt._apply(upper, h_up, l)), rate_kl / self.rate
 
 
 def exact_pair_law_check(
@@ -461,7 +440,7 @@ def exact_pair_law_check(
     engine = ExactEngine(spec, reduced=True, budget=budget)
     pair_engine = PairEngine(spec, budget=budget)
     start = pair_engine.kernel_tables.start(xi, zeta)
-    pair_dist = pair_engine.distribution(start.lower, start.upper, n)
+    pair_dist = pair_engine.distribution((start.lower, start.upper), n)
 
     upper_marginal: dict[NetworkState, float] = {}
     order_violation = 0.0

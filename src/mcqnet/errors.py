@@ -5,10 +5,6 @@ class EmptyConfigurationError(ValueError):
     """An operation required a nonempty queue configuration."""
 
 
-class UnsupportedReductionError(ValueError):
-    """The station protocol admits no lumped (reduced) representation."""
-
-
 class DimensionMismatchError(ValueError):
     """Structural fields of a network specification disagree in size."""
 

@@ -2,13 +2,15 @@
 
 Every transition adds at most one job, so the n-step reachable set from a
 fixed start is finite and the law of the chain can be computed by breadth-
-first probability propagation (``propagate``, shared with the coupled pair
-chain). One-step kernels are built per state from the spec's compiled
-``TransitionTable`` (service fractions as exact rationals, one float
-conversion per branch), cached, and reused across sweeps; a configurable
-state-count budget guards against explosion. The transient (continuous-time)
-functional is recovered from the step laws through the Poisson jump-count
-mixture.
+first probability propagation. ``ExactEngine`` is the one BFS engine: it
+caches each state's one-step kernel, adds the uniformization self-loop, checks
+the kernel mass, the support budget and the final mass drift. The moves of a
+state come from one overridable method, so the coupled pair chain
+(``coupling.PairEngine``) runs on the same engine as one more kernel. Chain
+kernels are built from the spec's compiled ``TransitionTable`` (service
+fractions as exact rationals, one float conversion per branch). The transient
+(continuous-time) functional is recovered from the step laws through the
+Poisson jump-count mixture.
 """
 
 from __future__ import annotations
@@ -52,34 +54,23 @@ class ExactEngine:
         self._kernel: dict[NetworkState, tuple[tuple[NetworkState, float], ...]] = {}
 
     def canonical(self, xi: NetworkState) -> NetworkState:
+        """The start state as the engine stores it."""
         return self._canon(xi)
 
-    def kernel(self, xi: NetworkState) -> tuple[tuple[NetworkState, float], ...]:
+    def kernel(self, xi):
+        """(target, probability) pairs of one step from ``xi``, built once and cached.
+
+        The moves come from ``_moves``; the mass they leave is the
+        uniformization self-loop at ``xi``.
+        """
         cached = self._kernel.get(xi)
         if cached is not None:
             return cached
-        spec = self.spec
-        lam = self.rate
-        serve = self.table.serve
-        acc: dict[NetworkState, float] = {}
+        acc = {}
         total = 0.0
-        for k, p in self.table.arrivals:
-            target = self._canon(apply_transition(spec, xi, TransitionLabel(0, k)))
+        for target, p in self._moves(xi):
             acc[target] = acc.get(target, 0.0) + p
             total += p
-        for i, q in enumerate(xi):
-            if not q:
-                continue
-            weights = allocate_fractions(spec.protocols[i].allocation, q)
-            for k, w in weights.items():
-                if w == 0:
-                    continue
-                wf = float(w)
-                for l, rate_kl in serve[k]:
-                    p = wf * rate_kl / lam
-                    target = self._canon(apply_transition(spec, xi, TransitionLabel(k, l)))
-                    acc[target] = acc.get(target, 0.0) + p
-                    total += p
         if total > 1.0 + 1e-12:
             raise AssertionError(f"kernel mass {total} exceeds one at {xi}")
         rest = 1.0 - total
@@ -89,12 +80,43 @@ class ExactEngine:
         self._kernel[xi] = entries
         return entries
 
-    def step(self, dist: StateDistribution) -> StateDistribution:
-        return propagate(dist, self.kernel, self.budget)
+    def _moves(self, xi: NetworkState):
+        """Yield (target, probability) for every arrival and every served branch."""
+        spec = self.spec
+        canon = self._canon
+        lam = self.rate
+        serve = self.table.serve
+        for k, p in self.table.arrivals:
+            yield canon(apply_transition(spec, xi, TransitionLabel(0, k))), p
+        for i, q in enumerate(xi):
+            if not q:
+                continue
+            weights = allocate_fractions(spec.protocols[i].allocation, q)
+            for k, w in weights.items():
+                if w == 0:
+                    continue
+                wf = float(w)
+                for l, rate_kl in serve[k]:
+                    target = canon(apply_transition(spec, xi, TransitionLabel(k, l)))
+                    yield target, wf * rate_kl / lam
 
-    def distribution(self, xi0: NetworkState, n: int) -> StateDistribution:
-        """Exact law of the embedded chain after n steps from xi0."""
-        dist: StateDistribution = {self._canon(xi0): 1.0}
+    def step(self, dist: dict) -> dict:
+        """One BFS step: the law after pushing ``dist`` through the kernel.
+
+        Raises BudgetExceededError when the new support exceeds the budget.
+        """
+        kernel = self.kernel
+        out = {}
+        for state, mass in dist.items():
+            for target, p in kernel(state):
+                out[target] = out.get(target, 0.0) + mass * p
+        if len(out) > self.budget:
+            raise BudgetExceededError(f"support grew to {len(out)} states (budget {self.budget})")
+        return out
+
+    def distribution(self, xi0, n: int) -> dict:
+        """Exact law of the chain after n steps from xi0."""
+        dist = {self.canonical(xi0): 1.0}
         for _ in range(n):
             dist = self.step(dist)
         mass = sum(dist.values())
@@ -106,7 +128,7 @@ class ExactEngine:
         self, xi0: NetworkState, n: int, phi: Callable[[NetworkState], float]
     ) -> list[float]:
         """E[phi(state at step m)] for m = 0..n."""
-        dist: StateDistribution = {self._canon(xi0): 1.0}
+        dist: StateDistribution = {self.canonical(xi0): 1.0}
         values = [expectation(dist, phi)]
         for _ in range(n):
             dist = self.step(dist)
@@ -145,21 +167,6 @@ class ExactEngine:
         return [
             sum(w * v for w, v in zip(ws, series)) for ws in weights
         ]
-
-
-def propagate(dist: dict, kernel: Callable, budget: int) -> dict:
-    """One BFS step: the law after pushing ``dist`` through ``kernel``.
-
-    ``kernel(state)`` returns (target, probability) pairs; raises
-    BudgetExceededError when the new support exceeds ``budget`` states.
-    """
-    out = {}
-    for state, mass in dist.items():
-        for target, p in kernel(state):
-            out[target] = out.get(target, 0.0) + mass * p
-    if len(out) > budget:
-        raise BudgetExceededError(f"support grew to {len(out)} states (budget {budget})")
-    return out
 
 
 def poisson_weights(x: float, tol: float) -> list[float]:

@@ -10,7 +10,7 @@ class with positive rate, one potential-departure event per station.
 ``apply_transition``, ``transition_rate`` and ``embedded_step`` are the
 reference semantics. ``transition_table`` compiles the same laws once per spec
 (event alphabet, arrival probabilities, routing, per-class branch tables and
-serve rates); the samplers, the exact engines and the coupling all read it.
+serve rates); the samplers, the exact engine and the coupling all read it.
 """
 
 from __future__ import annotations

@@ -245,9 +245,19 @@ def test_spec_round_trip_through_files(tmp_path):
         (("region", "--spec", "tandem2", "--rays", "0", "--epsilon", "0.3"), "--rays"),
         (("threshold", "--spec", "mm1", "--direction", "1", "--epsilon", "0.3",
           "--method", "rm", "--iters", "0"), "--iters"),
+        (("--threads", "-4", "fixtures"), "--threads"),
+        (("exact", "--spec", "mm1", "--steps", "3", "--budget", "-1"), "--budget"),
     ],
 )
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, option):
     assert run_cli("--out-dir", str(tmp_path), *argv) == 2
     assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bad_threads_environment_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # QNET_THREADS is the --threads default, checked like a given value
+    monkeypatch.setenv("QNET_THREADS", "abc")
+    assert run_cli("--out-dir", str(tmp_path), "fixtures") == 2
+    assert "argument --threads: invalid positive_int value: 'abc'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -2,20 +2,20 @@
 
 import pytest
 
-from mcqnet.allocation import ServiceAllocation
+from mcqnet.allocation import ServiceAllocation, StationProtocol
 from mcqnet.configurations import (
     PriorityRanking,
     QueuePolicy,
-    ReducedConfig,
     composition,
     delete,
     head,
     insert,
     insertion_index,
     is_subconfig,
-    reduce_config,
 )
-from mcqnet.errors import EmptyConfigurationError, UnsupportedReductionError
+from mcqnet.errors import EmptyConfigurationError
+from mcqnet.network import NetworkSpec
+from mcqnet.qprocess import station_canonicalizer
 
 from conftest import all_sequences
 
@@ -165,33 +165,49 @@ def test_sbp_single_caste_is_fcfs():
             assert insertion_index(single, p, k) == insertion_index(FCFS, p, k)
 
 
-# --- reductions -------------------------------------------------------------
+# --- reductions (qprocess.station_canonicalizer) ----------------------------
 
 HQ = ServiceAllocation.head_of_queue()
 PROP = ServiceAllocation.proportional()
 
 
-def test_reduce_examples():
-    assert reduce_config((1, 1, 1), FCFS, HQ, {1}) == ReducedConfig("count", 3)
-    assert reduce_config((1, 2, 1), FCFS, PROP, {1, 2}) == ReducedConfig(
-        "composition", (1, 1, 2)
+def lumping(policy, allocation, classes):
+    """The canonicalizer of a one-station network serving ``classes``."""
+    d = max(classes)
+    spec = NetworkSpec(
+        class_count=d,
+        stations=(tuple(classes),),
+        theta=(1.0,) * d,
+        beta=(1.0,) * d,
+        routing=((0.0,) * d,) * d,
+        protocols=(StationProtocol(policy, allocation),),
     )
-    reduced = reduce_config((1, 2, 1), SBP_2_OVER_1, HQ, {1, 2})
-    assert reduced == ReducedConfig("head-castes", (1, ((2,), (1,))))
+    return station_canonicalizer(spec, 0)
+
+
+def test_reduce_examples():
+    # a single-class buffer is its own lumped form: its length says it all
+    assert lumping(FCFS, HQ, (1,))((1, 1, 1)) == (1, 1, 1)
+    assert lumping(FCFS, PROP, (1, 2))((1, 2, 1)) == (1, 1, 2)
+    # head kept, tail caste-sorted: caste {2} before caste {1}
+    assert lumping(SBP_2_OVER_1, HQ, (1, 2))((1, 2, 1)) == (1, 2, 1)
+    assert lumping(SBP_2_OVER_1, HQ, (1, 2))((1, 1, 2)) == (1, 2, 1)
 
 
 def test_reduce_empty_is_designated_value():
-    assert reduce_config((), FCFS, HQ, {1}).value == 0
-    assert reduce_config((), FCFS, PROP, {1, 2}).value == ()
-    empty_hc = reduce_config((), SBP_2_OVER_1, HQ, {1, 2})
-    assert empty_hc != reduce_config((1,), SBP_2_OVER_1, HQ, {1, 2})
+    assert lumping(FCFS, HQ, (1,))(()) == ()
+    assert lumping(FCFS, PROP, (1, 2))(()) == ()
+    sbp = lumping(SBP_2_OVER_1, HQ, (1, 2))
+    assert sbp(()) == ()
+    assert sbp(()) != sbp((1,))
 
 
 def test_reduce_unsupported():
-    with pytest.raises(UnsupportedReductionError):
-        reduce_config((1, 2), FCFS, HQ, {1, 2})
-    with pytest.raises(UnsupportedReductionError):
-        reduce_config((1, 2), LCFS, HQ, {1, 2})
+    # a multi-class FCFS or LCFS head-of-queue station has no lumping
+    for policy in (FCFS, LCFS):
+        canon = lumping(policy, HQ, (1, 2))
+        for p in all_sequences((1, 2), 5):
+            assert canon(p) == p
 
 
 def _sbp_reachable(policy, classes, max_norm):
@@ -219,34 +235,35 @@ def _sbp_reachable(policy, classes, max_norm):
     ],
 )
 def test_reduction_soundness(policy, allocation, classes):
-    # reduce(insert(p, k)) and reduce(delete(p, k)) must be functions of
-    # (reduce(p), k). For SBP this holds on the dynamics-reachable subspace
+    # canon(insert(p, k)) and canon(delete(p, k)) must be functions of
+    # (canon(p), k). For SBP this holds on the dynamics-reachable subspace
     # (caste-sorted tails); single-class and OI reductions need no restriction,
     # so enumerate everything for those.
     if policy.kind == "sbp":
         space = _sbp_reachable(policy, classes, 5)
     else:
         space = all_sequences(classes, 5)
+    canon = lumping(policy, allocation, classes)
     insert_map = {}
     delete_map = {}
     for p in space:
-        rp = reduce_config(p, policy, allocation, classes)
+        rp = canon(p)
         for k in classes:
             key = (rp, k)
-            ri = reduce_config(insert(policy, p, k), policy, allocation, classes)
-            rd = reduce_config(delete(p, k), policy, allocation, classes)
+            ri = canon(insert(policy, p, k))
+            rd = canon(delete(p, k))
             assert insert_map.setdefault(key, ri) == ri
             assert delete_map.setdefault(key, rd) == rd
 
 
 def test_sbp_reduction_breaks_off_reachable_subspace():
-    # (2,1,2) and (2,2,1) share head and caste subsequences, yet deleting the
+    # (2,1,2) and (2,2,1) share head and caste-sorted tail, yet deleting the
     # head separates them; the caste-interleaved state (2,2,1) is unreachable
     # under SBP dynamics, which is exactly why the reduction is restricted.
     ranked_1_over_2 = QueuePolicy.sbp(PriorityRanking.from_lists([[1], [2]]))
     p, q = (2, 1, 2), (2, 2, 1)
     assert q not in _sbp_reachable(ranked_1_over_2, (1, 2), 3)
-    red = lambda s: reduce_config(s, ranked_1_over_2, HQ, (1, 2))
+    red = lumping(ranked_1_over_2, HQ, (1, 2))
     assert red(p) == red(q)
     assert red(delete(p, 2)) != red(delete(q, 2))
 

@@ -17,12 +17,15 @@ from mcqnet.coupling import (
     PairEngine,
     _interpolate,
     classify_pair,
-    coupled_step,
     exact_pair_law_check,
     run_coupling,
     verify_coupling_path,
 )
-from mcqnet.errors import NotASubconfigurationError, UnsupportedCouplingError
+from mcqnet.errors import (
+    BudgetExceededError,
+    NotASubconfigurationError,
+    UnsupportedCouplingError,
+)
 from mcqnet.exact import ExactEngine
 from mcqnet.network import builtin_fixture
 from mcqnet.qprocess import (
@@ -41,10 +44,6 @@ LK_SBP = builtin_fixture("lk-sbp")
 FCFS = builtin_fixture("fcfs-reentrant")
 
 
-def make_pair(spec, lower, upper):
-    return CouplingKernel(spec).start(lower, upper)
-
-
 def test_classify_pair():
     assert classify_pair(((),), ((),)) == 0
     assert classify_pair(((),), ((1,),)) == 1
@@ -54,51 +53,55 @@ def test_classify_pair():
     assert classify_pair(((2, 1), ()), ((1, 1, 2), ())) == -1
 
 
-def test_coupled_step_c2_exit_couples():
-    cs = make_pair(MM1, ((),), ((1,),))
+def test_step_c2_exit_couples():
+    kernel = CouplingKernel(MM1)
+    cs = kernel.start(((),), ((1,),))
     # departure event (0.9), branch draw 0.3 -> the lone job exits
-    nxt = coupled_step(MM1, cs, ScriptedRng([0.9, 0.3]))
+    nxt, _ = kernel.step(cs, Uniforms(ScriptedRng([0.9, 0.3])))
     assert nxt.mark == 0
     assert nxt.lower == nxt.upper == ((),)
     assert nxt.frozen_count == 1 and nxt.upper_departures == 1
     assert nxt.lower_departures == 0
 
 
-def test_coupled_step_shared_arrival_keeps_mark():
-    cs = make_pair(MM1, ((),), ((1,),))
-    nxt = coupled_step(MM1, cs, ScriptedRng([0.1]))
+def test_step_shared_arrival_keeps_mark():
+    kernel = CouplingKernel(MM1)
+    cs = kernel.start(((),), ((1,),))
+    nxt, _ = kernel.step(cs, Uniforms(ScriptedRng([0.1])))
     assert nxt.lower == ((1,),) and nxt.upper == ((1, 1),)
     assert nxt.mark == 1 and nxt.frozen_count == 0
 
 
-def test_coupled_step_case_b_mirrors_other_station():
+def test_step_case_b_mirrors_other_station():
     # extra class-1 job at station 1; a departure at station 2 is mirrored
-    cs = make_pair(LK_SBP, ((4,), (2,)), ((1, 4), (2,)))
+    kernel = CouplingKernel(LK_SBP)
+    cs = kernel.start(((4,), (2,)), ((1, 4), (2,)))
     assert cs.mark == 1
     # event draw 0.7 selects D_2; branch draw 0.2 < beta_2/beta_bar_2 = 0.375
-    nxt = coupled_step(LK_SBP, cs, ScriptedRng([0.7, 0.2]))
+    nxt, _ = kernel.step(cs, Uniforms(ScriptedRng([0.7, 0.2])))
     assert nxt.lower == ((4,), (3,))
     assert nxt.upper == ((1, 4), (3,))
     assert nxt.mark == 1 and nxt.frozen_count == 0
 
 
-def test_coupled_step_c2_class_change_moves_mark():
+def test_step_c2_class_change_moves_mark():
     # the extra job is the ranked head at station 1 (class 4 outranks 1), the
     # lower side serves class 1 instead: heads differ, upper moves 4 -> exit
-    cs = make_pair(LK_SBP, ((1,), ()), ((1, 4), ()))
+    kernel = CouplingKernel(LK_SBP)
+    cs = kernel.start(((1,), ()), ((1, 4), ()))
     assert cs.mark == 4
     # D_1 event: draw 0.3 (inside D_1 mass (0.059, 0.529]); branch draw 0.2 is
     # below beta_4/beta_bar_1 = 0.375, so the extra class-4 job exits
-    nxt = coupled_step(LK_SBP, cs, ScriptedRng([0.3, 0.2]))
+    nxt, _ = kernel.step(cs, Uniforms(ScriptedRng([0.3, 0.2])))
     assert nxt.mark == 0 and nxt.lower == nxt.upper == ((1,), ())
     # with draw 0.5 the departure event self-loops: a frozen non-move
-    loop = coupled_step(LK_SBP, cs, ScriptedRng([0.3, 0.5]))
+    loop, _ = kernel.step(cs, Uniforms(ScriptedRng([0.3, 0.5])))
     assert loop.mark == 4 and loop.frozen_count == 1
     assert (loop.lower, loop.upper) == (cs.lower, cs.upper)
     # same start, but the extra job is class 1 while class 4 is served on both
-    cs2 = make_pair(LK_SBP, ((4,), ()), ((1, 4), ()))
+    cs2 = kernel.start(((4,), ()), ((1, 4), ()))
     assert cs2.mark == 1
-    nxt2 = coupled_step(LK_SBP, cs2, ScriptedRng([0.3, 0.2]))
+    nxt2, _ = kernel.step(cs2, Uniforms(ScriptedRng([0.3, 0.2])))
     # mirrored service of the shared head 4: both lose it, mark survives
     assert nxt2.mark == 1
     assert nxt2.lower == ((), ()) and nxt2.upper == ((1,), ())
@@ -303,6 +306,20 @@ def test_exact_pair_law(name, lower, upper, n):
 def test_exact_pair_law_zero_steps():
     report = exact_pair_law_check(MM1, ((),), ((1,),), 0)
     assert report.tv_upper == 0.0
+
+
+def test_pair_engine_runs_on_the_exact_engine():
+    """Start check, budget and mass check of the pair law are ExactEngine's."""
+    engine = PairEngine(LK_SBP)
+    dist = engine.distribution((((4,), ()), ((4, 1), ())), 6)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(classify_pair(low, up) >= 0 for low, up in dist)
+    # the start is canonicalized: preferential station 1 stores (4, 1) as (1, 4)
+    assert engine.canonical((((4,), ()), ((4, 1), ()))) == (((4,), ()), ((1, 4), ()))
+    with pytest.raises(NotASubconfigurationError):
+        engine.distribution((((1,), ()), ((), ())), 1)
+    with pytest.raises(BudgetExceededError):
+        PairEngine(MM1, budget=2).distribution((((),), ((1,),)), 3)
 
 
 def test_delta_relation_against_manual_recount(rng):
