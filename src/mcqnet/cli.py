@@ -256,10 +256,9 @@ def _cmd_monotone(args) -> int:
     spec = _resolve_spec(args.spec)
     validate(spec)
     scales = [float(x) for x in args.scales.split(",")]
-    steps = [int(x) for x in args.steps.split(",")]
     rng = master_rng(args.seed)
     table = monotonicity_table(
-        spec, scales, steps, args.alpha,
+        spec, scales, args.steps, args.alpha,
         mode="exact" if args.exact else "mc",
         reps=args.reps, rng=rng, reduced=args.reduced, budget=args.budget,
     )
@@ -405,6 +404,11 @@ def positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def nonnegative_ints(text: str) -> list[int]:
+    """Comma-separated list of nonnegative ints."""
+    return [nonnegative_int(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcqnet", description="Multi-class queueing network toolkit"
@@ -414,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=positive_int,
         default=os.environ.get("QNET_THREADS", "1"),
-        help="replication worker threads (QNET_THREADS fallback)",
+        help="worker threads of phi's scalar sampler, which it uses only for networks "
+        "with multi-class head-of-queue stations or below 64 reps (QNET_THREADS fallback)",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifest")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -460,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("monotone", _cmd_monotone, help="phi table over theta scales and steps")
     p.add_argument("--spec", required=True)
     p.add_argument("--scales", required=True, help="comma-separated theta scales")
-    p.add_argument("--steps", required=True, help="comma-separated step counts")
+    p.add_argument("--steps", type=nonnegative_ints, required=True,
+                   help="comma-separated step counts")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--reps", type=positive_int, default=2000)
     p.add_argument("--exact", action="store_true")

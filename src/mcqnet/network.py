@@ -11,6 +11,7 @@ certificate for R and the irreducibility flag gamma > 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,10 +70,16 @@ class NetworkSpec:
         theta = tuple(float(x) for x in theta)
         if len(theta) != self.class_count:
             raise DimensionMismatchError("theta length must equal the class count")
+        _check_arrival_rates(theta)
         return replace(self, theta=theta)
 
     def scale_theta(self, a: float) -> "NetworkSpec":
         return self.with_theta(tuple(a * x for x in self.theta))
+
+
+def _check_arrival_rates(theta) -> None:
+    if not all(math.isfinite(t) and t >= 0 for t in theta):
+        raise NegativeRateError("arrival rates must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,7 @@ def _check_structure(spec: NetworkSpec) -> None:
         raise DimensionMismatchError("routing matrix must be d x d")
     if len(spec.protocols) != len(spec.stations):
         raise DimensionMismatchError("one protocol per station required")
-    if any(t < 0 for t in spec.theta):
-        raise NegativeRateError("arrival rates must be nonnegative")
+    _check_arrival_rates(spec.theta)
     if any(b <= 0 for b in spec.beta):
         raise NegativeRateError("service rates must be positive")
     for k, row in enumerate(spec.routing, start=1):

@@ -20,7 +20,7 @@ from .errors import BracketFailureError
 from .exact import ExactEngine
 from .network import NetworkSpec, workload_matrix
 from .qprocess import empty_state, state_norm
-from .sampling import PathSampler, batch_terminal_norms, is_single_class_network
+from .sampling import PathSampler, batch_terminal_norms, is_count_lumpable
 
 _BATCH_MIN_REPS = 64
 
@@ -37,11 +37,21 @@ class PhiEstimate:
 _CHUNK = 256
 
 
+def _check_phi_args(n: int, alpha: float) -> None:
+    if n < 0:
+        raise ValueError("steps must be nonnegative")
+    # phi = E[exp(-alpha * jobs)] lies in (0, 1] only for a positive alpha
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+
+
 def _terminal_values(spec: NetworkSpec, n: int, alpha: float, reps: int, rng, threads: int = 1):
     start = empty_state(spec)
     if n == 0:
         return np.ones(reps)
-    if is_single_class_network(spec) and reps >= _BATCH_MIN_REPS:
+    # networks that lump to class counts step as count vectors; multi-class
+    # head-of-queue stations and small runs take the scalar sampler
+    if is_count_lumpable(spec) and reps >= _BATCH_MIN_REPS:
         norms = batch_terminal_norms(spec, start, n, reps, rng)
         return np.exp(-alpha * norms)
     # one substream per chunk of replications: deterministic regardless of
@@ -76,8 +86,7 @@ def phi_estimate(
     threads: int = 1,
 ) -> PhiEstimate:
     """Monte-Carlo estimate of E[exp(-alpha * norm at step n)] from empty."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_phi_args(n, alpha)
     values = _terminal_values(spec.with_theta(theta), n, alpha, reps, rng, threads)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -94,6 +103,7 @@ def phi_exact(
     budget: int = 10**6,
 ) -> float:
     """Exact E[exp(-alpha * norm at step n)] from empty, via the BFS engine."""
+    _check_phi_args(n, alpha)
     engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
     series = engine.functional_series(
         empty_state(spec), n, lambda s: math.exp(-alpha * state_norm(s))
@@ -139,6 +149,7 @@ def monotonicity_table(
     steps = tuple(int(n) for n in steps)
     if list(scales) != sorted(scales) or list(steps) != sorted(steps):
         raise ValueError("scales and steps must be ascending")
+    _check_phi_args(min(steps, default=0), alpha)
     values = np.zeros((len(scales), len(steps)))
     stderrs = np.zeros_like(values) if mode == "mc" else None
     for a_idx, a in enumerate(scales):

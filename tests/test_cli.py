@@ -247,6 +247,9 @@ def test_spec_round_trip_through_files(tmp_path):
           "--method", "rm", "--iters", "0"), "--iters"),
         (("--threads", "-4", "fixtures"), "--threads"),
         (("exact", "--spec", "mm1", "--steps", "3", "--budget", "-1"), "--budget"),
+        # wrote series[-2] under the label "step -2"
+        (("monotone", "--spec", "mm1", "--scales", "0.5,1", "--steps=-2,4", "--exact"),
+         "--steps"),
     ],
 )
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, option):
@@ -260,4 +263,27 @@ def test_bad_threads_environment_is_a_usage_error(tmp_path, capsys, monkeypatch)
     monkeypatch.setenv("QNET_THREADS", "abc")
     assert run_cli("--out-dir", str(tmp_path), "fixtures") == 2
     assert "argument --threads: invalid positive_int value: 'abc'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--spec", "mm1", "--steps", "5", "--theta-scale", "-1"),
+        ("monotone", "--spec", "mm1", "--scales=-1,1", "--steps", "2,4"),
+    ],
+)
+def test_negative_arrival_rates_are_domain_errors(tmp_path, capsys, argv):
+    # both ran with the negative rates and reported phi = 1
+    assert run_cli("--out-dir", str(tmp_path), *argv) == 1
+    assert "arrival rates must be nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode", [(), ("--exact",)])
+def test_phi_rejects_nonpositive_alpha(tmp_path, capsys, mode):
+    # the exact mode wrote phi = 4.10 for alpha = -1
+    argv = ("phi", "--spec", "mm1", "--steps", "5", "--alpha", "-1", *mode)
+    assert run_cli("--out-dir", str(tmp_path), *argv) == 2
+    assert "alpha must be positive" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -1,5 +1,7 @@
 """Network validation, routing algebra and the JSON interchange format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,10 +122,22 @@ def test_fixture_protocols():
     assert all(p.allocation.kind == "hq" and p.policy.kind == "fcfs" for p in fcfs.protocols)
 
 
+@pytest.mark.parametrize("theta", [(-1.0, 0.0), (1.0, float("nan")), (float("inf"), 0.0)])
+def test_bad_arrival_rates_are_rejected_when_set(theta):
+    # with_theta raises what validate raises, so a scaled spec cannot skip the check
+    tandem = builtin_fixture("tandem2")
+    with pytest.raises(NegativeRateError, match="arrival rates"):
+        tandem.with_theta(theta)
+    with pytest.raises(NegativeRateError, match="arrival rates"):
+        validate(dataclasses.replace(tandem, theta=theta))
+
+
 def test_validation_errors():
     good = builtin_fixture("tandem2")
     with pytest.raises(NegativeRateError):
         validate(good.with_theta((-1.0, 0.0)))
+    with pytest.raises(NegativeRateError):
+        good.scale_theta(-1.0)
     with pytest.raises(NegativeRateError):
         validate(
             NetworkSpec(1, ((1,),), (1.0,), (0.0,), ((0.0,),), (FCFS_HQ,))

@@ -1,21 +1,36 @@
-"""The block batch stepper against the per-step reference loop.
+"""The block batch stepper against the per-step reference loop and the exact law.
 
 ``reference_terminal_norms`` is the batch stepper as it was before steps were
 run in blocks: two ``rng.random(reps)`` draws per step and the count vector
-updated from gather tables. The block stepper must return the same norms and
-leave the generator in the same state, bit for bit.
+updated from gather tables. On single-class networks the block stepper must
+return the same norms and leave the generator in the same state, bit for bit.
+On networks with multi-class order-insensitive stations it picks the served
+class step by step; there its terminal law is checked against the reduced
+exact engine.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from mcqnet import sampling
 from mcqnet.allocation import ServiceAllocation, StationProtocol
-from mcqnet.configurations import QueuePolicy
+from mcqnet.configurations import PriorityRanking, QueuePolicy
+from mcqnet.exact import ExactEngine
 from mcqnet.network import NetworkSpec, builtin_fixture, validate
-from mcqnet.qprocess import routing_choices, state_composition, station_top_rate, uniformization_rate
+from mcqnet.qprocess import (
+    empty_state,
+    routing_choices,
+    state_composition,
+    state_norm,
+    station_top_rate,
+    uniformization_rate,
+)
 from mcqnet.rng import master_rng
-from mcqnet.sampling import batch_terminal_norms
+from mcqnet.sampling import PathSampler, batch_terminal_norms
+from mcqnet.stability import phi_estimate
 
 
 def reference_terminal_norms(spec, xi0, n, reps, rng):
@@ -124,6 +139,133 @@ def test_block_stepper_matches_reference_from_loaded_state(name, seed):
 
 
 def test_block_stepper_rejects_multi_class_stations():
-    spec = builtin_fixture("lk-prop")
+    # multi-class head-of-queue stations do not lump to class counts
+    spec = builtin_fixture("fcfs-reentrant")
     with pytest.raises(ValueError):
         batch_terminal_norms(spec, tuple(() for _ in spec.stations), 5, 8, master_rng(1))
+
+
+# ---------------------------------------------------------------------------
+# Multi-class order-insensitive stations against the exact engine
+
+SIGMAS = 4.0
+ALPHAS = (0.3, 1.5)
+
+
+def _assert_matches_exact(spec, xi0, n, reps, seed):
+    """E[exp(-alpha * norm at step n)] of the batch stepper within SIGMAS
+    standard errors of the reduced exact engine, for each alpha in ALPHAS."""
+    norms = batch_terminal_norms(spec, xi0, n, reps, master_rng(seed))
+    law = ExactEngine(spec, reduced=True).distribution(xi0, n)
+    for alpha in ALPHAS:
+        values = np.exp(-alpha * norms)
+        se = values.std(ddof=1) / math.sqrt(reps)
+        exact = sum(p * math.exp(-alpha * state_norm(s)) for s, p in law.items())
+        assert abs(values.mean() - exact) <= SIGMAS * se + 1e-12, (alpha, values.mean(), exact, se)
+
+
+def lk_egalitarian() -> NetworkSpec:
+    """The Lu-Kumar line of lk-prop with egalitarian allocation at both stations."""
+    egalitarian = StationProtocol(QueuePolicy.fcfs(), ServiceAllocation.egalitarian())
+    return dataclasses.replace(builtin_fixture("lk-prop"), protocols=(egalitarian, egalitarian))
+
+
+LINES = {"lk-prop": builtin_fixture("lk-prop"), "lk-sbp": builtin_fixture("lk-sbp"),
+         "lk-egal": lk_egalitarian()}
+LOADED = ((1, 1, 1, 4), (2, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "name,scale,n,xi0",
+    [
+        ("lk-prop", 1.0, 5, ((), ())),
+        ("lk-prop", 3.0, 12, ((), ())),
+        ("lk-prop", 1.0, 8, LOADED),
+        ("lk-sbp", 1.0, 5, ((), ())),
+        ("lk-sbp", 6.0, 12, ((), ())),
+        ("lk-sbp", 1.0, 8, LOADED),
+        ("lk-egal", 3.0, 12, ((), ())),
+        ("lk-egal", 1.0, 8, LOADED),
+    ],
+    ids=lambda x: "loaded" if x == LOADED else "empty" if x == ((), ()) else None,
+)
+def test_batch_law_matches_exact_on_lk_lines(name, scale, n, xi0):
+    spec = LINES[name].scale_theta(scale)
+    _assert_matches_exact(spec, xi0, n, 40_000, seed=n)
+
+
+@pytest.mark.parametrize("name", sorted(LINES))
+@pytest.mark.parametrize("block_uniforms", [4, 200])
+def test_block_and_group_sizes_leave_the_stream_unchanged(name, block_uniforms, monkeypatch):
+    # 4 uniforms per block: one step of one replication at a time
+    spec = LINES[name].scale_theta(3.0)
+    rng_ref, rng_new = master_rng(5), master_rng(5)
+    expected = batch_terminal_norms(spec, LOADED, 40, 60, rng_ref)
+    monkeypatch.setattr(sampling, "_BLOCK_UNIFORMS", block_uniforms)
+    got = batch_terminal_norms(spec, LOADED, 40, 60, rng_new)
+    np.testing.assert_array_equal(got, expected)
+    assert rng_new.random() == rng_ref.random()
+
+
+def random_count_lumpable_spec(rng) -> NetworkSpec:
+    """A network of at most 3 stations and 4 classes whose stations are
+    single-class or order-insensitive, with transient random routing."""
+    d = int(rng.integers(1, 5))
+    station_count = int(rng.integers(1, min(3, d) + 1))
+    order = [int(k) for k in rng.permutation(np.arange(1, d + 1))]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, d), size=station_count - 1, replace=False))
+    stations = tuple(tuple(sorted(part)) for part in np.split(np.asarray(order), cuts))
+    protocols = []
+    for classes in stations:
+        kind = str(rng.choice(["proportional", "preferential", "egalitarian"]))
+        if kind == "preferential":
+            ranking = PriorityRanking.total(tuple(int(k) for k in rng.permutation(classes)))
+            allocation = ServiceAllocation.preferential(ranking)
+        else:
+            allocation = ServiceAllocation(kind)
+        protocols.append(StationProtocol(QueuePolicy.fcfs(), allocation))
+    theta = rng.uniform(0.2, 1.5, d) * (rng.random(d) < 0.7)
+    theta[int(rng.integers(d))] = rng.uniform(0.2, 1.5)
+    routing = rng.random((d, d)) * (rng.random((d, d)) < 0.5)
+    sums = routing.sum(axis=1, keepdims=True)
+    routing = np.where(sums > 0, routing / np.where(sums > 0, sums, 1.0), 0.0)
+    routing *= rng.uniform(0.0, 0.8, (d, 1))  # row sums below one: transient
+    spec = NetworkSpec(
+        class_count=d,
+        stations=stations,
+        theta=tuple(float(t) for t in theta),
+        beta=tuple(float(b) for b in rng.uniform(0.5, 3.0, d)),
+        routing=tuple(tuple(float(x) for x in r) for r in routing),
+        protocols=tuple(protocols),
+    )
+    validate(spec)
+    return spec
+
+
+def test_batch_law_matches_exact_on_random_order_insensitive_specs():
+    rng = np.random.default_rng(20261018)
+    kinds = set()
+    for case in range(14):
+        spec = random_count_lumpable_spec(rng)
+        kinds |= {
+            p.allocation.kind for p, c in zip(spec.protocols, spec.stations) if len(c) > 1
+        }
+        xi0 = tuple(
+            tuple(k for k in classes for _ in range(int(rng.integers(0, 5))))
+            for classes in spec.stations
+        )
+        for start in (empty_state(spec), xi0):
+            _assert_matches_exact(spec, start, 7, 20_000, seed=case)
+    # the generated cases cover every multi-class rule
+    assert kinds == {"proportional", "preferential", "egalitarian"}
+
+
+@pytest.mark.parametrize("name", ["lk-prop", "lk-sbp"])
+def test_phi_estimate_on_lk_lines_runs_without_the_scalar_sampler(name, monkeypatch):
+    def refuse(self, spec):
+        raise AssertionError("PathSampler built")
+
+    monkeypatch.setattr(PathSampler, "__init__", refuse)
+    spec = builtin_fixture(name)
+    est = phi_estimate(spec, spec.theta, 50, 1.0, 64, master_rng(3))
+    assert 0.0 < est.mean <= 1.0 and est.reps == 64

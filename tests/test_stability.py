@@ -99,6 +99,24 @@ def test_monotonicity_table_rejects_unsorted(rng):
         monotonicity_table(MM1, (1.0, 0.5), (2, 4), 1.0, mode="exact")
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_monotonicity_table_rejects_negative_steps(mode, rng):
+    # a negative step used to index the exact series from its end (exact)
+    # or to run no step at all (mc)
+    with pytest.raises(ValueError, match="steps"):
+        monotonicity_table(MM1, (0.5, 1.0), (-2, 4), 1.0, mode=mode, reps=100, rng=rng)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan")])
+def test_phi_rejects_nonpositive_alpha_in_both_modes(alpha, rng):
+    with pytest.raises(ValueError, match="alpha"):
+        phi_exact(MM1, MM1.theta, 5, alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        phi_estimate(MM1, MM1.theta, 5, alpha, 100, rng)
+    with pytest.raises(ValueError, match="alpha"):
+        monotonicity_table(MM1, (1.0,), (5,), alpha, mode="exact")
+
+
 def test_cycle_estimate_stable_vs_unstable(rng):
     stable = cycle_estimate(MM1, (1.0,), cap=100_000, reps=300, rng=rng)
     assert stable.censor_fraction < 0.02
