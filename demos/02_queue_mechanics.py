@@ -2,7 +2,6 @@
 policies, service allocations, and the lumped representations."""
 
 from mcqnet import (
-    NetworkSpec,
     PriorityRanking,
     QueuePolicy,
     ServiceAllocation,
@@ -53,17 +52,8 @@ print()
 
 
 def lumping(policy, allocation, classes):
-    """Canonical form of the buffer of a one-station network serving ``classes``."""
-    d = max(classes)
-    spec = NetworkSpec(
-        class_count=d,
-        stations=(tuple(classes),),
-        theta=(1.0,) * d,
-        beta=(1.0,) * d,
-        routing=((0.0,) * d,) * d,
-        protocols=(StationProtocol(policy, allocation),),
-    )
-    return station_canonicalizer(spec, 0)
+    """Canonical form of the buffer of a station serving ``classes``."""
+    return station_canonicalizer(classes, StationProtocol(policy, allocation))
 
 
 print("lumped (canonical) buffers, as the exact engine and the coupling store them:")

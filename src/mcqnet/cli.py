@@ -209,10 +209,7 @@ def _cmd_exact(args) -> int:
     validate(spec)
     engine = ExactEngine(spec, reduced=args.reduced, budget=args.budget)
     dist = engine.distribution(empty_state(spec), args.steps)
-    if args.functional == "exp-norm":
-        value = expectation(dist, lambda s: math.exp(-args.alpha * state_norm(s)))
-    else:
-        raise ValueError(f"unknown functional {args.functional!r}")
+    value = expectation(dist, lambda s: math.exp(-args.alpha * state_norm(s)))
     writer = RunWriter(args)
     payload = {
         "steps": args.steps,
@@ -287,7 +284,6 @@ def _cmd_couple(args) -> int:
     lower = check_state(spec, json.loads(args.lower))
     upper = check_state(spec, json.loads(args.upper))
     rng = master_rng(args.seed)
-    taus = []
     failures = 0
     per_rep = []
     for rep in range(args.reps):
@@ -295,7 +291,6 @@ def _cmd_couple(args) -> int:
         reports = [verify_coupling_path(p) for p in paths]
         ok = all(r.ok for r in reports)
         failures += 0 if ok else 1
-        taus.append([p.tau for p in paths])
         per_rep.append({"tau": [p.tau for p in paths], "ok": ok})
     writer = RunWriter(args)
     payload = {
@@ -447,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--theta-scale", type=float, default=1.0)
     p.add_argument("--steps", type=nonnegative_int, required=True)
-    p.add_argument("--functional", default="exp-norm")
+    p.add_argument("--functional", choices=("exp-norm",), default="exp-norm")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--budget", type=positive_int, default=10**6)

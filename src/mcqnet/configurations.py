@@ -84,6 +84,13 @@ class PriorityRanking:
     def is_total(self) -> bool:
         return all(len(c) == 1 for c in self.castes)
 
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The total ranking as a class tuple, highest priority first."""
+        if not self.is_total:
+            raise ValueError("ranking is not total")
+        return tuple(next(iter(c)) for c in self.castes)
+
     def caste_index(self, k: int) -> int:
         for i, caste in enumerate(self.castes):
             if k in caste:

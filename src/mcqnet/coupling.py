@@ -11,9 +11,10 @@ whenever the served heads agree and freezes otherwise. While uncoupled, the
 pair differs by exactly one extra job (the mark b): arrivals and mirrored
 services preserve the relation, and the extra job's own departure either
 re-marks the pair (on a class change) or couples it for good (on an exit).
-``CouplingKernel.step`` is the reference rule; ``CouplingKernel.run`` calls it
-until the pair couples and from then on advances one copy for both sides,
-station by station, on the same uniforms.
+``CouplingKernel.step`` is the one step rule: it rebuilds only the stations a
+move touches, and once the pair has coupled it moves one state that serves as
+both copies. ``CouplingKernel.run`` is a loop of ``step``; ``PairEngine`` keeps
+``apply_transition`` plus a full canonicalization as the reference moves.
 
 What the coupling certifies is a time-changed order: with F_n the number of
 frozen steps up to n, the lower copy at step n - F_n sits inside the upper copy
@@ -22,18 +23,20 @@ fail: on lk-sbp the exact law at step 24 gives the lower start ((1,), (3,)) a
 heavier norm tail than the upper start ((1, 4), (3,))
 (``tests/test_coupling.py::test_fixed_time_dominance_fails_on_lk_sbp``).
 
-The construction requires stations that serve one class at a time: FCFS or SBP
-with head-of-queue service, or preferential allocation, whose buffers this
-module keeps in class-sorted canonical (lumped) order with the ranked head
-playing the role of the queue head. Egalitarian and proportional stations are
-rejected: their service fractions differ between the two copies, so no shared
-event stream reproduces both laws.
+The construction requires stations that serve one class at a time and whose
+insertion keeps the lower copy inside the upper one: FCFS head-of-queue, or
+preferential allocation, whose buffers this module keeps in class-sorted
+canonical (lumped) order with the ranked head playing the role of the queue
+head. Multi-class head-of-queue stations under LCFS or SBP insertion are
+rejected (a job inserted into both copies can land after different common
+jobs), and so are egalitarian and proportional stations, whose service
+fractions differ between the copies.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .configurations import delete, insert
 from .errors import NotASubconfigurationError, UnsupportedCouplingError
@@ -109,7 +112,13 @@ def _require_coupling_regime(spec: NetworkSpec) -> None:
         if not protocol.serves_one_class:
             raise UnsupportedCouplingError(
                 f"station {i + 1} uses {protocol.allocation.kind} allocation; "
-                "the coupling covers head-of-queue and preferential stations only"
+                "the coupling covers FCFS head-of-queue and preferential stations only"
+            )
+        kind = protocol.policy.kind
+        if protocol.allocation.kind == "hq" and kind != "fcfs" and len(spec.stations[i]) > 1:
+            raise UnsupportedCouplingError(
+                f"station {i + 1} serves several classes head-of-queue under {kind} "
+                "insertion, which does not keep the lower copy inside the upper one"
             )
 
 
@@ -120,19 +129,20 @@ class CouplingKernel:
         _require_coupling_regime(spec)
         self.spec = spec
         self.table = transition_table(spec)
+        self._draw, self._branch = self.table.alphabet.draw, self.table.branch
         self.canon = state_canonicalizer(spec)
         self._station_canon = [
-            station_canonicalizer(spec, i) for i in range(spec.station_count)
+            station_canonicalizer(classes, protocol)
+            for classes, protocol in zip(spec.stations, spec.protocols)
         ]
         self._station_of = [None] + [
             spec.station_of(k) for k in range(1, spec.class_count + 1)
         ]
-        self._ranked = []
-        for protocol in spec.protocols:
-            ranking = protocol.allocation.ranking
-            self._ranked.append(
-                tuple(next(iter(c)) for c in ranking.castes) if ranking else None
-            )
+        self._policies = [protocol.policy for protocol in spec.protocols]
+        self._ranked = [
+            protocol.allocation.ranking.order if protocol.allocation.ranking else None
+            for protocol in spec.protocols
+        ]
 
     def head(self, i: int, q) -> int | None:
         if not q:
@@ -149,6 +159,21 @@ class CouplingKernel:
     def _apply(self, xi: NetworkState, k: int, l: int) -> NetworkState:
         return self.canon(apply_transition(self.spec, xi, TransitionLabel(k, l)))
 
+    def _move(self, xi: NetworkState, k: int, l: int) -> NetworkState:
+        """``_apply`` for a canonical ``xi`` holding a k-job (k = 0: arrival),
+        rebuilding and canonicalizing only the stations the move touches."""
+        station_of, canon = self._station_of, self._station_canon
+        st = list(xi)
+        if k:
+            i = station_of[k]
+            st[i] = delete(st[i], k)
+            if not l or station_of[l] != i:
+                st[i] = canon[i](st[i])
+        if l:
+            j = station_of[l]
+            st[j] = canon[j](insert(self._policies[j], st[j], l))
+        return tuple(st)
+
     def start(self, lower, upper) -> CoupledState:
         low = self.canon(check_state(self.spec, lower))
         up = self.canon(check_state(self.spec, upper))
@@ -160,139 +185,63 @@ class CouplingKernel:
         return CoupledState(low, up, mark)
 
     def step(self, cs: CoupledState, uni: Uniforms) -> tuple[CoupledState, tuple[str, int]]:
-        kind, idx = self.table.alphabet.draw(uni.next())
+        """One move of the pair. A non-move returns ``cs`` itself; a coupled pair
+        moves one state, so ``lower is upper`` (the verifier skips seen objects)."""
+        event = self._draw(uni.next())
+        kind, idx = event
+        lower, upper, mark = cs.lower, cs.upper, cs.mark
         if kind == "A":
-            return (
-                replace(
-                    cs,
-                    lower=self._apply(cs.lower, 0, idx),
-                    upper=self._apply(cs.upper, 0, idx),
-                ),
-                ("A", idx),
-            )
-        i = idx
-        event = ("D", i)
-        q_up = cs.upper[i]
-        if not q_up:  # both empty (lower is inside upper), nothing can depart
-            return cs, event
-        h_up = self.head(i, q_up)
-        h_low = self.head(i, cs.lower[i])
-        mirrored = cs.mark == 0 or h_low == h_up
-        active, routes = self.table.branch[h_up]
-        u = uni.next()
-        if u >= active:  # upper self-loop
-            if mirrored:
+            k, l, mirrored = 0, idx, True
+        else:
+            q_up = upper[idx]
+            if not q_up:  # both empty (lower is inside upper), nothing can depart
                 return cs, event
-            return replace(cs, frozen_count=cs.frozen_count + 1), event
-        for cum, l in routes:
-            if u < cum:
-                break
-        upper = self._apply(cs.upper, h_up, l)
-        up_dep = cs.upper_departures + (1 if l == 0 else 0)
+            k = self.head(idx, q_up)
+            mirrored = mark == 0 or self.head(idx, lower[idx]) == k
+            active, routes = self._branch[k]
+            u = uni.next()
+            if u >= active:  # upper self-loop
+                if mirrored:
+                    return cs, event
+                return CoupledState(lower, upper, mark, cs.frozen_count + 1,
+                                    cs.lower_departures, cs.upper_departures), event
+            for cum, l in routes:
+                if u < cum:
+                    break
+        upper = self._move(upper, k, l)
+        low_dep, up_dep = cs.lower_departures, cs.upper_departures
+        if l == 0:
+            up_dep += 1
+            low_dep += mirrored
+        frozen = cs.frozen_count
         if mirrored:
-            lower = self._apply(cs.lower, h_up, l)
-            return (
-                replace(
-                    cs,
-                    lower=lower,
-                    upper=upper,
-                    upper_departures=up_dep,
-                    lower_departures=cs.lower_departures + (1 if l == 0 else 0),
-                ),
-                event,
-            )
-        # the extra job itself is served: re-mark on a class change, couple on exit
-        if h_up == cs.mark:
-            mark = l
-        else:  # outside the coupling regime's invariant; reclassify defensively
-            mark = classify_pair(cs.lower, upper)
-        return (
-            replace(
-                cs,
-                upper=upper,
-                mark=mark,
-                frozen_count=cs.frozen_count + 1,
-                upper_departures=up_dep,
-            ),
-            event,
-        )
+            lower = upper if mark == 0 else self._move(lower, k, l)
+        else:  # the extra job itself is served: re-mark on a class change, couple on exit
+            frozen += 1
+            # outside the coupling regime's invariant the pair is reclassified defensively
+            mark = l if k == mark else classify_pair(lower, upper)
+        return CoupledState(lower, upper, mark, frozen, low_dep, up_dep), event
 
     def run(self, lower, upper, n: int, rng) -> CoupledPath:
-        """Coupled path of n steps from (lower, upper) on one uniform stream.
+        """Coupled path of n ``step`` moves from (lower, upper) on one uniform stream.
 
-        ``step`` moves the pair until it couples; from the first coupled state
-        on, one copy advances for both sides (``_run_coupled``), drawing the
-        same uniforms that ``step`` would draw. The path certifies the
-        time-changed order (lower at n - F_n inside upper at n), not
-        dominance at a fixed time.
+        τ is the first index with mark 0. The path certifies the time-changed
+        order (lower at n - F_n inside upper at n), not dominance at a fixed
+        time.
         """
         uni = Uniforms(rng)
         cs = self.start(lower, upper)
         states = [cs]
         events = []
-        while cs.mark != 0 and len(events) < n:
-            cs, ev = self.step(cs, uni)
+        tau = 0 if cs.mark == 0 else None
+        step = self.step
+        for m in range(1, n + 1):
+            cs, ev = step(cs, uni)
             states.append(cs)
             events.append(ev)
-        if cs.mark != 0:
-            return CoupledPath(states, events, None)
-        tau = len(events)
-        self._run_coupled(cs, n - tau, uni, states, events)
+            if tau is None and cs.mark == 0:
+                tau = m
         return CoupledPath(states, events, tau)
-
-    def _run_coupled(self, cs: CoupledState, steps: int, uni: Uniforms, states, events) -> None:
-        """Append ``steps`` moves of a coupled pair, as ``step`` makes them.
-
-        Only the one or two stations a move touches are rebuilt, with the same
-        ``insert``/``delete`` and station canonicalizer that ``_apply`` applies
-        to the whole state; a self-loop re-appends the previous state object.
-        """
-        draw = self.table.alphabet.draw
-        branch = self.table.branch
-        policies = [protocol.policy for protocol in self.spec.protocols]
-        canon = self._station_canon
-        station_of = self._station_of
-        ranked = self._ranked
-        nxt = uni.next
-        st = list(cs.lower)
-        frozen = cs.frozen_count
-        low_dep = cs.lower_departures
-        up_dep = cs.upper_departures
-        for _ in range(steps):
-            ev = draw(nxt())
-            events.append(ev)
-            kind, idx = ev
-            if kind == "A":
-                j = station_of[idx]
-                st[j] = canon[j](insert(policies[j], st[j], idx))
-            else:
-                q = st[idx]
-                if not q:
-                    states.append(cs)
-                    continue
-                h = q[0] if ranked[idx] is None else self.head(idx, q)
-                active, routes = branch[h]
-                u = nxt()
-                if u >= active:
-                    states.append(cs)
-                    continue
-                for cum, l in routes:
-                    if u < cum:
-                        break
-                q = delete(q, h)
-                if l == 0:
-                    low_dep += 1
-                    up_dep += 1
-                else:
-                    j = station_of[l]
-                    if j == idx:
-                        q = insert(policies[j], q, l)
-                    else:
-                        st[j] = canon[j](insert(policies[j], st[j], l))
-                st[idx] = canon[idx](q)
-            x = tuple(st)
-            cs = CoupledState(x, x, 0, frozen, low_dep, up_dep)
-            states.append(cs)
 
 
 def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]:

@@ -268,7 +268,7 @@ def _ranking_to_json(ranking: PriorityRanking | None):
     if ranking is None:
         return None
     if ranking.is_total:
-        return [next(iter(c)) for c in ranking.castes]
+        return list(ranking.order)
     return [sorted(c) for c in ranking.castes]
 
 

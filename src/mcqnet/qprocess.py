@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .allocation import allocate
+from .allocation import StationProtocol, allocate
 from .configurations import QueueConfig, delete, insert, is_subconfig
 from .network import NetworkSpec
 
@@ -264,16 +264,17 @@ def simulate_path(
 # ---------------------------------------------------------------------------
 # Lumped (canonical) representations
 
-def station_canonicalizer(spec: NetworkSpec, i: int) -> Callable[[QueueConfig], QueueConfig]:
+def station_canonicalizer(
+    classes: tuple[int, ...], protocol: StationProtocol
+) -> Callable[[QueueConfig], QueueConfig]:
     """Map a station buffer to the canonical representative of its lumped class.
 
+    The lumping depends only on the station's ``classes`` and ``protocol``.
     Single-class buffers are already canonical; order-insensitive stations sort
     by class; SBP head-of-queue keeps the head and caste-sorts the tail. A
     multi-class FCFS/LCFS head-of-queue station has no reduction and gets the
     identity.
     """
-    classes = spec.stations[i]
-    protocol = spec.protocols[i]
     if len(classes) == 1:
         return lambda q: q
     if protocol.allocation.order_insensitive:
@@ -293,7 +294,7 @@ def station_canonicalizer(spec: NetworkSpec, i: int) -> Callable[[QueueConfig], 
 
 
 def state_canonicalizer(spec: NetworkSpec) -> Callable[[NetworkState], NetworkState]:
-    fns = [station_canonicalizer(spec, i) for i in range(spec.station_count)]
+    fns = [station_canonicalizer(c, p) for c, p in zip(spec.stations, spec.protocols)]
     return lambda xi: tuple(fn(q) for fn, q in zip(fns, xi))
 
 

@@ -100,9 +100,7 @@ class _OIStation:
         self.classes = spec.stations[i]
         self.kind = protocol.allocation.kind
         ranking = protocol.allocation.ranking
-        self.order = (
-            tuple(next(iter(c)) for c in ranking.castes) if ranking is not None else None
-        )
+        self.order = ranking.order if ranking is not None else None
         self.beta_scale = {k: table.branch[k][0] for k in self.classes}
         self.routing = table.routes
         self.counts = {k: 0 for k in self.classes}
@@ -400,7 +398,7 @@ class _BatchKernel:
                 continue
             allocation = spec.protocols[idx].allocation
             if allocation.kind == "preferential":
-                classes = tuple(next(iter(c)) for c in allocation.ranking.castes)
+                classes = allocation.ranking.order
             else:
                 slope[-1] = 1.0 / (cum - low)
             if allocation.kind == "egalitarian":

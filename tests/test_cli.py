@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mcqnet.cli import main
-from mcqnet.network import builtin_fixture, dump_spec, load_spec
+from mcqnet.network import builtin_fixture, dump_spec, load_spec, spec_to_dict
 
 
 def run_cli(*argv):
@@ -63,6 +63,15 @@ def test_unknown_fixture_exits_1(tmp_path, capsys):
 def test_usage_error_exits_2(tmp_path):
     assert run_cli("--out-dir", str(tmp_path), "exact", "--spec", "mm1") == 2  # missing --steps
     assert run_cli("nonsense-subcommand") == 2
+
+
+def test_unknown_functional_is_a_usage_error(tmp_path, capsys):
+    # rejected by the parser, before any law is computed or written
+    code = run_cli("--out-dir", str(tmp_path), "exact", "--spec", "mm1", "--steps", "2",
+                   "--functional", "foo")
+    assert code == 2
+    assert "argument --functional: invalid choice: 'foo'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fixtures_list(tmp_path, capsys):
@@ -147,6 +156,25 @@ def test_couple_rejects_oi_allocation(tmp_path, capsys):
         "--steps", "5",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("policy", ["lcfs", "sbp"])
+def test_couple_rejects_non_fcfs_head_of_queue(tmp_path, capsys, policy):
+    # the fcfs-reentrant line with LCFS or SBP insertion at head-of-queue stations
+    data = spec_to_dict(builtin_fixture("fcfs-reentrant"))
+    data["protocols"] = [
+        {"policy": policy, "allocation": "hq", "ranking": ranking}
+        for ranking in ([4, 1], [2, 3])
+    ]
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(data))
+    code = run_cli(
+        "--out-dir", str(tmp_path / "out"),
+        "couple", "--spec", str(path), "--lower", "[[1],[]]", "--upper", "[[1,4],[]]",
+        "--steps", "5",
+    )
+    assert code == 1
+    assert "head-of-queue" in capsys.readouterr().err
 
 
 def test_threshold_synthetic_fast(tmp_path):

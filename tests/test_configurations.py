@@ -14,7 +14,6 @@ from mcqnet.configurations import (
     is_subconfig,
 )
 from mcqnet.errors import EmptyConfigurationError
-from mcqnet.network import NetworkSpec
 from mcqnet.qprocess import station_canonicalizer
 
 from conftest import all_sequences
@@ -172,17 +171,8 @@ PROP = ServiceAllocation.proportional()
 
 
 def lumping(policy, allocation, classes):
-    """The canonicalizer of a one-station network serving ``classes``."""
-    d = max(classes)
-    spec = NetworkSpec(
-        class_count=d,
-        stations=(tuple(classes),),
-        theta=(1.0,) * d,
-        beta=(1.0,) * d,
-        routing=((0.0,) * d,) * d,
-        protocols=(StationProtocol(policy, allocation),),
-    )
-    return station_canonicalizer(spec, 0)
+    """The canonicalizer of a station serving ``classes``."""
+    return station_canonicalizer(tuple(classes), StationProtocol(policy, allocation))
 
 
 def test_reduce_examples():

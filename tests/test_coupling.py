@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import pytest
 
+from mcqnet.allocation import ServiceAllocation, StationProtocol
+from mcqnet.configurations import PriorityRanking, QueuePolicy
 from mcqnet.coupling import (
     CoupledPath,
     CouplingKernel,
@@ -133,6 +135,52 @@ def test_run_coupling_rejects_non_subconfig(rng):
 def test_coupling_rejects_divisible_service(rng):
     with pytest.raises(UnsupportedCouplingError):
         run_coupling(builtin_fixture("lk-prop"), ((), ()), ((1,), ()), 5, rng)
+
+
+HQ = ServiceAllocation.head_of_queue()
+# the fcfs-reentrant line with LCFS insertion, and with SBP insertion (4 over 1,
+# 2 over 3), at both head-of-queue stations
+LCFS_LINE = replace(FCFS, protocols=(StationProtocol(QueuePolicy.lcfs(), HQ),) * 2)
+SBP_HQ_LINE = replace(
+    FCFS,
+    protocols=tuple(
+        StationProtocol(QueuePolicy.sbp(PriorityRanking.total(order)), HQ)
+        for order in ((4, 1), (2, 3))
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "spec,lower,upper,label,lower2,upper2",
+    [
+        # a mirrored class-3 service routes a 4 to station 1: LCFS puts it
+        # behind the lower copy's head 4 but behind the upper copy's last 4
+        (LCFS_LINE, ((4, 1), (3,)), ((4, 1, 4), (3,)), (3, 4), ((4, 4, 1), ()), ((4, 1, 4, 4), ())),
+        # a mirrored class-1 service sends a 2 to station 2: SBP puts it
+        # behind each copy's head, and the upper head is the extra 2
+        (SBP_HQ_LINE, ((1,), (3, 3)), ((1,), (2, 3, 3)), (1, 2), ((), (3, 2, 3)), ((), (2, 2, 3, 3))),
+    ],
+    ids=["lcfs", "sbp-hq"],
+)
+def test_non_fcfs_head_of_queue_breaks_the_order(spec, lower, upper, label, lower2, upper2):
+    """One mirrored move takes the lower copy outside the upper one, so the
+    coupling rejects multi-class head-of-queue stations that are not FCFS."""
+    assert classify_pair(lower, upper) > 0
+    low, up = (apply_transition(spec, x, TransitionLabel(*label)) for x in (lower, upper))
+    assert (low, up) == (lower2, upper2)
+    assert not is_substate(low, up)
+    assert classify_pair(low, up) == -1
+    with pytest.raises(UnsupportedCouplingError):
+        CouplingKernel(spec)
+    with pytest.raises(UnsupportedCouplingError):
+        exact_pair_law_check(spec, ((1,), ()), ((1, 4), ()), 2)
+
+
+def test_coupling_regime_accepts_fcfs_and_preferential_lines():
+    for spec in (MM1, FCFS, LK_SBP):
+        CouplingKernel(spec)
+    # one class per station: LCFS and SBP insertion coincide with FCFS
+    CouplingKernel(replace(MM1, protocols=(StationProtocol(QueuePolicy.lcfs(), HQ),)))
 
 
 def test_mm1_tau_is_first_departure_with_empty_lower(rng):
@@ -264,6 +312,29 @@ def test_pair_kernel_upper_marginal_is_the_chain_kernel(name):
             assert marginal[target] == pytest.approx(p, abs=1e-14), (pair, target)
 
 
+@pytest.mark.parametrize("name", ["mm1", "fcfs-reentrant", "lk-sbp"])
+def test_move_matches_apply(name):
+    """The station-local move equals the reference move on every reachable state."""
+    spec = builtin_fixture(name)
+    empty = empty_state(spec)
+    seeds = [
+        (empty, apply_transition(spec, empty, TransitionLabel(0, k)))
+        for k in range(1, spec.class_count + 1)
+    ]
+    pairs, engine = _pair_reachable(spec, seeds, 5)
+    kt = engine.kernel_tables
+    states = {x for pair in pairs for x in pair}
+    assert len(states) > 5
+    for xi in states:
+        for k in range(1, spec.class_count + 1):
+            assert kt._move(xi, 0, k) == kt._apply(xi, 0, k), (xi, k)
+        for i, q in enumerate(xi):
+            if q:
+                h = kt.head(i, q)
+                for l, _ in kt.table.serve[h]:
+                    assert kt._move(xi, h, l) == kt._apply(xi, h, l), (xi, h, l)
+
+
 def test_frozen_deletion_reproduces_chain_moves(rng):
     """Dropping frozen steps leaves a path the lower chain itself could take."""
     engine = ExactEngine(MM1, reduced=True)
@@ -379,14 +450,48 @@ COUPLE_PAIRS = [
 ]
 
 
+def _reference_step(kernel, cs, uni):
+    """The coupled step rule on whole states: ``_apply`` (``apply_transition``
+    plus a full canonicalization) for each copy, ``replace`` for the counters."""
+    kind, idx = kernel.table.alphabet.draw(uni.next())
+    if kind == "A":
+        lower, upper = kernel._apply(cs.lower, 0, idx), kernel._apply(cs.upper, 0, idx)
+        return replace(cs, lower=lower, upper=upper), ("A", idx)
+    event = ("D", idx)
+    q_up = cs.upper[idx]
+    if not q_up:
+        return cs, event
+    h_up = kernel.head(idx, q_up)
+    mirrored = cs.mark == 0 or kernel.head(idx, cs.lower[idx]) == h_up
+    active, routes = kernel.table.branch[h_up]
+    u = uni.next()
+    if u >= active:
+        return (cs if mirrored else replace(cs, frozen_count=cs.frozen_count + 1)), event
+    l = next((l for cum, l in routes if u < cum), routes[-1][1])
+    upper = kernel._apply(cs.upper, h_up, l)
+    exit_ = int(l == 0)
+    if mirrored:
+        lower = kernel._apply(cs.lower, h_up, l)
+        return replace(
+            cs, lower=lower, upper=upper,
+            lower_departures=cs.lower_departures + exit_,
+            upper_departures=cs.upper_departures + exit_,
+        ), event
+    assert h_up == cs.mark
+    return replace(
+        cs, upper=upper, mark=l, frozen_count=cs.frozen_count + 1,
+        upper_departures=cs.upper_departures + exit_,
+    ), event
+
+
 def _step_loop(kernel, lower, upper, n, rng):
-    """``CouplingKernel.run`` as a plain loop of reference ``step`` calls."""
+    """``n`` reference steps; tau is the first index with mark 0."""
     uni = Uniforms(rng)
     cs = kernel.start(lower, upper)
     states = [cs]
     events = []
     for _ in range(n):
-        cs, ev = kernel.step(cs, uni)
+        cs, ev = _reference_step(kernel, cs, uni)
         states.append(cs)
         events.append(ev)
     tau = next((m for m, s in enumerate(states) if s.mark == 0), None)
@@ -397,6 +502,12 @@ def _assert_same_path(fast, ref):
     assert fast.tau == ref.tau
     assert fast.events == ref.events
     assert fast.states == ref.states
+    # a non-move keeps the state object; a coupled move shares one state
+    for prev, cs in zip(fast.states, fast.states[1:]):
+        if cs.mark == 0 and prev.mark == 0 and cs != prev:
+            assert cs.lower is cs.upper
+        if cs == prev and cs.mark == 0:
+            assert cs is prev
 
 
 @pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])

@@ -1,4 +1,4 @@
-"""Smoke checks that the narrative demos (all but the stability scan) stay runnable."""
+"""Smoke checks that every narrative demo stays runnable."""
 
 import runpy
 import sys
@@ -17,6 +17,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
         "03_sampling_paths.py",
         "04_exact_laws.py",
         "05_coupling_verification.py",
+        "06_stability_scan.py",
     ],
 )
 def test_demo_runs(name, capsys, monkeypatch):
