@@ -78,7 +78,8 @@ def _resolve_spec(ref: str) -> NetworkSpec:
 
 
 def _state_key(state) -> str:
-    return json.dumps([list(q) for q in state], separators=(",", ":"))
+    """The compact JSON array of a state's buffers, e.g. ``[[1,4],[2]]``."""
+    return "[" + ",".join(["[" + ",".join(map(str, q)) + "]" for q in state]) + "]"
 
 
 class _HashingSink(io.RawIOBase):
@@ -214,7 +215,7 @@ def _cmd_exact(args) -> int:
     payload = {
         "steps": args.steps,
         "functional": {"name": args.functional, "alpha": args.alpha, "value": value},
-        "distribution": {_state_key(s): p for s, p in sorted(dist.items())},
+        "distribution": {_state_key(s): p for s, p in dist.items()},
     }
     writer.write_json("exact_law.json", payload)
     writer.finish("exact")

@@ -12,9 +12,11 @@ pair differs by exactly one extra job (the mark b): arrivals and mirrored
 services preserve the relation, and the extra job's own departure either
 re-marks the pair (on a class change) or couples it for good (on an exit).
 ``CouplingKernel.step`` is the one step rule: it rebuilds only the stations a
-move touches, and once the pair has coupled it moves one state that serves as
-both copies. ``CouplingKernel.run`` is a loop of ``step``; ``PairEngine`` keeps
-``apply_transition`` plus a full canonicalization as the reference moves.
+move touches (``qprocess.StationMoves``, the move rule the exact engine builds
+its kernel rows with), and once the pair has coupled it moves one state that
+serves as both copies. ``CouplingKernel.run`` is a loop of ``step``;
+``PairEngine`` keeps ``apply_transition`` plus a full canonicalization as the
+reference moves.
 
 What the coupling certifies is a time-changed order: with F_n the number of
 frozen steps up to n, the lower copy at step n - F_n sits inside the upper copy
@@ -38,17 +40,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .configurations import delete, insert
 from .errors import NotASubconfigurationError, UnsupportedCouplingError
 from .exact import ExactEngine, norm_cdf
 from .network import NetworkSpec
 from .qprocess import (
     NetworkState,
+    StationMoves,
     TransitionLabel,
     apply_transition,
     check_state,
     is_substate,
-    station_canonicalizer,
     state_canonicalizer,
     state_norm,
     transition_table,
@@ -131,14 +132,9 @@ class CouplingKernel:
         self.table = transition_table(spec)
         self._draw, self._branch = self.table.alphabet.draw, self.table.branch
         self.canon = state_canonicalizer(spec)
-        self._station_canon = [
-            station_canonicalizer(classes, protocol)
-            for classes, protocol in zip(spec.stations, spec.protocols)
-        ]
-        self._station_of = [None] + [
-            spec.station_of(k) for k in range(1, spec.class_count + 1)
-        ]
-        self._policies = [protocol.policy for protocol in spec.protocols]
+        # ``_apply`` for a canonical state holding a k-job (k = 0: arrival),
+        # rebuilding and canonicalizing only the stations the move touches
+        self._move = StationMoves(spec).move
         self._ranked = [
             protocol.allocation.ranking.order if protocol.allocation.ranking else None
             for protocol in spec.protocols
@@ -158,21 +154,6 @@ class CouplingKernel:
 
     def _apply(self, xi: NetworkState, k: int, l: int) -> NetworkState:
         return self.canon(apply_transition(self.spec, xi, TransitionLabel(k, l)))
-
-    def _move(self, xi: NetworkState, k: int, l: int) -> NetworkState:
-        """``_apply`` for a canonical ``xi`` holding a k-job (k = 0: arrival),
-        rebuilding and canonicalizing only the stations the move touches."""
-        station_of, canon = self._station_of, self._station_canon
-        st = list(xi)
-        if k:
-            i = station_of[k]
-            st[i] = delete(st[i], k)
-            if not l or station_of[l] != i:
-                st[i] = canon[i](st[i])
-        if l:
-            j = station_of[l]
-            st[j] = canon[j](insert(self._policies[j], st[j], l))
-        return tuple(st)
 
     def start(self, lower, upper) -> CoupledState:
         low = self.canon(check_state(self.spec, lower))
@@ -349,8 +330,8 @@ class PairEngine(ExactEngine):
     The pair chain is one more kernel on ``ExactEngine``: states are canonical
     (lower, upper) pairs, and only the moves of a pair and the start
     canonicalization (``CouplingKernel.start``, which also checks the
-    one-extra-job relation) are its own. Kernel cache, self-loop remainder,
-    BFS step, budget and mass check are the engine's.
+    one-extra-job relation) are its own. Interning, kernel rows, self-loop
+    remainder, BFS step, budget and mass check are the engine's.
     """
 
     def __init__(self, spec: NetworkSpec, budget: int = 10**6):

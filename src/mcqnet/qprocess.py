@@ -293,6 +293,49 @@ def station_canonicalizer(
     return lambda q: q
 
 
+class StationMoves:
+    """The (k, l) move on a canonical state, rebuilding only the stations it touches.
+
+    ``move(xi, k, l)`` equals ``canon(apply_transition(spec, xi, (k, l)))`` for
+    a canonical ``xi`` holding a k-job (k = 0: an arrival), where ``canon``
+    lumps every station (``reduced=True``) or none. ``leave`` and ``join`` are
+    its two station-level halves, exposed so that callers can reuse them per
+    buffer: a job that turns into a class of its own station is inserted
+    before the buffer is canonicalized, as in ``apply_transition``.
+    """
+
+    def __init__(self, spec: NetworkSpec, reduced: bool = True):
+        self.station_of = [None] + [spec.station_of(k) for k in range(1, spec.class_count + 1)]
+        self.policies = [protocol.policy for protocol in spec.protocols]
+        self.canons = [
+            station_canonicalizer(classes, protocol) if reduced else (lambda q: q)
+            for classes, protocol in zip(spec.stations, spec.protocols)
+        ]
+
+    def leave(self, i: int, q: QueueConfig, k: int, l: int) -> tuple[QueueConfig, int | None]:
+        """Station i's buffer after its k-job becomes class l (0: exits), and the
+        station the l-job must still ``join`` (None when there is none)."""
+        rest = delete(q, k)
+        j = self.station_of[l] if l else None
+        if j == i:
+            return self.join(i, rest, l), None
+        return self.canons[i](rest), j
+
+    def join(self, j: int, q: QueueConfig, l: int) -> QueueConfig:
+        """Station j's buffer after an l-job is inserted into ``q``."""
+        return self.canons[j](insert(self.policies[j], q, l))
+
+    def move(self, xi: NetworkState, k: int, l: int) -> NetworkState:
+        st = list(xi)
+        j = self.station_of[l] if l else None
+        if k:
+            i = self.station_of[k]
+            st[i], j = self.leave(i, st[i], k, l)
+        if j is not None:
+            st[j] = self.join(j, st[j], l)
+        return tuple(st)
+
+
 def state_canonicalizer(spec: NetworkSpec) -> Callable[[NetworkState], NetworkState]:
     fns = [station_canonicalizer(c, p) for c, p in zip(spec.stations, spec.protocols)]
     return lambda xi: tuple(fn(q) for fn, q in zip(fns, xi))

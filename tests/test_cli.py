@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from mcqnet.cli import main
-from mcqnet.network import builtin_fixture, dump_spec, load_spec, spec_to_dict
+from mcqnet.cli import _state_key, main
+from mcqnet.exact import reachable_states
+from mcqnet.network import FIXTURE_NAMES, builtin_fixture, dump_spec, load_spec, spec_to_dict
 
 
 def run_cli(*argv):
@@ -95,6 +96,15 @@ def test_exact_budget_exceeded_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "budget" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_state_key_is_the_compact_json_form(name):
+    """``exact_law.json`` keys stay the bytes ``json.dumps`` used to write."""
+    spec = builtin_fixture(name)
+    states = reachable_states(spec, 4) | reachable_states(spec, 4, reduced=True)
+    for state in states:
+        assert _state_key(state) == json.dumps([list(q) for q in state], separators=(",", ":"))
 
 
 def test_simulate_csv(tmp_path):

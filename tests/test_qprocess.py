@@ -222,7 +222,7 @@ def test_mass_drift_check_survives_python_O():
         "from mcqnet.exact import ExactEngine\n"
         "from mcqnet.network import builtin_fixture\n"
         "engine = ExactEngine(builtin_fixture('mm1'))\n"
-        "engine.step = lambda dist: {s: m / 2 for s, m in dist.items()}\n"
+        "engine._push = lambda support, mass: (support, mass / 2)\n"
         "try:\n"
         "    engine.distribution(((),), 1)\n"
         "except RuntimeError as exc:\n"
