@@ -414,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=positive_int,
         default=os.environ.get("QNET_THREADS", "1"),
-        help="worker threads of phi's scalar sampler, which it uses only for networks "
-        "with multi-class head-of-queue stations or below 64 reps (QNET_THREADS fallback)",
+        help="worker threads of phi's scalar sampler, which it uses only below 64 reps or "
+        "on multi-class LCFS or SBP head-of-queue stations; monotone, threshold and region "
+        "ignore it (QNET_THREADS fallback)",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifest")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -11,14 +11,17 @@ Both samplers read the spec's compiled ``qprocess.TransitionTable`` (event
 alphabet, per-class branch tables, routing) and build no laws of their own.
 
 ``batch_terminal_norms`` vectorizes many replications at once for networks in
-which every station is single-class or order-insensitive (proportional,
-preferential, egalitarian), where the state lumps exactly to a per-class
-count vector. It draws its uniforms in blocks of steps and resolves each
-block's events and routing with array operations, so only the count updates,
-and at multi-class stations the pick of the served class, run step by step;
-the random stream is consumed exactly as by drawing per step. Multi-class
-head-of-queue stations (FCFS, LCFS, SBP) need their job order and run on
-``PathSampler`` only.
+which every station is single-class, order-insensitive (proportional,
+preferential, egalitarian) or a multi-class FCFS head-of-queue station. It
+steps per-class count vectors, which is the whole state where every station
+is single-class or order-insensitive; a multi-class FCFS head-of-queue
+station adds a per-replication ring of class ids, since its head class is
+the one it serves. It draws its uniforms in blocks of steps and resolves each
+block's events and routing with array operations, so only the count and ring
+updates, and at multi-class stations the pick of the served class, run step
+by step; the random stream is consumed exactly as by drawing per step.
+Multi-class LCFS and SBP head-of-queue stations insert inside the queue and
+run on ``PathSampler`` only.
 """
 
 from __future__ import annotations
@@ -295,14 +298,17 @@ def is_single_class_network(spec: NetworkSpec) -> bool:
     return all(len(classes) == 1 for classes in spec.stations)
 
 
-def is_count_lumpable(spec: NetworkSpec) -> bool:
-    """True when every station is single-class or order-insensitive.
+def is_batch_steppable(spec: NetworkSpec) -> bool:
+    """True when ``batch_terminal_norms`` can run ``spec``.
 
-    The state then lumps exactly to its per-class count vector, which is
-    what ``batch_terminal_norms`` steps.
+    Every station must be single-class, order-insensitive or a multi-class
+    FCFS head-of-queue station; multi-class LCFS and SBP head-of-queue
+    stations insert inside the queue and run on ``PathSampler`` only.
     """
     return all(
-        len(classes) == 1 or protocol.allocation.order_insensitive
+        len(classes) == 1
+        or protocol.allocation.order_insensitive
+        or protocol.policy.kind == "fcfs"
         for classes, protocol in zip(spec.stations, spec.protocols)
     )
 
@@ -312,8 +318,8 @@ def batch_terminal_norms(
 ) -> np.ndarray:
     """Terminal job counts of ``reps`` independent replications, vectorized.
 
-    Valid when every station is single-class or order-insensitive, so that
-    the state lumps to a per-class count vector (``is_count_lumpable``). Each
+    Valid when every station is single-class, order-insensitive or a
+    multi-class FCFS head-of-queue station (``is_batch_steppable``). Each
     replication draws its own event uniform u and its own routing uniform v
     at every step. Steps run in blocks: one ``rng.random((steps, 2, reps))``
     call yields the same doubles in the same order as two ``rng.random(reps)``
@@ -326,17 +332,24 @@ def batch_terminal_norms(
 
     At a single-class station the event fixes the served class. At a
     multi-class station the block resolves the outcome of every class the
-    station could serve, and the step picks the served class from the counts
-    (``_BatchKernel.slot_moves``): the top-ranked present class under
-    preferential allocation, the class of the job at position
-    floor(w * jobs) under proportional allocation and the present class at
-    position floor(w * present classes) under egalitarian allocation. Here w
-    is u rescaled within its event's interval: a uniform independent of the
-    event and of v. Networks of single-class stations do no extra work and
-    keep their random stream.
+    station could serve, and the step picks the served class. Order-insensitive
+    stations pick it from the counts (``_BatchKernel.count_slots``): the
+    top-ranked present class under preferential allocation, the class of the
+    job at position floor(w * jobs) under proportional allocation and the
+    present class at position floor(w * present classes) under egalitarian
+    allocation. Here w is u rescaled within its event's interval: a uniform
+    independent of the event and of v. A multi-class FCFS head-of-queue
+    station serves its head, whose class the step reads from the station's
+    ring of class ids (``_FCFSRings``); a served job leaves the head, and a
+    job that enters such a station joins the tail of its ring. The rings hold
+    reps x (such stations) x cap small ints, where cap is a power of two at
+    least the longest queue of the run plus a block's steps.
+
+    Networks of single-class and order-insensitive stations keep no rings
+    and their random stream, and single-class networks do no per-slot work.
     """
-    if not is_count_lumpable(spec):
-        raise ValueError("batch stepping requires single-class or order-insensitive stations")
+    if not is_batch_steppable(spec):
+        raise ValueError("batch stepping cannot run multi-class LCFS or SBP head-of-queue stations")
     kernel = _BatchKernel(spec)
     d = spec.class_count
     counts = np.zeros((reps, kernel.columns), dtype=np.int64)
@@ -344,33 +357,88 @@ def batch_terminal_norms(
     counts[:, 1 : d + 1] = state_composition(spec, xi0)
     flat = counts.reshape(-1)
     row = np.arange(reps) * kernel.columns
+    rings = None
+    if kernel.ring_stations:
+        rings = _FCFSRings([xi0[i] for i in kernel.ring_stations], reps, kernel.columns)
     # a block resolves at most ``span`` (step, replication) pairs at once
     span = _BLOCK_UNIFORMS // (2 * kernel.slots)
     steps = max(1, span // reps)
     for start in range(0, n, steps):
         draws = rng.random((min(steps, n - start), 2, reps))
+        if rings is not None:
+            rings.reserve(len(draws))
         for lo in range(0, reps, span):
             group = slice(lo, lo + span)
-            kernel.run(flat, row[group], draws[:, 0, group], draws[:, 1, group])
+            kernel.run(flat, row[group], draws[:, 0, group], draws[:, 1, group], rings)
     return counts[:, 1 : d + 1].sum(axis=1)
+
+
+class _FCFSRings:
+    """Per-replication class rings of the multi-class FCFS head-of-queue stations.
+
+    With R ring stations, row ``rep * R + r`` of ``ring`` holds ring station
+    r's queue in replication rep, head first: its class ids sit at positions ``head``,
+    ``head + 1``, ..., ``head + length - 1``, each taken ``& (cap - 1)``,
+    where ``cap`` is a power of two. The last row is a scratch queue: steps
+    whose event serves no ring station pop it and moves whose target joins
+    no ring push to it, so that every step runs the same array operations.
+    Nothing read from it is used.
+    """
+
+    def __init__(self, queues, reps: int, columns: int):
+        self.stations = len(queues)
+        longest = max(1, *map(len, queues))
+        self.cap = 1 << (longest - 1).bit_length()
+        rows = reps * self.stations + 1
+        # class ids, the idle target column (``columns - 1``) included
+        self.ring = np.zeros((rows, self.cap), dtype=np.min_scalar_type(columns - 1))
+        self.head = np.zeros(rows, dtype=np.int64)
+        self.length = np.zeros(rows, dtype=np.int64)
+        for r, q in enumerate(queues):
+            self.ring[r:-1:self.stations, : len(q)] = q
+            self.length[r:-1:self.stations] = len(q)
+
+    def reserve(self, steps: int) -> None:
+        """Make room for ``steps`` more steps, each of which adds at most one
+        job per replication: double ``cap`` until it holds the longest queue
+        plus ``steps``, and re-lay each queue from its head to position 0."""
+        need = int(self.length[:-1].max(initial=0)) + steps
+        if need <= self.cap:
+            return
+        cap = 1 << (need - 1).bit_length()
+        ring = np.zeros((len(self.ring), cap), dtype=self.ring.dtype)
+        # rows in chunks, so that the positions take no more than a block's arrays
+        chunk = max(1, _BLOCK_UNIFORMS // self.cap)
+        for lo in range(0, len(ring), chunk):
+            rows = slice(lo, lo + chunk)
+            pos = self.head[rows, None] + np.arange(self.cap)
+            pos &= self.cap - 1
+            ring[rows, : self.cap] = np.take_along_axis(self.ring[rows], pos, axis=1)
+        self.ring, self.cap = ring, cap
+        self.head[:] = 0
 
 
 class _BatchKernel:
     """The batch stepper's tables for one spec, compiled once per run.
 
     Count columns are 0 (the sink), 1..d (the classes) and, with multi-class
-    stations, d + 1: a column that stays empty. A slot is a class a multi-class station can serve, in
-    rank order under preferential allocation. The outcome tables have one
-    row per (event, slot): a step takes the outcome whose index is the
-    number of the row's thresholds at or below its routing uniform v, and an
-    outcome is a (source, target) column pair. Rows of arrivals and of
+    stations, d + 1: a column that stays empty. A slot is a class a
+    multi-class station can serve, in rank order under preferential
+    allocation and in the station's class order otherwise. The outcome tables
+    have one row per (event, slot): a step takes the outcome whose index is
+    the number of the row's thresholds at or below its routing uniform v, and
+    an outcome is a (source, target) column pair. Rows of arrivals and of
     single-class stations repeat over the slots; idle outcomes and padded
     slots move a job from the empty column to itself, which moves nothing.
 
     Per event, the slot columns are the count column of each slot at a
-    multi-class station (the empty column elsewhere), ``slope`` rescales u
-    to w (0 under preferential allocation, which draws nothing) and ``cap``
-    bounds each slot's count (1 under egalitarian allocation).
+    multi-class order-insensitive station (the empty column elsewhere),
+    ``slope`` rescales u to w (0 under preferential allocation, which draws
+    nothing) and ``cap`` bounds each slot's count (1 under egalitarian
+    allocation). ``ring_stations`` lists the multi-class FCFS head-of-queue
+    stations; ``ring_of_event`` and ``ring_of_col`` give the ring an event
+    serves and the ring a class column joins (-1: none), and ``slot_of_col``
+    a ring class's slot.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -382,11 +450,14 @@ class _BatchKernel:
         self.columns = zero + (slots > 1)
         rows = []
         slot_cols, slope, cap = [], [], []
+        self.ring_stations, ring_of_event = [], []
+        self.counted = False  # any multi-class order-insensitive station
         lows = [0.0] + [cum for cum, _, _ in entries[:-1]]
         for (cum, kind, idx), low in zip(entries, lows):
             slot_cols.append([zero] * slots)
             slope.append(0.0)
             cap.append(_SINK)
+            ring_of_event.append(-1)
             if kind == "A":
                 rows += [((), ((0, idx),))] * slots
                 continue
@@ -397,13 +468,19 @@ class _BatchKernel:
                 rows += [(tuple(c for c, _ in routes), tuple((k, l) for _, l in routes))] * slots
                 continue
             allocation = spec.protocols[idx].allocation
-            if allocation.kind == "preferential":
-                classes = allocation.ranking.order
+            if allocation.kind == "hq":
+                # FCFS: the served slot is the head's, read from the ring
+                ring_of_event[-1] = len(self.ring_stations)
+                self.ring_stations.append(idx)
             else:
-                slope[-1] = 1.0 / (cum - low)
-            if allocation.kind == "egalitarian":
-                cap[-1] = 1
-            slot_cols[-1][: len(classes)] = classes
+                self.counted = True
+                if allocation.kind == "preferential":
+                    classes = allocation.ranking.order
+                else:
+                    slope[-1] = 1.0 / (cum - low)
+                if allocation.kind == "egalitarian":
+                    cap[-1] = 1
+                slot_cols[-1][: len(classes)] = classes
             for k in classes:
                 scale, routes = table.branch[k]
                 # serve and route below the class's share of the event, idle above
@@ -417,6 +494,13 @@ class _BatchKernel:
         self.cap = np.asarray(cap, dtype=np.int64)
         self.drawn = any(slope)
         self.capped = 1 in cap
+        self.ring_of_event = np.asarray(ring_of_event, dtype=np.intp)
+        self.ring_of_col = np.full(self.columns, -1, dtype=np.intp)
+        self.slot_of_col = np.zeros(self.columns, dtype=np.intp)
+        for r, i in enumerate(self.ring_stations):
+            for j, k in enumerate(spec.stations[i]):
+                self.ring_of_col[k] = r
+                self.slot_of_col[k] = j
 
         self.width = width = max(len(outcomes) for _, outcomes in rows)
         self.thresholds = np.full((len(rows), width), 2.0)  # pads are never passed
@@ -433,14 +517,18 @@ class _BatchKernel:
         self.src_of = src_of.ravel()
         self.dst_of = dst_of.ravel()
 
-    def run(self, flat, row, u, v) -> None:
+    def run(self, flat, row, u, v, rings=None) -> None:
         """Apply a block of [step, replication] uniforms to the replications
-        whose count rows start at ``row`` in ``flat``."""
+        whose count rows start at ``row`` in ``flat`` (and to their queues in
+        ``rings``, which specs with ring stations need)."""
         # count the thresholds at or below each draw, leaving out the last:
         # a searchsorted clipped to the table
         ev = np.zeros(u.shape, dtype=np.intp)
         for cum in self.event_cum[:-1]:
             ev += u >= cum
+        if rings is not None:
+            self.ring_steps(flat, row, ev, u, v, rings)
+            return
         if self.slots == 1:
             moves = zip(*self.resolve(ev, v, row))
         else:
@@ -451,13 +539,19 @@ class _BatchKernel:
             flat[s] = held - act
             flat[t] += act  # after the source update, so a self-route nets zero
 
+    def codes(self, rid, v):
+        """Outcome codes (row * width + outcome) of table rows ``rid`` at
+        routing draws ``v``."""
+        code = rid * self.width
+        for column in self.thresholds.T[:-1]:
+            code += v >= column[rid]
+        return code
+
     def resolve(self, rid, v, row):
         """Source and target columns of the outcomes of table rows ``rid`` at
         routing draws ``v``, for the replications whose count rows start at
         ``row``."""
-        code = rid * self.width
-        for column in self.thresholds.T[:-1]:
-            code += v >= column[rid]
+        code = self.codes(rid, v)
         src = self.src_of[code]
         src += row
         dst = self.dst_of[code]
@@ -465,14 +559,7 @@ class _BatchKernel:
         return src, dst
 
     def slot_moves(self, flat, row, ev, u, v):
-        """(source, target) per step, with the served slot picked from the counts.
-
-        The slot is the number of slots j below the last whose cumulative
-        capped count is at most x = w * (capped total); with x = 0 that is
-        the first nonempty slot. An empty station picks its last slot, whose
-        move then finds its source empty. Events elsewhere read only the
-        empty column and pick the last slot, which repeats their row.
-        """
+        """(source, target) per step, with the served slot picked from the counts."""
         slots = self.slots
         steps, reps = ev.shape
         # source and target column per [step, replication, slot]
@@ -482,6 +569,21 @@ class _BatchKernel:
             src[..., j], dst[..., j] = self.resolve(ev * slots + j, v, row)
         src = src.reshape(steps, -1)
         dst = dst.reshape(steps, -1)
+        for t, slot in enumerate(self.count_slots(flat, row, ev, u)):
+            yield src[t][slot], dst[t][slot]
+
+    def count_slots(self, flat, row, ev, u):
+        """Per step, the index of the served slot in the [replication, slot]
+        outcomes, read from the counts as the step comes.
+
+        The slot is the number of slots j below the last whose cumulative
+        capped count is at most x = w * (capped total); with x = 0 that is
+        the first nonempty slot. An empty station picks its last slot, whose
+        move then finds its source empty. Events elsewhere read only the
+        empty column and pick the last slot, which repeats their row.
+        """
+        slots = self.slots
+        steps, reps = ev.shape
         # without a draw the last slot's count is never read
         cols = []
         for j in range(slots if self.drawn else slots - 1):
@@ -510,4 +612,68 @@ class _BatchKernel:
             for h in held[1 : slots - 1]:
                 cum = cum + h
                 slot += x >= cum
-            yield src[t][slot], dst[t][slot]
+            yield slot
+
+    def ring_steps(self, flat, row, ev, u, v, rings: _FCFSRings) -> None:
+        """Step a block on counts and rings: at a ring station the served slot
+        is that of the head class, and a move that happens pops the served
+        ring and pushes its target onto the tail of the target's ring.
+
+        Each replication owns its queues, so the array updates below never
+        meet twice on a real queue; the scratch queue takes the rest.
+        """
+        slots = self.slots
+        steps, reps = ev.shape
+        stations = rings.stations
+        ring, head, length, cap = rings.ring.reshape(-1), rings.head, rings.length, rings.cap
+        qbase = row // self.columns * stations
+        # every push writes at head + length: below cap, that is a free place
+        longest = int(length[qbase[0] : qbase[-1] + stations].max())
+        if longest + steps > cap:
+            raise RuntimeError(
+                f"FCFS ring capacity {cap} cannot hold {longest} jobs plus {steps} steps"
+            )
+        mask = cap - 1
+        scratch = len(head) - 1
+        # the queue each [step, replication] event serves, and its first place in ``ring``
+        served = self.ring_of_event[ev]
+        at_ring = served >= 0
+        queue = np.where(at_ring, qbase + served, scratch)
+        place = queue * cap
+        # per [step, replication, slot]: source and target column, the
+        # target's queue and its class id
+        src = np.empty((steps, reps, slots), dtype=np.intp)
+        dst = np.empty_like(src)
+        joins = np.empty_like(src)
+        cls = np.empty(src.shape, dtype=rings.ring.dtype)
+        for j in range(slots):
+            code = self.codes(ev * slots + j, v)
+            col = self.dst_of[code]
+            cls[..., j] = col
+            target = self.ring_of_col[col]
+            joins[..., j] = np.where(target >= 0, qbase + target, scratch)
+            src[..., j] = self.src_of[code] + row
+            dst[..., j] = col + row
+        src, dst, joins, cls = (a.reshape(steps, -1) for a in (src, dst, joins, cls))
+        base = np.arange(reps) * slots
+        counted = self.count_slots(flat, row, ev, u) if self.counted else None
+        for t in range(steps):
+            q = queue[t]
+            h = head[q]
+            slot = self.slot_of_col[ring[place[t] + (h & mask)]]
+            slot += base
+            if counted is not None:
+                slot = np.where(at_ring[t], slot, next(counted))
+            s = src[t][slot]
+            held = flat[s]
+            act = held > 0
+            flat[s] = held - act
+            flat[dst[t][slot]] += act
+            head[q] = h + act
+            length[q] -= act
+            # read after the pop: a job routed back to its own station
+            # joins behind the rest of the queue
+            p = joins[t][slot]
+            size = length[p]
+            ring[p * cap + ((head[p] + size) & mask)] = cls[t][slot]
+            length[p] = size + act

@@ -20,7 +20,7 @@ from .errors import BracketFailureError
 from .exact import ExactEngine
 from .network import NetworkSpec, workload_matrix
 from .qprocess import empty_state, state_norm
-from .sampling import PathSampler, batch_terminal_norms, is_count_lumpable
+from .sampling import PathSampler, batch_terminal_norms, is_batch_steppable
 
 _BATCH_MIN_REPS = 64
 
@@ -49,9 +49,10 @@ def _terminal_values(spec: NetworkSpec, n: int, alpha: float, reps: int, rng, th
     start = empty_state(spec)
     if n == 0:
         return np.ones(reps)
-    # networks that lump to class counts step as count vectors; multi-class
-    # head-of-queue stations and small runs take the scalar sampler
-    if is_count_lumpable(spec) and reps >= _BATCH_MIN_REPS:
+    # the batch stepper runs every station but multi-class LCFS and SBP
+    # head-of-queue ones (FCFS keeps a ring of class ids per replication);
+    # those networks and small runs take the scalar sampler
+    if is_batch_steppable(spec) and reps >= _BATCH_MIN_REPS:
         norms = batch_terminal_norms(spec, start, n, reps, rng)
         return np.exp(-alpha * norms)
     # one substream per chunk of replications: deterministic regardless of

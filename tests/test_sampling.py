@@ -5,8 +5,11 @@ run in blocks: two ``rng.random(reps)`` draws per step and the count vector
 updated from gather tables. On single-class networks the block stepper must
 return the same norms and leave the generator in the same state, bit for bit.
 On networks with multi-class order-insensitive stations it picks the served
-class step by step; there its terminal law is checked against the reduced
-exact engine.
+class step by step; there its terminal law is checked against the exact
+engine. At multi-class FCFS head-of-queue stations it serves the head of a
+ring of class ids: ``replay_terminal_norms`` replays the same draws one
+replication at a time on tuple states, and the norms must match it bit for
+bit.
 """
 
 import dataclasses
@@ -21,16 +24,21 @@ from mcqnet.configurations import PriorityRanking, QueuePolicy
 from mcqnet.exact import ExactEngine
 from mcqnet.network import NetworkSpec, builtin_fixture, validate
 from mcqnet.qprocess import (
+    TransitionLabel,
+    apply_transition,
     empty_state,
     routing_choices,
     state_composition,
     state_norm,
     station_top_rate,
+    transition_table,
     uniformization_rate,
 )
 from mcqnet.rng import master_rng
 from mcqnet.sampling import PathSampler, batch_terminal_norms
 from mcqnet.stability import phi_estimate
+
+from conftest import run_optimized
 
 
 def reference_terminal_norms(spec, xi0, n, reps, rng):
@@ -138,11 +146,119 @@ def test_block_stepper_matches_reference_from_loaded_state(name, seed):
     _assert_same_as_reference(spec, xi0, 200, 64, seed)
 
 
+HQ = ServiceAllocation.head_of_queue()
+FCFS_LINE = builtin_fixture("fcfs-reentrant")
+# the fcfs-reentrant line with LCFS insertion, and with SBP insertion (4 over 1,
+# 2 over 3), at both head-of-queue stations
+LCFS_LINE = dataclasses.replace(FCFS_LINE, protocols=(StationProtocol(QueuePolicy.lcfs(), HQ),) * 2)
+SBP_HQ_LINE = dataclasses.replace(
+    FCFS_LINE,
+    protocols=tuple(
+        StationProtocol(QueuePolicy.sbp(PriorityRanking.total(order)), HQ)
+        for order in ((4, 1), (2, 3))
+    ),
+)
+
+
 def test_block_stepper_rejects_multi_class_stations():
-    # multi-class head-of-queue stations do not lump to class counts
-    spec = builtin_fixture("fcfs-reentrant")
-    with pytest.raises(ValueError):
-        batch_terminal_norms(spec, tuple(() for _ in spec.stations), 5, 8, master_rng(1))
+    # LCFS and SBP insert inside a multi-class head-of-queue buffer, which a
+    # ring of class ids does not step
+    for spec in (LCFS_LINE, SBP_HQ_LINE):
+        with pytest.raises(ValueError):
+            batch_terminal_norms(spec, tuple(() for _ in spec.stations), 5, 8, master_rng(1))
+
+
+# ---------------------------------------------------------------------------
+# Multi-class FCFS head-of-queue stations against a per-replication replay
+
+def replay_terminal_norms(spec, xi0, n, reps, rng):
+    """Terminal norms from the batch stepper's draws, one replication at a time.
+
+    One ``rng.random((n, 2, reps))`` call yields the doubles of every block.
+    A step picks its event from u; a departure event serves the head class k
+    of its station (idle when the station is empty or at v >= k's share of
+    the event) and routes it by v, and the state moves by ``apply_transition``.
+    """
+    table = transition_table(spec)
+    draws = rng.random((n, 2, reps))
+    norms = []
+    for rep in range(reps):
+        xi = xi0
+        for u, v in draws[:, :, rep]:
+            kind, idx = table.alphabet.draw(u)
+            if kind == "A":
+                xi = apply_transition(spec, xi, TransitionLabel(0, idx))
+                continue
+            if not xi[idx]:
+                continue
+            k = xi[idx][0]
+            active, routes = table.branch[k]
+            if v >= active:
+                continue
+            for cum, l in routes:
+                if v < cum:
+                    break
+            xi = apply_transition(spec, xi, TransitionLabel(k, l))
+        norms.append(state_norm(xi))
+    return np.asarray(norms)
+
+
+def _assert_same_as_replay(spec, xi0, n, reps, seed):
+    rng_ref, rng_new = master_rng(seed), master_rng(seed)
+    expected = replay_terminal_norms(spec, xi0, n, reps, rng_ref)
+    got = batch_terminal_norms(spec, xi0, n, reps, rng_new)
+    np.testing.assert_array_equal(got, expected)
+    assert rng_new.random() == rng_ref.random()
+
+
+FCFS_LOADED = ((4, 1, 1, 4), (3, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "xi0,n,reps",
+    [
+        (((), ()), 150, 128),  # 32 steps per block: several blocks and a partial one
+        (((), ()), 4, ONE_STEP_REPS),  # one step per block, three groups
+        (FCFS_LOADED, 0, 16),  # no steps, no draws
+        (FCFS_LOADED, 50, 1),
+        (FCFS_LOADED, 120, 64),
+        (FCFS_LOADED, 7, 3000),
+    ],
+    ids=["empty", "empty-groups", "loaded-0", "loaded-1", "loaded", "loaded-wide"],
+)
+def test_ring_stepper_matches_replay(xi0, n, reps):
+    _assert_same_as_replay(FCFS_LINE, xi0, n, reps, seed=n)
+
+
+def test_ring_stepper_matches_replay_through_capacity_doublings(monkeypatch):
+    # theta x5 is far past the line's stability region: queues grow with n,
+    # and two steps per block let the capacity follow them
+    monkeypatch.setattr(sampling, "_BLOCK_UNIFORMS", 400)
+    caps = []
+    reserve = sampling._FCFSRings.reserve
+
+    def spy(self, steps):
+        reserve(self, steps)
+        caps.append(self.cap)
+
+    monkeypatch.setattr(sampling._FCFSRings, "reserve", spy)
+    _assert_same_as_replay(FCFS_LINE.scale_theta(5.0), FCFS_LOADED, 400, 48, seed=9)
+    assert len(set(caps)) >= 4, sorted(set(caps))
+
+
+def test_ring_capacity_check_survives_python_O():
+    out = run_optimized(
+        "from mcqnet import sampling\n"
+        "from mcqnet.network import builtin_fixture\n"
+        "from mcqnet.rng import master_rng\n"
+        "sampling._FCFSRings.reserve = lambda self, steps: None\n"
+        "spec = builtin_fixture('fcfs-reentrant')\n"
+        "try:\n"
+        "    sampling.batch_terminal_norms(spec, ((4, 1), (2,)), 40, 8, master_rng(1))\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    assert "raised FCFS ring capacity" in out
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +268,11 @@ SIGMAS = 4.0
 ALPHAS = (0.3, 1.5)
 
 
-def _assert_matches_exact(spec, xi0, n, reps, seed):
+def _assert_matches_exact(spec, xi0, n, reps, seed, reduced=True):
     """E[exp(-alpha * norm at step n)] of the batch stepper within SIGMAS
-    standard errors of the reduced exact engine, for each alpha in ALPHAS."""
+    standard errors of the exact engine, for each alpha in ALPHAS."""
     norms = batch_terminal_norms(spec, xi0, n, reps, master_rng(seed))
-    law = ExactEngine(spec, reduced=True).distribution(xi0, n)
+    law = ExactEngine(spec, reduced=reduced).distribution(xi0, n)
     for alpha in ALPHAS:
         values = np.exp(-alpha * norms)
         se = values.std(ddof=1) / math.sqrt(reps)
@@ -171,7 +287,7 @@ def lk_egalitarian() -> NetworkSpec:
 
 
 LINES = {"lk-prop": builtin_fixture("lk-prop"), "lk-sbp": builtin_fixture("lk-sbp"),
-         "lk-egal": lk_egalitarian()}
+         "lk-egal": lk_egalitarian(), "fcfs-reentrant": FCFS_LINE}
 LOADED = ((1, 1, 1, 4), (2, 3, 3))
 
 
@@ -194,6 +310,16 @@ def test_batch_law_matches_exact_on_lk_lines(name, scale, n, xi0):
     _assert_matches_exact(spec, xi0, n, 40_000, seed=n)
 
 
+@pytest.mark.parametrize(
+    "scale,n,xi0",
+    [(1.0, 12, ((), ())), (3.0, 12, ((), ())), (1.0, 8, FCFS_LOADED), (3.0, 8, FCFS_LOADED)],
+    ids=lambda x: "loaded" if x == FCFS_LOADED else "empty" if x == ((), ()) else None,
+)
+def test_batch_law_matches_exact_on_fcfs_line(scale, n, xi0):
+    # no lumping holds at a multi-class FCFS station: the unreduced law
+    _assert_matches_exact(FCFS_LINE.scale_theta(scale), xi0, n, 40_000, seed=n, reduced=False)
+
+
 @pytest.mark.parametrize("name", sorted(LINES))
 @pytest.mark.parametrize("block_uniforms", [4, 200])
 def test_block_and_group_sizes_leave_the_stream_unchanged(name, block_uniforms, monkeypatch):
@@ -207,18 +333,25 @@ def test_block_and_group_sizes_leave_the_stream_unchanged(name, block_uniforms, 
     assert rng_new.random() == rng_ref.random()
 
 
-def random_count_lumpable_spec(rng) -> NetworkSpec:
-    """A network of at most 3 stations and 4 classes whose stations are
-    single-class or order-insensitive, with transient random routing."""
+STATION_KINDS = ("hq-fcfs", "proportional", "preferential", "egalitarian")
+
+
+def random_batch_spec(rng) -> NetworkSpec:
+    """A network of at most 3 stations and 4 classes with transient random
+    routing, whose stations are FCFS head-of-queue or order-insensitive
+    (``STATION_KINDS``): every network the batch stepper runs, single-class
+    stations included."""
     d = int(rng.integers(1, 5))
     station_count = int(rng.integers(1, min(3, d) + 1))
     order = [int(k) for k in rng.permutation(np.arange(1, d + 1))]
     cuts = sorted(int(c) for c in rng.choice(np.arange(1, d), size=station_count - 1, replace=False))
-    stations = tuple(tuple(sorted(part)) for part in np.split(np.asarray(order), cuts))
+    stations = tuple(tuple(sorted(int(k) for k in part)) for part in np.split(np.asarray(order), cuts))
     protocols = []
     for classes in stations:
-        kind = str(rng.choice(["proportional", "preferential", "egalitarian"]))
-        if kind == "preferential":
+        kind = str(rng.choice(STATION_KINDS))
+        if kind == "hq-fcfs":
+            allocation = HQ
+        elif kind == "preferential":
             ranking = PriorityRanking.total(tuple(int(k) for k in rng.permutation(classes)))
             allocation = ServiceAllocation.preferential(ranking)
         else:
@@ -242,25 +375,32 @@ def random_count_lumpable_spec(rng) -> NetworkSpec:
     return spec
 
 
+def _kind(protocol) -> str:
+    allocation = protocol.allocation
+    return allocation.kind if allocation.order_insensitive else "hq-" + protocol.policy.kind
+
+
 def test_batch_law_matches_exact_on_random_order_insensitive_specs():
+    # order-insensitive, FCFS head-of-queue and single-class stations mixed,
+    # against the unreduced engine from starts in random order
     rng = np.random.default_rng(20261018)
     kinds = set()
     for case in range(14):
-        spec = random_count_lumpable_spec(rng)
-        kinds |= {
-            p.allocation.kind for p, c in zip(spec.protocols, spec.stations) if len(c) > 1
-        }
+        spec = random_batch_spec(rng)
+        kinds |= {_kind(p) for p, c in zip(spec.protocols, spec.stations) if len(c) > 1}
         xi0 = tuple(
-            tuple(k for k in classes for _ in range(int(rng.integers(0, 5))))
+            tuple(int(k) for k in rng.permutation(
+                [k for k in classes for _ in range(int(rng.integers(0, 5)))]
+            ))
             for classes in spec.stations
         )
         for start in (empty_state(spec), xi0):
-            _assert_matches_exact(spec, start, 7, 20_000, seed=case)
+            _assert_matches_exact(spec, start, 7, 20_000, seed=case, reduced=False)
     # the generated cases cover every multi-class rule
-    assert kinds == {"proportional", "preferential", "egalitarian"}
+    assert kinds == set(STATION_KINDS)
 
 
-@pytest.mark.parametrize("name", ["lk-prop", "lk-sbp"])
+@pytest.mark.parametrize("name", ["lk-prop", "lk-sbp", "fcfs-reentrant"])
 def test_phi_estimate_on_lk_lines_runs_without_the_scalar_sampler(name, monkeypatch):
     def refuse(self, spec):
         raise AssertionError("PathSampler built")
