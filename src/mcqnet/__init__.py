@@ -54,7 +54,7 @@ from .qprocess import (
     transition_rate,
     uniformization_rate,
 )
-from .rng import master_rng, substream
+from .rng import master_rng
 from .sampling import PathSampler, batch_terminal_norms
 from .stability import (
     CycleEstimate,

@@ -234,8 +234,7 @@ def _cmd_phi(args) -> int:
         payload = {"mode": "exact", "value": value, "steps": args.steps, "alpha": args.alpha}
     else:
         rng = master_rng(args.seed)
-        est = phi_estimate(spec, theta, args.steps, args.alpha, args.reps, rng,
-                           threads=args.threads)
+        est = phi_estimate(spec, theta, args.steps, args.alpha, args.reps, rng)
         payload = {
             "mode": "mc",
             "value": est.mean,
@@ -414,9 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=positive_int,
         default=os.environ.get("QNET_THREADS", "1"),
-        help="worker threads of phi's scalar sampler, which it uses only below 64 reps or "
-        "on multi-class LCFS or SBP head-of-queue stations; monotone, threshold and region "
-        "ignore it (QNET_THREADS fallback)",
+        help="accepted for compatibility but has no effect; it will be removed "
+        "(ROADMAP item 4). QNET_THREADS is its fallback",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifest")
     sub = parser.add_subparsers(dest="subcommand", required=True)

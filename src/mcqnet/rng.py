@@ -1,9 +1,11 @@
-"""Random-stream helpers: splittable counter-based generators and fast uniforms.
+"""Random-stream helpers: a counter-based master generator and fast uniforms.
 
-All randomized routines take a ``numpy.random.Generator``. Replications derive
-independent substreams with ``Generator.spawn`` (SeedSequence-backed, so results
-do not depend on execution order), and hot loops pull uniforms from prefetched
-blocks to amortize the per-call overhead.
+All randomized routines take a ``numpy.random.Generator`` and derive what they
+need from it with ``Generator.spawn`` (SeedSequence-backed, so a result depends
+only on the seed and the order of the spawns). The scalar sampler runs its
+replications in sequence on one spawned substream and pulls uniforms from
+prefetched blocks to amortize the per-call overhead; the batch stepper draws
+its uniforms in blocks from the generator it is given.
 """
 
 from __future__ import annotations
@@ -14,12 +16,6 @@ import numpy as np
 def master_rng(seed: int) -> np.random.Generator:
     """Counter-based (Philox) generator for a 64-bit master seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent stream addressed by (seed, path), e.g. (master, replication)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 class Uniforms:

@@ -241,14 +241,17 @@ class PathSampler:
         return out
 
     def run_functional_average(
-        self, xi0: NetworkState, steps: int, burn_in: int, fn, rng, batches: int = 100
+        self, xi0: NetworkState, steps: int, burn_in: int, fn, rng
     ) -> tuple[float, float]:
-        """Long-run average of fn(norm) with a batch-means standard error."""
+        """Long-run average of fn(norm) with a batch-means standard error over
+        100 batches."""
+        if steps < 1:
+            raise ValueError("steps must be at least 1")
         self.reset(xi0, rng)
         step = self.step
         for _ in range(burn_in):
             step()
-        batch = max(1, steps // batches)
+        batch = max(1, steps // 100)
         means = []
         done = 0
         while done < steps:

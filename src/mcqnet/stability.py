@@ -11,7 +11,6 @@ statistic) or by a Robbins-Monro iteration with single-path evaluations.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,12 @@ from .qprocess import empty_state, state_norm
 from .sampling import PathSampler, batch_terminal_norms, is_batch_steppable
 
 _BATCH_MIN_REPS = 64
+# slack of the monotonicity scans: an absolute tolerance on exact values, and
+# a count of pooled standard errors on Monte-Carlo ones
+_EXACT_TOL = 1e-10
+_MC_SIGMAS = 3.0
+# floor of the Robbins-Monro iterate, which keeps the probed rates positive
+_SCALE_MIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,10 +39,9 @@ class PhiEstimate:
     alpha: float
 
 
-_CHUNK = 256
-
-
-def _check_phi_args(n: int, alpha: float) -> None:
+def _check_phi_args(n: int, alpha: float, reps: int | None = None) -> None:
+    if reps is not None and reps < 1:
+        raise ValueError("reps must be at least 1")
     if n < 0:
         raise ValueError("steps must be nonnegative")
     # phi = E[exp(-alpha * jobs)] lies in (0, 1] only for a positive alpha
@@ -45,50 +49,30 @@ def _check_phi_args(n: int, alpha: float) -> None:
         raise ValueError("alpha must be positive")
 
 
-def _terminal_values(spec: NetworkSpec, n: int, alpha: float, reps: int, rng, threads: int = 1):
+def _terminal_values(spec: NetworkSpec, n: int, alpha: float, reps: int, rng):
     start = empty_state(spec)
     if n == 0:
         return np.ones(reps)
     # the batch stepper runs every station but multi-class LCFS and SBP
     # head-of-queue ones (FCFS keeps a ring of class ids per replication);
-    # those networks and small runs take the scalar sampler
+    # those networks and small runs take the scalar sampler, one replication
+    # after another on one spawned substream
     if is_batch_steppable(spec) and reps >= _BATCH_MIN_REPS:
         norms = batch_terminal_norms(spec, start, n, reps, rng)
         return np.exp(-alpha * norms)
-    # one substream per chunk of replications: deterministic regardless of
-    # scheduling, without paying a stream spawn per replication
-    chunks = [(i, min(_CHUNK, reps - i)) for i in range(0, reps, _CHUNK)]
-    streams = rng.spawn(len(chunks))
-
-    def run_chunk(idx: int) -> list[float]:
-        sampler = PathSampler(spec)
-        stream = streams[idx]
-        size = chunks[idx][1]
-        return [
-            math.exp(-alpha * sampler.run_terminal_norm(start, n, stream))
-            for _ in range(size)
-        ]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, range(len(chunks))))
-    else:
-        parts = [run_chunk(i) for i in range(len(chunks))]
-    return np.asarray([v for part in parts for v in part])
+    sampler = PathSampler(spec)
+    stream = rng.spawn(1)[0]
+    return np.asarray(
+        [math.exp(-alpha * sampler.run_terminal_norm(start, n, stream)) for _ in range(reps)]
+    )
 
 
 def phi_estimate(
-    spec: NetworkSpec,
-    theta,
-    n: int,
-    alpha: float,
-    reps: int,
-    rng,
-    threads: int = 1,
+    spec: NetworkSpec, theta, n: int, alpha: float, reps: int, rng
 ) -> PhiEstimate:
     """Monte-Carlo estimate of E[exp(-alpha * norm at step n)] from empty."""
-    _check_phi_args(n, alpha)
-    values = _terminal_values(spec.with_theta(theta), n, alpha, reps, rng, threads)
+    _check_phi_args(n, alpha, reps)
+    values = _terminal_values(spec.with_theta(theta), n, alpha, reps, rng)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return PhiEstimate(mean=mean, stderr=stderr, reps=reps, n=n, alpha=alpha)
@@ -137,14 +121,12 @@ def monotonicity_table(
     *,
     reduced: bool = False,
     budget: int = 10**6,
-    exact_tol: float = 1e-10,
-    mc_sigmas: float = 3.0,
 ) -> MonotonicityTable:
     """phi over a (theta scale) x (step count) grid with monotonicity flags.
 
     Flags every increase along growing n (rows) and growing theta (columns)
-    beyond the exact tolerance, or beyond ``mc_sigmas`` pooled standard errors
-    in Monte-Carlo mode. Violations are reported, never suppressed.
+    beyond the exact tolerance, or beyond three pooled standard errors in
+    Monte-Carlo mode. Violations are reported, never suppressed.
     """
     scales = tuple(float(a) for a in scales)
     steps = tuple(int(n) for n in steps)
@@ -170,28 +152,22 @@ def monotonicity_table(
         else:
             raise ValueError("mode must be 'exact' or 'mc'")
 
-    violations = scan_violations(values, stderrs, exact_tol=exact_tol, mc_sigmas=mc_sigmas)
+    violations = scan_violations(values, stderrs)
     return MonotonicityTable(scales, steps, values, stderrs, violations, mode)
 
 
-def scan_violations(
-    values,
-    stderrs=None,
-    *,
-    exact_tol: float = 1e-10,
-    mc_sigmas: float = 3.0,
-) -> list[tuple[str, int, int]]:
+def scan_violations(values, stderrs=None) -> list[tuple[str, int, int]]:
     """Flag increases of phi along growing steps (axis 1) or theta (axis 0).
 
     Without standard errors the exact tolerance applies; with them the slack
-    is ``mc_sigmas`` pooled standard errors per comparison.
+    is three pooled standard errors per comparison.
     """
     values = np.asarray(values)
 
     def slack(i, j, i2, j2) -> float:
         if stderrs is None:
-            return exact_tol
-        return mc_sigmas * math.hypot(stderrs[i][j], stderrs[i2][j2])
+            return _EXACT_TOL
+        return _MC_SIGMAS * math.hypot(stderrs[i][j], stderrs[i2][j2])
 
     rows, cols = values.shape
     violations = []
@@ -223,6 +199,8 @@ def cycle_estimate(spec: NetworkSpec, theta, cap: int, reps: int, rng) -> CycleE
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     spec_t = spec.with_theta(theta)
     if sum(spec_t.theta) == 0:
         return CycleEstimate(math.inf, 0.0, reps, cap, degenerate=True)
@@ -247,13 +225,12 @@ def equilibrium_estimate(
     burn_in: int,
     alpha: float,
     rng,
-    batches: int = 100,
 ) -> tuple[float, float]:
     """Long-run average of exp(-alpha * norm) with a batch-means stderr."""
     spec_t = spec.with_theta(theta)
     sampler = PathSampler(spec_t)
     return sampler.run_functional_average(
-        empty_state(spec_t), steps, burn_in, lambda m: math.exp(-alpha * m), rng, batches
+        empty_state(spec_t), steps, burn_in, lambda m: math.exp(-alpha * m), rng
     )
 
 
@@ -342,7 +319,6 @@ def threshold_robbins_monro(
     schedule: tuple[float, float] = (2.0, 50.0),
     iters: int = 2000,
     scale_init: float = 1.0,
-    scale_min: float = 1e-9,
     probe=None,
 ) -> RaySearchResult:
     """Robbins-Monro iteration a_{m+1} = a_m + c/(m0+m) (phi_hat - epsilon).
@@ -363,7 +339,7 @@ def threshold_robbins_monro(
     trace_scales = [scale]
     for m in range(iters):
         noisy = probe(scale, rng.spawn(1)[0])
-        scale = max(scale_min, scale + (c / (m0 + m + 1)) * (noisy - epsilon))
+        scale = max(_SCALE_MIN, scale + (c / (m0 + m + 1)) * (noisy - epsilon))
         trace_scales.append(scale)
     tail = trace_scales[len(trace_scales) // 2 :]
     estimate = float(np.mean(tail))
@@ -408,10 +384,9 @@ def region_scan(
     alpha: float,
     reps: int,
     rng,
-    method: str = "bisection",
     **search_kwargs,
 ) -> RegionScan:
-    """Per-ray thresholds assembled into a star-shaped under-approximation.
+    """Per-ray bisection thresholds assembled into a star-shaped under-approximation.
 
     Also reports the subcriticality polytope data (workload matrix rows and the
     per-ray subcritical crossing) for comparison; thresholds above that bound
@@ -422,14 +397,9 @@ def region_scan(
     results = []
     bounds = []
     for v in rays:
-        sub_rng = rng.spawn(1)[0]
-        if method == "bisection":
-            res = threshold_bisection(spec, v, epsilon, n, alpha, reps, sub_rng, **search_kwargs)
-        elif method in ("rm", "robbins-monro"):
-            res = threshold_robbins_monro(spec, v, epsilon, n, alpha, sub_rng, **search_kwargs)
-        else:
-            raise ValueError("method must be 'bisection' or 'rm'")
-        results.append(res)
+        results.append(
+            threshold_bisection(spec, v, epsilon, n, alpha, reps, rng.spawn(1)[0], **search_kwargs)
+        )
         bounds.append(subcritical_bound(spec, v))
     matrix = [list(map(float, row)) for row in workload_matrix(spec)]
     return RegionScan(results, bounds, matrix)

@@ -12,6 +12,9 @@ import pytest
 
 from mcqnet.errors import BracketFailureError
 from mcqnet.network import builtin_fixture
+from mcqnet.qprocess import empty_state
+from mcqnet.rng import master_rng
+from mcqnet.sampling import PathSampler
 from mcqnet.stability import (
     cycle_estimate,
     equilibrium_estimate,
@@ -24,6 +27,8 @@ from mcqnet.stability import (
     threshold_bisection,
     threshold_robbins_monro,
 )
+
+from test_sampling import LCFS_LINE, SBP_HQ_LINE
 
 MM1 = builtin_fixture("mm1")
 TANDEM = builtin_fixture("tandem2")
@@ -47,6 +52,60 @@ def test_phi_estimate_edges(rng):
 def test_phi_estimate_matches_exact_two_step(rng):
     est = phi_estimate(MM1, MM1.theta, 2, 1.0, 100_000, rng)
     assert abs(est.mean - MM1_TWO_STEP) < 4 * est.stderr
+
+
+def scalar_loop_phi(spec, n, alpha, reps, rng):
+    """One PathSampler over one spawned substream, one replication after another."""
+    sampler = PathSampler(spec)
+    stream = rng.spawn(1)[0]
+    start = empty_state(spec)
+    values = np.asarray(
+        [math.exp(-alpha * sampler.run_terminal_norm(start, n, stream)) for _ in range(reps)]
+    )
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(reps))
+
+
+@pytest.mark.parametrize(
+    "spec,reps",
+    [(LCFS_LINE, 300), (SBP_HQ_LINE, 300), (MM1, 63), (LK_PROP, 63)],
+    ids=["lcfs-line-300", "sbp-hq-line-300", "mm1-63", "lk-prop-63"],
+)
+def test_scalar_phi_is_one_substream_in_sequence(spec, reps):
+    # head-of-queue LCFS and SBP lines never reach the batch stepper, and
+    # below 64 replications no spec does: both run the scalar loop, at any
+    # replication count
+    est = phi_estimate(spec, spec.theta, 12, 0.5, reps, master_rng(5))
+    assert (est.mean, est.stderr) == scalar_loop_phi(spec, 12, 0.5, reps, master_rng(5))
+
+
+@pytest.mark.parametrize("spec", [LCFS_LINE, SBP_HQ_LINE], ids=["lcfs-line", "sbp-hq-line"])
+def test_scalar_phi_agrees_with_exact(spec):
+    # from step 10 on the insertion rule moves the law of the norm
+    est = phi_estimate(spec, spec.theta, 12, 0.5, 300, master_rng(9))
+    exact = phi_exact(spec, spec.theta, 12, 0.5)
+    assert abs(est.mean - exact) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("reps", [0, -3])
+def test_phi_estimate_rejects_empty_reps(reps, rng):
+    with pytest.raises(ValueError, match="reps"):
+        phi_estimate(MM1, MM1.theta, 5, 1.0, reps, rng)
+
+
+def test_monotonicity_table_mc_rejects_default_reps(rng):
+    # reps defaults to 0, which must not yield a table of NaNs reported clean
+    with pytest.raises(ValueError, match="reps"):
+        monotonicity_table(MM1, (0.5, 1.0, 4.0), (1, 5, 20), 1.0, mode="mc", rng=rng)
+
+
+def test_cycle_estimate_rejects_empty_reps(rng):
+    with pytest.raises(ValueError, match="reps"):
+        cycle_estimate(MM1, (1.0,), cap=100, reps=0, rng=rng)
+
+
+def test_equilibrium_estimate_rejects_zero_steps(rng):
+    with pytest.raises(ValueError, match="steps"):
+        equilibrium_estimate(MM1, (1.0,), 0, 10, 1.0, rng)
 
 
 def test_phi_exact_values():
