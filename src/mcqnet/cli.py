@@ -6,6 +6,11 @@ reports to JSON. Every run writes a manifest recording the subcommand, all
 parameters, the master seed, the toolkit version and SHA-256 digests of the
 outputs, so a run can be reproduced byte for byte.
 
+``main`` runs every subcommand the same way: it loads and validates the spec
+once, runs the body (which computes, writes its outputs and returns the text
+to print), writes the manifest and prints. The manifest's ``wall_clock_s``
+covers the whole run: load, validate, solve and write.
+
 Exit codes: 0 success, 1 domain errors (non-transient routing, exceeded state
 budget, failed bracket, ...), 2 usage errors.
 """
@@ -38,6 +43,7 @@ from .exact import ExactEngine, expectation
 from .network import (
     FIXTURE_NAMES,
     NetworkSpec,
+    RoutingAnalysis,
     builtin_fixture,
     load_spec,
     spec_to_dict,
@@ -72,9 +78,17 @@ _DOMAIN_ERRORS = (
 def _resolve_spec(ref: str) -> NetworkSpec:
     if ref in FIXTURE_NAMES:
         return builtin_fixture(ref)
-    if not os.path.exists(ref):
+    if not os.path.isfile(ref):
         raise UnknownFixtureError(f"{ref!r} is neither a built-in fixture nor a spec file")
     return load_spec(ref)
+
+
+def _load(args: argparse.Namespace) -> tuple[NetworkSpec, RoutingAnalysis]:
+    """The run's spec, scaled by ``--theta-scale`` where given, and its analysis."""
+    spec = _resolve_spec(args.spec)
+    if hasattr(args, "theta_scale"):
+        spec = spec.scale_theta(args.theta_scale)
+    return spec, validate(spec)
 
 
 def _state_key(state) -> str:
@@ -98,21 +112,25 @@ class _HashingSink(io.RawIOBase):
 
 
 class RunWriter:
-    """Collects output files and finalizes the run manifest."""
+    """Collects output files and finalizes the run manifest.
+
+    The clock starts when the writer is made, before the spec is loaded.
+    ``--out-dir`` is created at the first write, so a run that fails before
+    writing leaves nothing behind.
+    """
 
     def __init__(self, args: argparse.Namespace):
-        self.out_dir = args.out_dir
-        os.makedirs(self.out_dir, exist_ok=True)
         self.args = args
         self.outputs: dict[str, str] = {}
-        self.started = time.time()
+        self.started = time.perf_counter()
 
     def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
+        return os.path.join(self.args.out_dir, name)
 
     @contextlib.contextmanager
     def _open(self, name: str, newline: str | None = None):
         """Text stream to the output ``name``; its bytes are hashed as they go out."""
+        os.makedirs(self.args.out_dir, exist_ok=True)
         path = self.path(name)
         with open(path, "wb") as raw:
             sink = _HashingSink(raw)
@@ -120,11 +138,10 @@ class RunWriter:
                 yield fh
         self.outputs[os.path.basename(path)] = sink.sha256.hexdigest()
 
-    def write_json(self, name: str, payload) -> str:
+    def write_json(self, name: str, payload) -> None:
         with self._open(name) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return self.path(name)
 
     def write_csv(self, name: str, header, rows) -> str:
         with self._open(name, newline="") as fh:
@@ -133,28 +150,23 @@ class RunWriter:
             writer.writerows(rows)
         return self.path(name)
 
-    def finish(self, subcommand: str) -> None:
-        params = {
-            k: v for k, v in vars(self.args).items() if k not in ("func",)
-        }
+    def finish(self) -> None:
+        args = self.args
         manifest = {
-            "subcommand": subcommand,
-            "parameters": params,
-            "seed": self.args.seed,
+            "subcommand": args.subcommand,
+            "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+            "seed": args.seed,
             "version": __version__,
-            "wall_clock_s": round(time.time() - self.started, 3),
-            "outputs": self.outputs,
+            "wall_clock_s": round(time.perf_counter() - self.started, 3),
+            "outputs": dict(self.outputs),
         }
-        path = self.path(f"{subcommand}_manifest.json")
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self.write_json(f"{args.subcommand}_manifest.json", manifest)
 
 
-def _cmd_validate(args) -> int:
-    spec = _resolve_spec(args.spec)
-    analysis = validate(spec)
-    writer = RunWriter(args)
+# Subcommand bodies: each takes (args, spec, analysis, out) from ``main``,
+# writes its outputs through ``out`` and returns the text ``main`` prints.
+
+def _cmd_validate(args, spec, analysis, out) -> str:
     payload = {
         "effective_rates": list(analysis.effective_rates),
         "workload": list(analysis.workload),
@@ -163,78 +175,54 @@ def _cmd_validate(args) -> int:
         "decay_power": analysis.decay_power,
         "spec": spec_to_dict(spec),
     }
-    writer.write_json("validate_report.json", payload)
-    writer.finish("validate")
-    for i, rho in enumerate(analysis.workload, start=1):
-        print(f"station {i}: workload {rho:.6g}")
-    print(f"effective rates: {[round(g, 9) for g in analysis.effective_rates]}")
-    print(f"irreducible: {analysis.irreducible}  transient: {analysis.transient}")
-    return 0
+    out.write_json("validate_report.json", payload)
+    lines = [f"station {i}: workload {rho:.6g}" for i, rho in enumerate(analysis.workload, start=1)]
+    lines.append(f"effective rates: {[round(g, 9) for g in analysis.effective_rates]}")
+    lines.append(f"irreducible: {analysis.irreducible}  transient: {analysis.transient}")
+    return "\n".join(lines)
 
 
-def _cmd_fixtures(args) -> int:
-    writer = RunWriter(args)
-    writer.write_json("fixtures.json", {"fixtures": list(FIXTURE_NAMES)})
-    writer.finish("fixtures")
-    for name in FIXTURE_NAMES:
-        print(name)
-    return 0
+def _cmd_fixtures(args, spec, analysis, out) -> str:
+    out.write_json("fixtures.json", {"fixtures": list(FIXTURE_NAMES)})
+    return "\n".join(FIXTURE_NAMES)
 
 
-def _cmd_simulate(args) -> int:
-    spec = _resolve_spec(args.spec).scale_theta(args.theta_scale)
-    validate(spec)
+def _cmd_simulate(args, spec, analysis, out) -> str:
     rng = master_rng(args.seed)
     sampler = PathSampler(spec)
     rows = []
-    d = spec.class_count
     for rep in range(args.reps):
         sampler.reset(empty_state(spec), rng.spawn(1)[0])
         for step in range(args.steps + 1):
             if step:
                 sampler.step()
             state = sampler.snapshot()
-            rows.append(
-                [rep, step, state_norm(state), *state_composition(spec, state)]
-            )
-    writer = RunWriter(args)
-    header = ["rep", "step", "total_jobs"] + [f"class_{k}" for k in range(1, d + 1)]
-    path = writer.write_csv(args.out, header, rows)
-    writer.finish("simulate")
-    print(f"wrote {path}")
-    return 0
+            rows.append([rep, step, state_norm(state), *state_composition(spec, state)])
+    classes = [f"class_{k}" for k in range(1, spec.class_count + 1)]
+    return f"wrote {out.write_csv(args.out, ['rep', 'step', 'total_jobs', *classes], rows)}"
 
 
-def _cmd_exact(args) -> int:
-    spec = _resolve_spec(args.spec).scale_theta(args.theta_scale)
-    validate(spec)
+def _cmd_exact(args, spec, analysis, out) -> str:
     engine = ExactEngine(spec, reduced=args.reduced, budget=args.budget)
     dist = engine.distribution(empty_state(spec), args.steps)
     value = expectation(dist, lambda s: math.exp(-args.alpha * state_norm(s)))
-    writer = RunWriter(args)
     payload = {
         "steps": args.steps,
         "functional": {"name": args.functional, "alpha": args.alpha, "value": value},
         "distribution": {_state_key(s): p for s, p in dist.items()},
     }
-    writer.write_json("exact_law.json", payload)
-    writer.finish("exact")
-    print(f"E[exp(-{args.alpha} * jobs)] at step {args.steps}: {value:.12g}")
-    return 0
+    out.write_json("exact_law.json", payload)
+    return f"E[exp(-{args.alpha} * jobs)] at step {args.steps}: {value:.12g}"
 
 
-def _cmd_phi(args) -> int:
-    spec = _resolve_spec(args.spec)
-    validate(spec)
-    theta = tuple(args.theta_scale * t for t in spec.theta)
-    writer = RunWriter(args)
+def _cmd_phi(args, spec, analysis, out) -> str:
     if args.exact:
-        value = phi_exact(spec, theta, args.steps, args.alpha,
+        value = phi_exact(spec, spec.theta, args.steps, args.alpha,
                           reduced=args.reduced, budget=args.budget)
         payload = {"mode": "exact", "value": value, "steps": args.steps, "alpha": args.alpha}
     else:
         rng = master_rng(args.seed)
-        est = phi_estimate(spec, theta, args.steps, args.alpha, args.reps, rng)
+        est = phi_estimate(spec, spec.theta, args.steps, args.alpha, args.reps, rng)
         payload = {
             "mode": "mc",
             "value": est.mean,
@@ -243,15 +231,11 @@ def _cmd_phi(args) -> int:
             "steps": est.n,
             "alpha": est.alpha,
         }
-    writer.write_json("phi.json", payload)
-    writer.finish("phi")
-    print(json.dumps(payload))
-    return 0
+    out.write_json("phi.json", payload)
+    return json.dumps(payload)
 
 
-def _cmd_monotone(args) -> int:
-    spec = _resolve_spec(args.spec)
-    validate(spec)
+def _cmd_monotone(args, spec, analysis, out) -> str:
     scales = [float(x) for x in args.scales.split(",")]
     rng = master_rng(args.seed)
     table = monotonicity_table(
@@ -259,57 +243,49 @@ def _cmd_monotone(args) -> int:
         mode="exact" if args.exact else "mc",
         reps=args.reps, rng=rng, reduced=args.reduced, budget=args.budget,
     )
-    writer = RunWriter(args)
-    rows = []
-    for i, a in enumerate(table.scales):
-        for j, n in enumerate(table.steps):
-            row = [a, n, table.values[i, j]]
-            if table.stderrs is not None:
-                row.append(table.stderrs[i, j])
-            rows.append(row)
-    header = ["theta_scale", "steps", "phi"] + ([] if table.stderrs is None else ["stderr"])
-    writer.write_csv("monotone_table.csv", header, rows)
-    writer.write_json(
+    stderrs = [] if table.stderrs is None else [table.stderrs]
+    header = ["theta_scale", "steps", "phi"] + ["stderr"] * len(stderrs)
+    rows = [[a, n, table.values[i, j], *(s[i, j] for s in stderrs)]
+            for i, a in enumerate(table.scales) for j, n in enumerate(table.steps)]
+    out.write_csv("monotone_table.csv", header, rows)
+    out.write_json(
         "monotone_violations.json",
         {"violations": [list(v) for v in table.violations], "mode": table.mode},
     )
-    writer.finish("monotone")
-    print(f"violations: {len(table.violations)}")
-    return 0
+    return f"violations: {len(table.violations)}"
 
 
-def _cmd_couple(args) -> int:
-    spec = _resolve_spec(args.spec)
-    validate(spec)
-    lower = check_state(spec, json.loads(args.lower))
-    upper = check_state(spec, json.loads(args.upper))
+def _cmd_couple(args, spec, analysis, out) -> str:
+    lower_json, upper_json = json.loads(args.lower), json.loads(args.upper)
+    lower = check_state(spec, lower_json)
+    upper = check_state(spec, upper_json)
     rng = master_rng(args.seed)
-    failures = 0
     per_rep = []
-    for rep in range(args.reps):
+    for _ in range(args.reps):
         paths = run_coupling(spec, lower, upper, args.steps, rng.spawn(1)[0])
         reports = [verify_coupling_path(p) for p in paths]
         ok = all(r.ok for r in reports)
-        failures += 0 if ok else 1
         per_rep.append({"tau": [p.tau for p in paths], "ok": ok})
-    writer = RunWriter(args)
+    failures = sum(not r["ok"] for r in per_rep)
     payload = {
         "reps": args.reps,
         "steps": args.steps,
-        "lower": json.loads(args.lower),
-        "upper": json.loads(args.upper),
+        "lower": lower_json,
+        "upper": upper_json,
         "invariant_failures": failures,
         "runs": per_rep,
     }
-    writer.write_json(args.report, payload)
-    writer.finish("couple")
-    print(f"couplings: {args.reps}, invariant failures: {failures}")
-    return 0
+    out.write_json(args.report, payload)
+    return f"couplings: {args.reps}, invariant failures: {failures}"
 
 
-def _cmd_threshold(args) -> int:
-    spec = _resolve_spec(args.spec)
-    validate(spec)
+def _ray(res) -> dict:
+    """The report of one ray search, as ``threshold`` and ``region`` write it."""
+    return {"direction": list(res.direction), "threshold": res.threshold,
+            "horizon": res.horizon, "trace": res.trace}
+
+
+def _cmd_threshold(args, spec, analysis, out) -> str:
     direction = tuple(float(x) for x in args.direction.split(","))
     rng = master_rng(args.seed)
     if args.method == "bisect":
@@ -320,57 +296,29 @@ def _cmd_threshold(args) -> int:
         res = threshold_robbins_monro(
             spec, direction, args.epsilon, args.steps, args.alpha, rng, iters=args.iters
         )
-    writer = RunWriter(args)
-    payload = {
-        "direction": list(res.direction),
-        "threshold": res.threshold,
-        "method": res.method,
-        "epsilon": res.epsilon,
-        "horizon": res.horizon,
-        "trace": res.trace,
-    }
-    writer.write_json("threshold.json", payload)
-    writer.finish("threshold")
-    print(f"threshold scale along {direction}: {res.threshold:.6g}")
-    return 0
+    out.write_json("threshold.json", {**_ray(res), "method": res.method, "epsilon": res.epsilon})
+    return f"threshold scale along {direction}: {res.threshold:.6g}"
 
 
-def _cmd_region(args) -> int:
-    spec = _resolve_spec(args.spec)
-    validate(spec)
+def _cmd_region(args, spec, analysis, out) -> str:
     rng = master_rng(args.seed)
     scan = region_scan(
         spec, args.rays, args.epsilon, args.steps, args.alpha, args.reps, rng
     )
-    writer = RunWriter(args)
     payload = {
-        "rays": [
-            {
-                "direction": list(r.direction),
-                "threshold": r.threshold,
-                "horizon": r.horizon,
-                "trace": r.trace,
-            }
-            for r in scan.rays
-        ],
+        "rays": [_ray(r) for r in scan.rays],
         "subcritical_polytope": {
             "rho_matrix": scan.rho_matrix,
             "ray_bounds": scan.subcritical_bounds,
         },
     }
-    writer.write_json("region.json", payload)
-    writer.finish("region")
-    print(f"scanned {len(scan.rays)} rays")
-    return 0
+    out.write_json("region.json", payload)
+    return f"scanned {len(scan.rays)} rays"
 
 
-def _cmd_cycle(args) -> int:
-    spec = _resolve_spec(args.spec)
-    validate(spec)
-    theta = tuple(args.theta_scale * t for t in spec.theta)
+def _cmd_cycle(args, spec, analysis, out) -> str:
     rng = master_rng(args.seed)
-    est = cycle_estimate(spec, theta, args.cap, args.reps, rng)
-    writer = RunWriter(args)
+    est = cycle_estimate(spec, spec.theta, args.cap, args.reps, rng)
     payload = {
         "mean_return_steps": est.mean_return,
         "censor_fraction": est.censor_fraction,
@@ -378,10 +326,8 @@ def _cmd_cycle(args) -> int:
         "cap": est.cap,
         "degenerate": est.degenerate,
     }
-    writer.write_json("cycle.json", payload)
-    writer.finish("cycle")
-    print(json.dumps(payload))
-    return 0
+    out.write_json("cycle.json", payload)
+    return json.dumps(payload)
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -419,84 +365,80 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifest")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    # Options several subcommands share, declared once here.
+    def add(name, fn, summary, spec=True, theta_scale=False):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=fn)
+        if spec:
+            p.add_argument("--spec", required=True)
+        if theta_scale:
+            p.add_argument("--theta-scale", type=float, default=1.0)
         return p
 
-    p = add("validate", _cmd_validate, help="check a spec and print routing analysis")
-    p.add_argument("--spec", required=True)
+    def alpha(p):
+        p.add_argument("--alpha", type=float, default=1.0)
 
-    add("fixtures", _cmd_fixtures, help="list built-in networks").add_argument(
-        "--list", action="store_true"
-    )
+    def exact_limits(p):
+        p.add_argument("--reduced", action="store_true")
+        p.add_argument("--budget", type=positive_int, default=10**6)
 
-    p = add("simulate", _cmd_simulate, help="sample embedded-chain paths to CSV")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--theta-scale", type=float, default=1.0)
+    def ray_search(p):
+        p.add_argument("--steps", type=nonnegative_int, default=4000)
+        alpha(p)
+        p.add_argument("--reps", type=positive_int, default=400)
+
+    add("validate", _cmd_validate, "check a spec and print routing analysis")
+
+    p = add("fixtures", _cmd_fixtures, "list built-in networks", spec=False)
+    p.add_argument("--list", action="store_true")
+
+    p = add("simulate", _cmd_simulate, "sample embedded-chain paths to CSV", theta_scale=True)
     p.add_argument("--steps", type=nonnegative_int, required=True)
     p.add_argument("--reps", type=positive_int, default=1)
     p.add_argument("--out", default="paths.csv")
 
-    p = add("exact", _cmd_exact, help="exact n-step law and functional")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--theta-scale", type=float, default=1.0)
+    p = add("exact", _cmd_exact, "exact n-step law and functional", theta_scale=True)
     p.add_argument("--steps", type=nonnegative_int, required=True)
     p.add_argument("--functional", choices=("exp-norm",), default="exp-norm")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--budget", type=positive_int, default=10**6)
+    alpha(p)
+    exact_limits(p)
 
-    p = add("phi", _cmd_phi, help="phi_n estimate (MC or exact)")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--theta-scale", type=float, default=1.0)
+    p = add("phi", _cmd_phi, "phi_n estimate (MC or exact)", theta_scale=True)
     p.add_argument("--steps", type=nonnegative_int, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    alpha(p)
     p.add_argument("--reps", type=positive_int, default=1000)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--budget", type=positive_int, default=10**6)
+    exact_limits(p)
 
-    p = add("monotone", _cmd_monotone, help="phi table over theta scales and steps")
-    p.add_argument("--spec", required=True)
+    p = add("monotone", _cmd_monotone, "phi table over theta scales and steps")
     p.add_argument("--scales", required=True, help="comma-separated theta scales")
     p.add_argument("--steps", type=nonnegative_ints, required=True,
                    help="comma-separated step counts")
-    p.add_argument("--alpha", type=float, default=1.0)
+    alpha(p)
     p.add_argument("--reps", type=positive_int, default=2000)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--budget", type=positive_int, default=10**6)
+    exact_limits(p)
 
-    p = add("couple", _cmd_couple, help="run and verify the monotonicity coupling")
-    p.add_argument("--spec", required=True)
+    p = add("couple", _cmd_couple, "run and verify the monotonicity coupling")
     p.add_argument("--lower", required=True, help="state as JSON, e.g. [[1],[]]")
     p.add_argument("--upper", required=True)
     p.add_argument("--steps", type=nonnegative_int, required=True)
     p.add_argument("--reps", type=positive_int, default=1)
     p.add_argument("--report", default="couple_report.json")
 
-    p = add("threshold", _cmd_threshold, help="stability threshold along a ray")
-    p.add_argument("--spec", required=True)
+    p = add("threshold", _cmd_threshold, "stability threshold along a ray")
     p.add_argument("--direction", required=True, help="comma-separated ray direction")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--method", choices=("bisect", "rm"), default="bisect")
-    p.add_argument("--steps", type=nonnegative_int, default=4000)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--reps", type=positive_int, default=400)
+    ray_search(p)
     p.add_argument("--iters", type=positive_int, default=2000)
 
-    p = add("region", _cmd_region, help="star-shaped region scan over rays")
-    p.add_argument("--spec", required=True)
+    p = add("region", _cmd_region, "star-shaped region scan over rays")
     p.add_argument("--rays", type=positive_int, default=4)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--steps", type=nonnegative_int, default=4000)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--reps", type=positive_int, default=400)
+    ray_search(p)
 
-    p = add("cycle", _cmd_cycle, help="regenerative return-time estimate")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--theta-scale", type=float, default=1.0)
+    p = add("cycle", _cmd_cycle, "regenerative return-time estimate", theta_scale=True)
     p.add_argument("--cap", type=positive_int, default=100000)
     p.add_argument("--reps", type=positive_int, default=200)
 
@@ -504,19 +446,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse, load and validate the spec once, run the subcommand, write, print."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        out = RunWriter(args)
+        spec, analysis = _load(args) if hasattr(args, "spec") else (None, None)
+        text = args.func(args, spec, analysis, out)
+        out.finish()
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -279,13 +279,21 @@ def _ranking_from_json(data) -> PriorityRanking:
 
 
 def spec_to_dict(spec: NetworkSpec) -> dict:
+    """JSON form of ``spec``. It holds one ranking per station, read back by
+    both an SBP policy and a preferential allocation, so a station whose two
+    rankings differ raises ``ValueError``."""
     protocols = []
-    for protocol in spec.protocols:
+    for i, protocol in enumerate(spec.protocols, start=1):
         entry: dict = {
             "policy": protocol.policy.kind,
             "allocation": protocol.allocation.kind,
         }
         ranking = protocol.policy.ranking or protocol.allocation.ranking
+        if protocol.allocation.ranking not in (None, ranking):
+            raise ValueError(
+                f"station {i}: the policy and allocation rankings differ, and a spec "
+                "document holds one ranking per station"
+            )
         if ranking is not None:
             entry["ranking"] = _ranking_to_json(ranking)
         protocols.append(entry)
@@ -299,9 +307,18 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
     }
 
 
+def _require(data, keys, where: str) -> None:
+    """Raise ``ValueError`` naming the first of ``keys`` the JSON object lacks."""
+    for key in keys:
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"{where} has no {key!r} entry")
+
+
 def spec_from_dict(data: dict) -> NetworkSpec:
+    _require(data, ("classes", "stations", "theta", "beta", "routing", "protocols"), "the spec")
     protocols = []
-    for entry in data["protocols"]:
+    for i, entry in enumerate(data["protocols"], start=1):
+        _require(entry, ("policy", "allocation"), f"protocol {i}")
         ranking = _ranking_from_json(entry["ranking"]) if "ranking" in entry else None
         kind = entry["policy"]
         policy = QueuePolicy(kind, ranking if kind == "sbp" else None)

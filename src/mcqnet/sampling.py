@@ -247,6 +247,8 @@ class PathSampler:
         100 batches."""
         if steps < 1:
             raise ValueError("steps must be at least 1")
+        if burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
         self.reset(xi0, rng)
         step = self.step
         for _ in range(burn_in):

@@ -132,7 +132,11 @@ def monotonicity_table(
     steps = tuple(int(n) for n in steps)
     if list(scales) != sorted(scales) or list(steps) != sorted(steps):
         raise ValueError("scales and steps must be ascending")
-    _check_phi_args(min(steps, default=0), alpha)
+    if mode not in ("exact", "mc"):
+        raise ValueError("mode must be 'exact' or 'mc'")
+    if mode == "mc" and rng is None:
+        raise ValueError("mode 'mc' needs a random generator rng")
+    _check_phi_args(min(steps, default=0), alpha, reps if mode == "mc" else None)
     values = np.zeros((len(scales), len(steps)))
     stderrs = np.zeros_like(values) if mode == "mc" else None
     for a_idx, a in enumerate(scales):
@@ -144,13 +148,11 @@ def monotonicity_table(
             )
             for n_idx, n in enumerate(steps):
                 values[a_idx, n_idx] = series[n]
-        elif mode == "mc":
+        else:
             for n_idx, n in enumerate(steps):
                 est = phi_estimate(spec, theta, n, alpha, reps, rng.spawn(1)[0])
                 values[a_idx, n_idx] = est.mean
                 stderrs[a_idx, n_idx] = est.stderr
-        else:
-            raise ValueError("mode must be 'exact' or 'mc'")
 
     violations = scan_violations(values, stderrs)
     return MonotonicityTable(scales, steps, values, stderrs, violations, mode)

@@ -1,9 +1,12 @@
 """Command-line surface: exit codes, outputs, manifests and determinism."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
+import mcqnet.cli
 from mcqnet.cli import _state_key, main
 from mcqnet.exact import reachable_states
 from mcqnet.network import FIXTURE_NAMES, builtin_fixture, dump_spec, load_spec, spec_to_dict
@@ -325,3 +328,75 @@ def test_phi_rejects_nonpositive_alpha(tmp_path, capsys, mode):
     assert run_cli("--out-dir", str(tmp_path), *argv) == 2
     assert "alpha must be positive" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_spec_file_without_protocols_is_a_usage_error(tmp_path, capsys):
+    data = spec_to_dict(builtin_fixture("tandem2"))
+    del data["protocols"]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", str(out), "validate", "--spec", str(path)) == 2
+    assert "the spec has no 'protocols' entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_directory_spec_is_not_a_spec_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", str(out), "validate", "--spec", str(tmp_path)) == 1
+    assert "neither a built-in fixture nor a spec file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wall_clock_covers_the_solve(tmp_path, monkeypatch):
+    real = mcqnet.cli.run_coupling
+
+    def slow_run_coupling(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(mcqnet.cli, "run_coupling", slow_run_coupling)
+    assert run_cli(
+        "--out-dir", str(tmp_path),
+        "couple", "--spec", "mm1", "--lower", "[[]]", "--upper", "[[1]]", "--steps", "5",
+    ) == 0
+    assert json.loads(read(tmp_path / "couple_manifest.json"))["wall_clock_s"] >= 0.05
+
+
+@pytest.mark.parametrize(
+    "argv,output,digest",
+    [
+        (
+            ("--seed", "5", "simulate", "--spec", "fcfs-reentrant", "--steps", "40",
+             "--reps", "3"),
+            "paths.csv",
+            "90a6778c01f337de03dd30fe8230a89d31cbceb3b213557d3b0494ea13d1d1bf",
+        ),
+        (
+            ("--seed", "11", "couple", "--spec", "lk-sbp", "--lower", "[[],[]]",
+             "--upper", "[[1,4],[2]]", "--steps", "60", "--reps", "8"),
+            "couple_report.json",
+            "a946c3c308bfcb4a473c968c273219d2b6ee18e82550cfe6617995ec91176c0a",
+        ),
+    ],
+)
+def test_output_digests_are_pinned(tmp_path, argv, output, digest):
+    # integers only, from Philox draws and IEEE comparisons: stable across platforms
+    assert run_cli("--out-dir", str(tmp_path), *argv) == 0
+    assert hashlib.sha256(read(tmp_path / output)).hexdigest() == digest
+    manifest = json.loads(read(tmp_path / f"{argv[2]}_manifest.json"))
+    assert manifest["outputs"][output] == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--spec", "mm1", "--steps", "5", "--alpha", "-1"),
+        ("exact", "--spec", "mm1", "--steps", "6", "--budget", "2"),
+        ("validate", "--spec", "bogus"),
+    ],
+)
+def test_failed_run_leaves_no_out_dir(tmp_path, argv):
+    out = tmp_path / "new" / "out"
+    assert run_cli("--out-dir", str(out), *argv) in (1, 2)
+    assert not (tmp_path / "new").exists()

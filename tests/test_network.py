@@ -186,6 +186,33 @@ def test_json_round_trip(tmp_path, any_fixture):
     assert spec_from_dict(spec_to_dict(again)) == any_fixture
 
 
+def test_dump_rejects_two_rankings_at_one_station(tmp_path):
+    # the JSON form holds one ranking per station; it would come back as (1, 4) twice
+    line = builtin_fixture("lk-sbp")
+    mixed = StationProtocol(
+        QueuePolicy.sbp(PriorityRanking.total((1, 4))),
+        ServiceAllocation.preferential(PriorityRanking.total((4, 1))),
+    )
+    spec = dataclasses.replace(line, protocols=(mixed, line.protocols[1]))
+    with pytest.raises(ValueError, match="station 1: the policy and allocation rankings differ"):
+        spec_to_dict(spec)
+    with pytest.raises(ValueError):
+        dump_spec(spec, tmp_path / "spec.json")
+
+
+def test_spec_from_dict_names_a_missing_key():
+    data = spec_to_dict(builtin_fixture("lk-sbp"))
+    for key in ("protocols", "routing"):
+        partial = {k: v for k, v in data.items() if k != key}
+        with pytest.raises(ValueError, match=f"the spec has no '{key}' entry"):
+            spec_from_dict(partial)
+    data["protocols"][1] = {"policy": "fcfs"}
+    with pytest.raises(ValueError, match="protocol 2 has no 'allocation' entry"):
+        spec_from_dict(data)
+    with pytest.raises(ValueError, match="the spec has no 'classes' entry"):
+        spec_from_dict([1, 2])
+
+
 def test_theta_is_overridable():
     spec = builtin_fixture("mm1")
     assert spec.scale_theta(2.0).theta == (2.0,)

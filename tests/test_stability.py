@@ -108,6 +108,26 @@ def test_equilibrium_estimate_rejects_zero_steps(rng):
         equilibrium_estimate(MM1, (1.0,), 0, 10, 1.0, rng)
 
 
+def test_equilibrium_estimate_rejects_negative_burn_in(rng):
+    # burn_in=-5 ran as no burn-in at all
+    with pytest.raises(ValueError, match="burn_in"):
+        equilibrium_estimate(MM1, (1.0,), 50, -5, 1.0, rng)
+
+
+def test_monotonicity_table_checks_mode_before_the_grid(rng):
+    # with no scales the loop never ran, and a table labelled 'bogus' came back
+    with pytest.raises(ValueError, match="mode"):
+        monotonicity_table(MM1, (), (1, 2), 1.0, mode="bogus")
+    with pytest.raises(ValueError, match="mode"):
+        monotonicity_table(MM1, (0.5,), (1, 2), 1.0, mode="bogus", reps=10, rng=rng)
+
+
+def test_monotonicity_table_mc_needs_rng():
+    # failed with AttributeError on None.spawn
+    with pytest.raises(ValueError, match="rng"):
+        monotonicity_table(MM1, (0.5, 1.0), (1, 2), 1.0, mode="mc", reps=10)
+
+
 def test_phi_exact_values():
     assert phi_exact(MM1, MM1.theta, 2, 1.0) == pytest.approx(MM1_TWO_STEP, abs=1e-12)
     assert phi_exact(MM1, MM1.theta, 0, 1.0) == 1.0
