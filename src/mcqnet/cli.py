@@ -116,7 +116,9 @@ class RunWriter:
 
     The clock starts when the writer is made, before the spec is loaded.
     ``--out-dir`` is created at the first write, so a run that fails before
-    writing leaves nothing behind.
+    writing leaves nothing behind. Output names are bare file names inside
+    ``--out-dir``; a name with a directory part is a usage error, raised
+    before anything is created.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -130,13 +132,14 @@ class RunWriter:
     @contextlib.contextmanager
     def _open(self, name: str, newline: str | None = None):
         """Text stream to the output ``name``; its bytes are hashed as they go out."""
+        if os.path.basename(name) != name or name in ("", ".", ".."):
+            raise ValueError(f"output name {name!r} must be a file name without a directory part")
         os.makedirs(self.args.out_dir, exist_ok=True)
-        path = self.path(name)
-        with open(path, "wb") as raw:
+        with open(self.path(name), "wb") as raw:
             sink = _HashingSink(raw)
             with io.TextIOWrapper(io.BufferedWriter(sink), newline=newline) as fh:
                 yield fh
-        self.outputs[os.path.basename(path)] = sink.sha256.hexdigest()
+        self.outputs[name] = sink.sha256.hexdigest()
 
     def write_json(self, name: str, payload) -> None:
         with self._open(name) as fh:

@@ -11,12 +11,15 @@ whenever the served heads agree and freezes otherwise. While uncoupled, the
 pair differs by exactly one extra job (the mark b): arrivals and mirrored
 services preserve the relation, and the extra job's own departure either
 re-marks the pair (on a class change) or couples it for good (on an exit).
-``CouplingKernel.step`` is the one step rule: it rebuilds only the stations a
-move touches (``qprocess.StationMoves``, the move rule the exact engine builds
-its kernel rows with), and once the pair has coupled it moves one state that
-serves as both copies. ``CouplingKernel.run`` is a loop of ``step``;
-``PairEngine`` keeps ``apply_transition`` plus a full canonicalization as the
-reference moves.
+``CouplingKernel.run`` has two phases. Up to the coupling time τ it is a loop
+of ``CouplingKernel.step``, the reference step rule for an uncoupled pair,
+which rebuilds only the stations a move touches (``qprocess.StationMoves``, the
+move rule the exact engine builds its kernel rows with). From τ on the pair is
+one state x serving as both copies, and ``_run_coupled`` moves it on the same
+uniforms, recording ``CoupledState(x, x, 0, ...)`` per move and the previous
+record on a non-move. ``CoupledState`` is a slotted, unfrozen dataclass, since
+a path builds one per step. ``PairEngine`` keeps ``apply_transition`` plus a
+full canonicalization as the reference moves.
 
 What the coupling certifies is a time-changed order: with F_n the number of
 frozen steps up to n, the lower copy at step n - F_n sits inside the upper copy
@@ -37,7 +40,6 @@ fractions differ between the copies.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotASubconfigurationError, UnsupportedCouplingError
@@ -57,8 +59,12 @@ from .qprocess import (
 from .rng import Uniforms
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CoupledState:
+    """One record of a coupled path. Slotted rather than frozen, since a path
+    builds one per step; records are shared (a non-move repeats the previous
+    record, a coupled pair has ``lower is upper``), so they must not be mutated."""
+
     lower: NetworkState
     upper: NetworkState
     mark: int  # 0 = coupled, else the class of the extra upper-side job
@@ -98,14 +104,17 @@ def classify_pair(lower: NetworkState, upper: NetworkState) -> int:
     """0 if equal, b if upper = lower plus one extra b-job, else -1."""
     if lower == upper:
         return 0
-    low = Counter(d for q in lower for d in q)
-    up = Counter(d for q in upper for d in q)
-    extra = up - low
-    if sum(extra.values()) != 1 or (low - up):
+    if len(lower) != len(upper) or state_norm(upper) != state_norm(lower) + 1:
         return -1
-    if not is_substate(lower, upper):
-        return -1
-    return next(iter(extra))
+    for i, (p, q) in enumerate(zip(lower, upper)):
+        if len(q) == len(p) + 1:  # the only station that can hold the extra job
+            j = next((j for j, (a, b) in enumerate(zip(p, q)) if a != b), len(p))
+            # p is q without one job iff it is q without q[j], the first mismatch;
+            # the norms differ by this one job, so every other station must be equal
+            if p[j:] != q[j + 1:] or lower[:i] != upper[:i] or lower[i + 1:] != upper[i + 1:]:
+                return -1
+            return q[j]
+    return -1
 
 
 def _require_coupling_regime(spec: NetworkSpec) -> None:
@@ -135,6 +144,7 @@ class CouplingKernel:
         # ``_apply`` for a canonical state holding a k-job (k = 0: arrival),
         # rebuilding and canonicalizing only the stations the move touches
         self._move = StationMoves(spec).move
+        self._events = [(cum, (kind, idx)) for cum, kind, idx in self.table.alphabet.entries]
         self._ranked = [
             protocol.allocation.ranking.order if protocol.allocation.ranking else None
             for protocol in spec.protocols
@@ -166,8 +176,9 @@ class CouplingKernel:
         return CoupledState(low, up, mark)
 
     def step(self, cs: CoupledState, uni: Uniforms) -> tuple[CoupledState, tuple[str, int]]:
-        """One move of the pair. A non-move returns ``cs`` itself; a coupled pair
-        moves one state, so ``lower is upper`` (the verifier skips seen objects)."""
+        """One move of an uncoupled pair (mark > 0), the reference step rule; a
+        non-move returns ``cs`` itself. ``run`` moves a coupled pair in
+        ``_run_coupled``."""
         event = self._draw(uni.next())
         kind, idx = event
         lower, upper, mark = cs.lower, cs.upper, cs.mark
@@ -178,7 +189,7 @@ class CouplingKernel:
             if not q_up:  # both empty (lower is inside upper), nothing can depart
                 return cs, event
             k = self.head(idx, q_up)
-            mirrored = mark == 0 or self.head(idx, lower[idx]) == k
+            mirrored = self.head(idx, lower[idx]) == k
             active, routes = self._branch[k]
             u = uni.next()
             if u >= active:  # upper self-loop
@@ -196,7 +207,7 @@ class CouplingKernel:
             low_dep += mirrored
         frozen = cs.frozen_count
         if mirrored:
-            lower = upper if mark == 0 else self._move(lower, k, l)
+            lower = self._move(lower, k, l)
         else:  # the extra job itself is served: re-mark on a class change, couple on exit
             frozen += 1
             # outside the coupling regime's invariant the pair is reclassified defensively
@@ -206,9 +217,9 @@ class CouplingKernel:
     def run(self, lower, upper, n: int, rng) -> CoupledPath:
         """Coupled path of n ``step`` moves from (lower, upper) on one uniform stream.
 
-        τ is the first index with mark 0. The path certifies the time-changed
-        order (lower at n - F_n inside upper at n), not dominance at a fixed
-        time.
+        τ is the first index with mark 0. Moves up to τ are ``step`` calls, the
+        rest run in ``_run_coupled``. The path certifies the time-changed order
+        (lower at n - F_n inside upper at n), not dominance at a fixed time.
         """
         uni = Uniforms(rng)
         cs = self.start(lower, upper)
@@ -216,13 +227,60 @@ class CouplingKernel:
         events = []
         tau = 0 if cs.mark == 0 else None
         step = self.step
-        for m in range(1, n + 1):
+        m = 0
+        while tau is None and m < n:
+            m += 1
             cs, ev = step(cs, uni)
             states.append(cs)
             events.append(ev)
-            if tau is None and cs.mark == 0:
+            if cs.mark == 0:
                 tau = m
+        self._run_coupled(cs, n - m, uni, states, events)
         return CoupledPath(states, events, tau)
+
+    def _run_coupled(self, cs: CoupledState, steps: int, uni: Uniforms, states, events) -> None:
+        """``steps`` moves of the coupled pair ``cs`` (mark 0), appended to
+        ``states`` and ``events``: every move is mirrored, so the pair is one
+        state x, a move records ``CoupledState(x, x, 0, ...)`` and a non-move
+        the previous record."""
+        entries, branch, move, head, ranked = (
+            self._events, self._branch, self._move, self.head, self._ranked
+        )
+        draw = uni.next
+        add_state, add_event = states.append, events.append
+        x, frozen = cs.upper, cs.frozen_count
+        low_dep, up_dep = cs.lower_departures, cs.upper_departures
+        for _ in range(steps):
+            u = draw()
+            for cum, event in entries:
+                if u < cum:
+                    break
+            kind, i = event
+            if kind == "A":
+                x = move(x, 0, i)
+            else:
+                q = x[i]
+                if not q:
+                    add_state(cs)
+                    add_event(event)
+                    continue
+                k = q[0] if ranked[i] is None else head(i, q)
+                active, routes = branch[k]
+                u = draw()
+                if u >= active:  # self-loop
+                    add_state(cs)
+                    add_event(event)
+                    continue
+                for cum, l in routes:
+                    if u < cum:
+                        break
+                x = move(x, k, l)
+                if l == 0:
+                    low_dep += 1
+                    up_dep += 1
+            cs = CoupledState(x, x, 0, frozen, low_dep, up_dep)
+            add_state(cs)
+            add_event(event)
 
 
 def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]:

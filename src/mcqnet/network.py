@@ -10,6 +10,7 @@ certificate for R and the irreducibility flag gamma > 0.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -317,24 +318,45 @@ def _require(data, keys, where: str) -> None:
 def spec_from_dict(data: dict) -> NetworkSpec:
     _require(data, ("classes", "stations", "theta", "beta", "routing", "protocols"), "the spec")
     protocols = []
-    for i, entry in enumerate(data["protocols"], start=1):
+    for i, entry in enumerate(_read(data, "protocols", list), start=1):
         _require(entry, ("policy", "allocation"), f"protocol {i}")
-        ranking = _ranking_from_json(entry["ranking"]) if "ranking" in entry else None
-        kind = entry["policy"]
-        policy = QueuePolicy(kind, ranking if kind == "sbp" else None)
-        alloc_kind = entry["allocation"]
-        allocation = ServiceAllocation(
-            alloc_kind, ranking if alloc_kind == "preferential" else None
-        )
+        with _reading(f"protocol {i}"):
+            ranking = _ranking_from_json(entry["ranking"]) if "ranking" in entry else None
+            kind = entry["policy"]
+            policy = QueuePolicy(kind, ranking if kind == "sbp" else None)
+            alloc_kind = entry["allocation"]
+            allocation = ServiceAllocation(
+                alloc_kind, ranking if alloc_kind == "preferential" else None
+            )
         protocols.append(StationProtocol(policy, allocation))
     return NetworkSpec(
-        class_count=int(data["classes"]),
-        stations=tuple(tuple(int(k) for k in s) for s in data["stations"]),
-        theta=tuple(float(x) for x in data["theta"]),
-        beta=tuple(float(x) for x in data["beta"]),
-        routing=tuple(tuple(float(x) for x in row) for row in data["routing"]),
+        class_count=_read(data, "classes", int),
+        stations=_read(data, "stations", lambda v: tuple(tuple(int(k) for k in s) for s in v)),
+        theta=_read(data, "theta", _floats),
+        beta=_read(data, "beta", _floats),
+        routing=_read(data, "routing", lambda v: tuple(_floats(row) for row in v)),
         protocols=tuple(protocols),
     )
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(x) for x in values)
+
+
+@contextlib.contextmanager
+def _reading(where: str):
+    """Raise a ``TypeError`` or ``ValueError`` from reading an entry of the wrong
+    type or value as a ``ValueError`` naming the entry."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} is malformed: {exc}") from None
+
+
+def _read(data: dict, key: str, convert):
+    """``convert(data[key])``, failing with a ``ValueError`` that names the entry."""
+    with _reading(f"the spec's {key!r} entry"):
+        return convert(data[key])
 
 
 def dump_spec(spec: NetworkSpec, path) -> None:

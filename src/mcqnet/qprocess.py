@@ -37,7 +37,7 @@ def empty_state(spec: NetworkSpec) -> NetworkState:
 
 
 def state_norm(xi: NetworkState) -> int:
-    return sum(len(q) for q in xi)
+    return sum(map(len, xi))
 
 
 def state_composition(spec: NetworkSpec, xi: NetworkState) -> tuple[int, ...]:

@@ -341,6 +341,35 @@ def test_spec_file_without_protocols_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spec_file_with_a_wrong_type_entry_is_a_usage_error(tmp_path, capsys):
+    # died with "TypeError: 'int' object is not iterable"
+    data = spec_to_dict(builtin_fixture("tandem2"))
+    data["stations"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", str(out), "validate", "--spec", str(path)) == 2
+    assert "the spec's 'stations' entry is malformed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--spec", "mm1", "--steps", "2", "--out", "sub/p.csv"),
+        ("simulate", "--spec", "mm1", "--steps", "2", "--out", ".."),
+        ("couple", "--spec", "mm1", "--lower", "[[]]", "--upper", "[[1]]", "--steps", "3",
+         "--report", "a/couple.json"),
+    ],
+)
+def test_output_name_with_a_directory_part_is_a_usage_error(tmp_path, capsys, argv):
+    # simulate died with FileNotFoundError and left an empty --out-dir behind
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", str(out), *argv) == 2
+    assert "must be a file name without a directory part" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_directory_spec_is_not_a_spec_file(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("--out-dir", str(out), "validate", "--spec", str(tmp_path)) == 1

@@ -55,6 +55,57 @@ def test_classify_pair():
     assert classify_pair(((2, 1), ()), ((1, 1, 2), ())) == -1
 
 
+def _classify_by_counts(lower, upper):
+    """``classify_pair`` on class counts: upper holds lower's jobs plus one."""
+    if lower == upper:
+        return 0
+    low = Counter(d for q in lower for d in q)
+    up = Counter(d for q in upper for d in q)
+    extra = up - low
+    if sum(extra.values()) != 1 or (low - up) or not is_substate(lower, upper):
+        return -1
+    return next(iter(extra))
+
+
+def test_classify_pair_matches_counting_reference():
+    pick = random.Random(14)
+
+    def random_state(stations):
+        return tuple(
+            tuple(pick.choice((1, 2, 3)) for _ in range(pick.randrange(5)))
+            for _ in range(stations)
+        )
+
+    def with_extra_job(state):
+        i = pick.randrange(len(state))
+        j = pick.randrange(len(state[i]) + 1)
+        q = state[i]
+        return state[:i] + (q[:j] + (pick.choice((1, 2, 3)),) + q[j:],) + state[i + 1:]
+
+    outcomes = Counter()
+    for _ in range(20000):
+        lower = random_state(pick.choice((1, 2, 3)))
+        form = pick.randrange(6)
+        if form == 0:  # equal, as a separate object
+            upper = tuple(tuple(list(q)) for q in lower)
+        elif form == 1:  # one inserted job
+            upper = with_extra_job(lower)
+        elif form == 2:  # one inserted job, arguments reversed
+            lower, upper = with_extra_job(lower), lower
+        elif form == 3:  # one inserted job, stations reordered
+            upper = tuple(pick.sample(with_extra_job(lower), len(lower)))
+        elif form == 4:  # unrelated states on as many stations
+            upper = random_state(len(lower))
+        else:  # a different number of stations
+            upper = with_extra_job(random_state(len(lower) + 1))
+        expected = _classify_by_counts(lower, upper)
+        assert classify_pair(lower, upper) == expected, (lower, upper)
+        outcomes[(form, expected > 0 and "extra" or expected)] += 1
+    assert outcomes[(0, 0)] and outcomes[(1, "extra")] and outcomes[(2, -1)]
+    assert outcomes[(3, "extra")] and outcomes[(3, -1)] and outcomes[(4, -1)]
+    assert outcomes[(5, -1)]
+
+
 def test_step_c2_exit_couples():
     kernel = CouplingKernel(MM1)
     cs = kernel.start(((),), ((1,),))
@@ -518,15 +569,38 @@ def test_run_matches_step_loop(spec, lower, upper):
         for j, (a, b) in enumerate(zip(chain, chain[1:])):
             fast = kernel.run(a, b, 200, master_rng(1000 * j + seed))
             _assert_same_path(fast, _step_loop(kernel, a, b, 200, master_rng(1000 * j + seed)))
+            assert verify_coupling_path(fast).ok
 
 
 def test_run_matches_step_loop_from_coupled_start():
     kernel = CouplingKernel(FCFS)
     start = ((1, 4), (2,))
     for seed in range(50):
-        fast = kernel.run(start, start, 150, master_rng(seed))
-        assert fast.tau == 0
-        _assert_same_path(fast, _step_loop(kernel, start, start, 150, master_rng(seed)))
+        for n in (0, 1, 2, 150):
+            fast = kernel.run(start, start, n, master_rng(seed))
+            assert fast.tau == 0 and len(fast.states) == n + 1
+            _assert_same_path(fast, _step_loop(kernel, start, start, n, master_rng(seed)))
+            assert verify_coupling_path(fast).ok
+
+
+@pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])
+def test_run_matches_step_loop_at_the_phase_boundary(spec, lower, upper):
+    # n = 0, one step short of tau (never coupled), exactly tau, one step past
+    kernel = CouplingKernel(spec)
+    a, b = _interpolate(kernel.canon(lower), kernel.canon(upper))[:2]
+    taus = set()
+    for seed in range(40):
+        tau = kernel.run(a, b, 200, master_rng(seed)).tau
+        if tau is None:
+            continue
+        taus.add(tau)
+        for n in sorted({0, tau - 1, tau, tau + 1}):
+            fast = kernel.run(a, b, n, master_rng(seed))
+            assert fast.tau == (tau if n >= tau else None)
+            assert len(fast.states) == n + 1 and len(fast.events) == n
+            _assert_same_path(fast, _step_loop(kernel, a, b, n, master_rng(seed)))
+            assert verify_coupling_path(fast).ok
+    assert len(taus) > 5
 
 
 def test_run_matches_step_loop_when_never_coupled():
@@ -537,6 +611,20 @@ def test_run_matches_step_loop_when_never_coupled():
     fast = kernel.run(((),), ((1,),), 21, ScriptedRng(script))
     assert fast.tau is None
     _assert_same_path(fast, _step_loop(kernel, ((),), ((1,),), 21, ScriptedRng(script)))
+
+
+def test_step_on_a_coupled_pair_matches_the_coupled_phase():
+    # ``step`` has no coupled branch: on equal copies every head agrees, so it
+    # mirrors each move and keeps the copies equal, as ``_run_coupled`` does
+    kernel = CouplingKernel(LK_SBP)
+    start = ((1, 4), (2,))
+    for seed in range(20):
+        fast = kernel.run(start, start, 100, master_rng(seed))
+        uni = Uniforms(master_rng(seed))
+        cs = kernel.start(start, start)
+        for expected, event in zip(fast.states[1:], fast.events):
+            cs, ev = kernel.step(cs, uni)
+            assert ev == event and cs == expected and cs.lower == cs.upper
 
 
 def _reference_verify(path):

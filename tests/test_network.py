@@ -213,6 +213,33 @@ def test_spec_from_dict_names_a_missing_key():
         spec_from_dict([1, 2])
 
 
+@pytest.mark.parametrize(
+    "key,value,where",
+    [
+        ("stations", 5, "the spec's 'stations' entry"),
+        ("stations", [[1, "x"]], "the spec's 'stations' entry"),
+        ("classes", [4], "the spec's 'classes' entry"),
+        ("theta", None, "the spec's 'theta' entry"),
+        ("beta", {"a": 1}, "the spec's 'beta' entry"),
+        ("routing", [1, 2], "the spec's 'routing' entry"),
+        ("protocols", 3, "the spec's 'protocols' entry"),
+    ],
+)
+def test_spec_from_dict_names_a_wrong_type_entry(key, value, where):
+    # each raised TypeError (or an unnamed ValueError) while converting
+    data = spec_to_dict(builtin_fixture("lk-sbp"))
+    data[key] = value
+    with pytest.raises(ValueError, match=f"^{where} is malformed"):
+        spec_from_dict(data)
+
+
+def test_spec_from_dict_names_a_malformed_protocol():
+    data = spec_to_dict(builtin_fixture("lk-sbp"))
+    data["protocols"][1]["ranking"] = 5
+    with pytest.raises(ValueError, match="^protocol 2 is malformed"):
+        spec_from_dict(data)
+
+
 def test_theta_is_overridable():
     spec = builtin_fixture("mm1")
     assert spec.scale_theta(2.0).theta == (2.0,)
