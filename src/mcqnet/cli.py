@@ -111,20 +111,29 @@ class _HashingSink(io.RawIOBase):
         return self.fh.write(data)
 
 
+def _check_name(name: str) -> None:
+    if os.path.basename(name) != name or name in ("", ".", ".."):
+        raise ValueError(f"output name {name!r} must be a file name without a directory part")
+
+
 class RunWriter:
     """Collects output files and finalizes the run manifest.
 
     The clock starts when the writer is made, before the spec is loaded.
     ``--out-dir`` is created at the first write, so a run that fails before
     writing leaves nothing behind. Output names are bare file names inside
-    ``--out-dir``; a name with a directory part is a usage error, raised
-    before anything is created.
+    ``--out-dir``; a name with a directory part is a usage error. The names
+    given by ``--out`` and ``--report`` are checked when the writer is made,
+    before the spec is loaded and the run solved.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.outputs: dict[str, str] = {}
         self.started = time.perf_counter()
+        for option in ("out", "report"):
+            if hasattr(args, option):
+                _check_name(getattr(args, option))
 
     def path(self, name: str) -> str:
         return os.path.join(self.args.out_dir, name)
@@ -132,8 +141,7 @@ class RunWriter:
     @contextlib.contextmanager
     def _open(self, name: str, newline: str | None = None):
         """Text stream to the output ``name``; its bytes are hashed as they go out."""
-        if os.path.basename(name) != name or name in ("", ".", ".."):
-            raise ValueError(f"output name {name!r} must be a file name without a directory part")
+        _check_name(name)
         os.makedirs(self.args.out_dir, exist_ok=True)
         with open(self.path(name), "wb") as raw:
             sink = _HashingSink(raw)

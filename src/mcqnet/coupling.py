@@ -1,7 +1,8 @@
 """Markovian coupling of two ordered copies of the network chain.
 
 Both copies consume one shared event stream, drawn from the spec's compiled
-``qprocess.TransitionTable`` (event alphabet and per-class branch tables).
+``qprocess.TransitionTable`` (events, per-class branch tables and preferential
+rankings).
 The exact law of the pair chain (``PairEngine``) is one more kernel on
 ``exact.ExactEngine``, read from the same table's arrival and serve rates, so
 every copy of the chain runs on one set of laws and one BFS engine, with
@@ -18,8 +19,10 @@ move rule the exact engine builds its kernel rows with). From τ on the pair is
 one state x serving as both copies, and ``_run_coupled`` moves it on the same
 uniforms, recording ``CoupledState(x, x, 0, ...)`` per move and the previous
 record on a non-move. ``CoupledState`` is a slotted, unfrozen dataclass, since
-a path builds one per step. ``PairEngine`` keeps ``apply_transition`` plus a
-full canonicalization as the reference moves.
+a path builds one per step. ``PairEngine`` moves both copies of a pair by the
+same ``StationMoves`` rule; ``CouplingKernel._apply`` (``apply_transition``
+plus a full canonicalization) is kept only as the reference that rule is
+tested against.
 
 What the coupling certifies is a time-changed order: with F_n the number of
 frozen steps up to n, the lower copy at step n - F_n sits inside the upper copy
@@ -139,21 +142,15 @@ class CouplingKernel:
         _require_coupling_regime(spec)
         self.spec = spec
         self.table = transition_table(spec)
-        self._draw, self._branch = self.table.alphabet.draw, self.table.branch
         self.canon = state_canonicalizer(spec)
         # ``_apply`` for a canonical state holding a k-job (k = 0: arrival),
         # rebuilding and canonicalizing only the stations the move touches
         self._move = StationMoves(spec).move
-        self._events = [(cum, (kind, idx)) for cum, kind, idx in self.table.alphabet.entries]
-        self._ranked = [
-            protocol.allocation.ranking.order if protocol.allocation.ranking else None
-            for protocol in spec.protocols
-        ]
 
     def head(self, i: int, q) -> int | None:
         if not q:
             return None
-        order = self._ranked[i]
+        order = self.table.ranked[i]
         if order is None:
             return q[0]
         present = set(q)
@@ -163,6 +160,8 @@ class CouplingKernel:
         return None
 
     def _apply(self, xi: NetworkState, k: int, l: int) -> NetworkState:
+        """The reference move: ``apply_transition`` plus a full canonicalization,
+        which ``_move`` is tested against."""
         return self.canon(apply_transition(self.spec, xi, TransitionLabel(k, l)))
 
     def start(self, lower, upper) -> CoupledState:
@@ -179,7 +178,7 @@ class CouplingKernel:
         """One move of an uncoupled pair (mark > 0), the reference step rule; a
         non-move returns ``cs`` itself. ``run`` moves a coupled pair in
         ``_run_coupled``."""
-        event = self._draw(uni.next())
+        event = self.table.draw(uni.next())
         kind, idx = event
         lower, upper, mark = cs.lower, cs.upper, cs.mark
         if kind == "A":
@@ -190,7 +189,7 @@ class CouplingKernel:
                 return cs, event
             k = self.head(idx, q_up)
             mirrored = self.head(idx, lower[idx]) == k
-            active, routes = self._branch[k]
+            active, routes = self.table.branch[k]
             u = uni.next()
             if u >= active:  # upper self-loop
                 if mirrored:
@@ -243,16 +242,16 @@ class CouplingKernel:
         ``states`` and ``events``: every move is mirrored, so the pair is one
         state x, a move records ``CoupledState(x, x, 0, ...)`` and a non-move
         the previous record."""
-        entries, branch, move, head, ranked = (
-            self._events, self._branch, self._move, self.head, self._ranked
-        )
+        table = self.table
+        table_events, branch, ranked = table.events, table.branch, table.ranked
+        move, head = self._move, self.head
         draw = uni.next
         add_state, add_event = states.append, events.append
         x, frozen = cs.upper, cs.frozen_count
         low_dep, up_dep = cs.lower_departures, cs.upper_departures
         for _ in range(steps):
             u = draw()
-            for cum, event in entries:
+            for cum, event in table_events:
                 if u < cum:
                     break
             kind, i = event
@@ -386,9 +385,10 @@ class PairEngine(ExactEngine):
     """Exact law of the coupled pair chain, for verification.
 
     The pair chain is one more kernel on ``ExactEngine``: states are canonical
-    (lower, upper) pairs, and only the moves of a pair and the start
-    canonicalization (``CouplingKernel.start``, which also checks the
-    one-extra-job relation) are its own. Interning, kernel rows, self-loop
+    (lower, upper) pairs, each copy moved by ``CouplingKernel._move``, and
+    only the moves of a pair and the start canonicalization
+    (``CouplingKernel.start``, which also checks the one-extra-job relation)
+    are its own. Interning, kernel rows, self-loop
     remainder, BFS step, budget and mass check are the engine's.
     """
 
@@ -403,16 +403,17 @@ class PairEngine(ExactEngine):
     def _moves(self, pair):
         lower, upper = pair
         kt = self.kernel_tables
+        move = kt._move
         for k, p in self.table.arrivals:
-            yield (kt._apply(lower, 0, k), kt._apply(upper, 0, k)), p
+            yield (move(lower, 0, k), move(upper, 0, k)), p
         for i, q_up in enumerate(upper):
             if not q_up:
                 continue
             h_up = kt.head(i, q_up)
             mirrored = lower == upper or kt.head(i, lower[i]) == h_up
             for l, rate_kl in self.table.serve[h_up]:
-                low2 = kt._apply(lower, h_up, l) if mirrored else lower
-                yield (low2, kt._apply(upper, h_up, l)), rate_kl / self.rate
+                low2 = move(lower, h_up, l) if mirrored else lower
+                yield (low2, move(upper, h_up, l)), rate_kl / self.rate
 
 
 def exact_pair_law_check(

@@ -14,11 +14,13 @@ final mass drift, and counts interned states against ``budget``, checked
 while rows are built, so a run stops before it allocates past the budget.
 The moves of a state come from one overridable method, so the coupled pair
 chain (``coupling.PairEngine``) runs on the same engine as one more kernel.
-Chain kernels are built from the spec's compiled ``TransitionTable`` (service
-fractions as exact rationals, one float conversion per branch) and
-``qprocess.StationMoves``, with the served branches and insertions computed
-once per distinct station buffer. The transient (continuous-time) functional
-is recovered from the step laws through the Poisson jump-count mixture.
+Chain kernels read the spec's compiled ``TransitionTable`` as it is (rate,
+arrival and serve rates; service fractions as exact rationals, one float
+conversion per branch) and move states by ``qprocess.StationMoves``, the rule
+the pair chain moves both its copies by; the served branches and insertions
+are computed once per distinct station buffer. The transient
+(continuous-time) functional is recovered from the step laws through the
+Poisson jump-count mixture.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .qprocess import (
 StateDistribution = dict[NetworkState, float]
 
 _POISSON_MAX_TERMS = 100_000  # longest jump-count mixture a transient may need
+_SLACK_LIMIT = 6  # most norm headroom ``reachable_states`` adds before it stops
 
 
 def _grown(a: np.ndarray, need: int, fill) -> np.ndarray:
@@ -69,7 +72,7 @@ class ExactEngine:
         self.reduced = reduced
         self.budget = budget
         self.table = transition_table(spec)
-        self.rate = self.table.alphabet.rate
+        self.rate = self.table.rate
         self._canon = state_canonicalizer(spec) if reduced else (lambda xi: xi)
         self._station_moves = StationMoves(spec, reduced)
         station_of = self._station_moves.station_of
@@ -389,7 +392,6 @@ def reachable_states(
     max_norm: int,
     *,
     reduced: bool = False,
-    slack_limit: int = 6,
 ) -> set[NetworkState]:
     """States of norm <= max_norm reachable from empty with positive probability.
 
@@ -401,7 +403,7 @@ def reachable_states(
 
     engine = ExactEngine(spec, reduced=reduced)
     previous: set[NetworkState] | None = None
-    for slack in range(slack_limit + 1):
+    for slack in range(_SLACK_LIMIT + 1):
         cap = max_norm + slack
         seen = {engine.canonical(empty_state(spec))}
         frontier = list(seen)

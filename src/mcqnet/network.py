@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,9 +61,6 @@ class NetworkSpec:
 
     def station_of(self, k: int) -> int:
         return self._station_of[k]
-
-    def classes_at(self, i: int) -> tuple[int, ...]:
-        return self.stations[i]
 
     def exit_probability(self, k: int) -> float:
         return 1.0 - sum(self.routing[k - 1])
@@ -274,9 +272,9 @@ def _ranking_to_json(ranking: PriorityRanking | None):
 
 
 def _ranking_from_json(data) -> PriorityRanking:
-    if all(isinstance(x, int) for x in data):
-        return PriorityRanking.total(tuple(data))
-    return PriorityRanking.from_lists(data)
+    if all(isinstance(x, int) for x in _list(data)):
+        return PriorityRanking.total(tuple(map(_integer, data)))
+    return PriorityRanking.from_lists([tuple(map(_integer, _list(c))) for c in data])
 
 
 def spec_to_dict(spec: NetworkSpec) -> dict:
@@ -318,7 +316,7 @@ def _require(data, keys, where: str) -> None:
 def spec_from_dict(data: dict) -> NetworkSpec:
     _require(data, ("classes", "stations", "theta", "beta", "routing", "protocols"), "the spec")
     protocols = []
-    for i, entry in enumerate(_read(data, "protocols", list), start=1):
+    for i, entry in enumerate(_read(data, "protocols", _list), start=1):
         _require(entry, ("policy", "allocation"), f"protocol {i}")
         with _reading(f"protocol {i}"):
             ranking = _ranking_from_json(entry["ranking"]) if "ranking" in entry else None
@@ -330,17 +328,33 @@ def spec_from_dict(data: dict) -> NetworkSpec:
             )
         protocols.append(StationProtocol(policy, allocation))
     return NetworkSpec(
-        class_count=_read(data, "classes", int),
-        stations=_read(data, "stations", lambda v: tuple(tuple(int(k) for k in s) for s in v)),
+        class_count=_read(data, "classes", _integer),
+        stations=_read(
+            data, "stations", lambda v: tuple(tuple(map(_integer, _list(s))) for s in _list(v))
+        ),
         theta=_read(data, "theta", _floats),
         beta=_read(data, "beta", _floats),
-        routing=_read(data, "routing", lambda v: tuple(_floats(row) for row in v)),
+        routing=_read(data, "routing", lambda v: tuple(_floats(row) for row in _list(v))),
         protocols=tuple(protocols),
     )
 
 
+def _list(values) -> list | tuple:
+    """``values`` itself if it is a list; a string, which iterates by character, is not."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list, got {values!r}")
+    return values
+
+
+def _integer(value) -> int:
+    """``value`` if it is an integer; 1.7, "1" and True are not."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(x) for x in values)
+    return tuple(float(x) for x in _list(values))
 
 
 @contextlib.contextmanager

@@ -3,14 +3,16 @@
 The state is a tuple of per-station queue configurations. A transition label
 (k, l) with k, l in 0..d encodes an arrival to class l (k = 0), a departure of
 class k (l = 0) or a class change k -> l; (0, 0) is excluded. The chain is
-uniformized at rate lambda = sum(theta) + sum_i max_{k at i} beta_k, and the
-embedded chain is sampled by the event-alphabet scheme: one arrival event per
-class with positive rate, one potential-departure event per station.
+uniformized at rate lambda = sum(theta) + sum_i max_{k at i} beta_k, and a
+step of the embedded chain draws one event: an arrival event per class with
+positive rate, or a potential-departure event per station.
 
 ``apply_transition``, ``transition_rate`` and ``embedded_step`` are the
 reference semantics. ``transition_table`` compiles the same laws once per spec
-(event alphabet, arrival probabilities, routing, per-class branch tables and
-serve rates); the samplers, the exact engine and the coupling all read it.
+into a ``TransitionTable`` (rate, events and their draw, arrival
+probabilities, routing, per-class branch tables, serve rates and preferential
+rankings); the samplers, the exact engine and the coupling read its fields as
+they are.
 """
 
 from __future__ import annotations
@@ -77,10 +79,6 @@ def uniformization_rate(spec: NetworkSpec) -> float:
     )
 
 
-def station_top_rate(spec: NetworkSpec, i: int) -> float:
-    return max(spec.beta[k - 1] for k in spec.stations[i])
-
-
 def _replace_station(xi: NetworkState, i: int, q: QueueConfig) -> NetworkState:
     return xi[:i] + (q,) + xi[i + 1 :]
 
@@ -120,102 +118,84 @@ def transition_rate(spec: NetworkSpec, xi: NetworkState, label: TransitionLabel)
 
 
 # ---------------------------------------------------------------------------
-# Event alphabet and the embedded chain
-
-@dataclass(frozen=True)
-class EventAlphabet:
-    """Arrival events per positive-rate class and one departure event per station.
-
-    ``entries`` holds (cumulative probability, kind, index) with kind "A"
-    (index = class) or "D" (index = station); probabilities are theta_k/lambda
-    and beta_bar_i/lambda and sum to one.
-    """
-
-    rate: float
-    entries: tuple[tuple[float, str, int], ...]
-
-    def draw(self, u: float) -> tuple[str, int]:
-        for cum, kind, idx in self.entries:
-            if u < cum:
-                return kind, idx
-        return self.entries[-1][1], self.entries[-1][2]
-
-
-def event_alphabet(spec: NetworkSpec) -> EventAlphabet:
-    lam = uniformization_rate(spec)
-    entries = []
-    cum = 0.0
-    for k in range(1, spec.class_count + 1):
-        if spec.theta[k - 1] > 0:
-            cum += spec.theta[k - 1] / lam
-            entries.append((cum, "A", k))
-    for i in range(spec.station_count):
-        cum += station_top_rate(spec, i) / lam
-        entries.append((cum, "D", i))
-    return EventAlphabet(rate=lam, entries=tuple(entries))
-
-
-def routing_choices(spec: NetworkSpec, k: int) -> tuple[tuple[float, int], ...]:
-    """Cumulative routing law of class k over targets l (0 = exit), zeros pruned."""
-    out = []
-    cum = 0.0
-    for l in range(1, spec.class_count + 1):
-        p = spec.routing[k - 1][l - 1]
-        if p > 0:
-            cum += p
-            out.append((cum, l))
-    exit_p = spec.exit_probability(k)
-    if exit_p > 0:
-        cum += exit_p
-        out.append((cum, 0))
-    return tuple(out)
-
+# The compiled transition table and the embedded chain
 
 @dataclass(frozen=True)
 class TransitionTable:
     """The uniformized chain's laws for one spec, compiled once.
 
-    ``routes``, ``branch`` and ``serve`` are dicts keyed by class k:
-
+    * ``rate``: the uniformization rate lambda;
+    * ``events``: (cumulative probability, (kind, index)) per event, kind "A"
+      (index = class) for every class with theta_k > 0, then kind "D"
+      (index = station) for every station; the probabilities are theta_k/lambda
+      and beta_bar_i/lambda and sum to one;
     * ``arrivals``: (k, theta_k/lambda) for every class with theta_k > 0;
-    * ``routes``: ``routing_choices(spec, k)``;
+    * ``routes``: the cumulative routing law of class k over its targets l
+      (0 = exit), zeros pruned;
     * ``branch``: (s, routes with cumulatives scaled by s), where
       s = beta_k/beta_bar_i is the chance that a departure event at k's
       station i serves a k-job holding the whole server;
-    * ``serve``: (l, beta_k R_kl) with exits as l = 0, zeros pruned.
+    * ``serve``: (l, beta_k R_kl) with exits as l = 0, zeros pruned;
+    * ``ranked``: per station, the total order of a preferential allocation,
+      highest first, else None.
+
+    ``routes``, ``branch`` and ``serve`` are dicts keyed by class k.
     """
 
-    alphabet: EventAlphabet
+    rate: float
+    events: tuple[tuple[float, tuple[str, int]], ...]
     arrivals: tuple[tuple[int, float], ...]
     routes: dict[int, tuple[tuple[float, int], ...]]
     branch: dict[int, tuple[float, tuple[tuple[float, int], ...]]]
     serve: dict[int, tuple[tuple[int, float], ...]]
+    ranked: tuple[tuple[int, ...] | None, ...]
+
+    def draw(self, u: float) -> tuple[str, int]:
+        """The event whose interval holds u; the last one at u past every cumulative."""
+        for cum, event in self.events:
+            if u < cum:
+                break
+        return event
 
 
 def transition_table(spec: NetworkSpec) -> TransitionTable:
     """Compile the laws of ``spec``'s uniformized chain (see ``TransitionTable``)."""
-    alphabet = event_alphabet(spec)
+    lam = uniformization_rate(spec)
     classes = range(1, spec.class_count + 1)
-    tops = [station_top_rate(spec, i) for i in range(spec.station_count)]
-    routes = {k: routing_choices(spec, k) for k in classes}
-    branch = {}
-    serve = {}
+    arrivals = tuple((k, spec.theta[k - 1] / lam) for k in classes if spec.theta[k - 1] > 0)
+    tops = [max(spec.beta[k - 1] for k in at) for at in spec.stations]
+    events, cum = [], 0.0
+    for k, p in arrivals:
+        cum += p
+        events.append((cum, ("A", k)))
+    for i, top in enumerate(tops):
+        cum += top / lam
+        events.append((cum, ("D", i)))
+    routes, branch, serve = {}, {}, {}
     for k in classes:
-        scale = spec.beta[k - 1] / tops[spec.station_of(k)]
-        branch[k] = (scale, tuple((cum * scale, l) for cum, l in routes[k]))
         probs = (*enumerate(spec.routing[k - 1], start=1), (0, spec.exit_probability(k)))
+        cum = 0.0
+        choices = []
+        for l, r in probs:
+            if r > 0:
+                cum += r
+                choices.append((cum, l))
+        routes[k] = tuple(choices)
+        scale = spec.beta[k - 1] / tops[spec.station_of(k)]
+        branch[k] = (scale, tuple((c * scale, l) for c, l in choices))
         serve[k] = tuple((l, spec.beta[k - 1] * r) for l, r in probs if r > 0)
-    arrivals = tuple(
-        (k, spec.theta[k - 1] / alphabet.rate) for k in classes if spec.theta[k - 1] > 0
+    ranked = tuple(
+        protocol.allocation.ranking.order if protocol.allocation.kind == "preferential" else None
+        for protocol in spec.protocols
     )
-    return TransitionTable(alphabet, arrivals, routes, branch, serve)
+    return TransitionTable(lam, tuple(events), arrivals, routes, branch, serve, ranked)
 
 
 def embedded_step(
     spec: NetworkSpec,
     xi: NetworkState,
     rng,
-    alphabet: EventAlphabet | None = None,
+    table: TransitionTable | None = None,
 ) -> NetworkState:
     """One transition of the uniformized embedded chain.
 
@@ -224,22 +204,21 @@ def embedded_step(
     self-loops with the residual mass. The empty state freezes under
     departure events only.
     """
-    alphabet = alphabet or event_alphabet(spec)
-    kind, idx = alphabet.draw(rng.random())
+    table = table or transition_table(spec)
+    kind, idx = table.draw(rng.random())
     if kind == "A":
         return apply_transition(spec, xi, TransitionLabel(0, idx))
     q = xi[idx]
     if not q:
         return xi
-    top = station_top_rate(spec, idx)
     weights = allocate(spec.protocols[idx].allocation, q)
     u = rng.random()
     acc = 0.0
     for k, w in weights.items():
-        share = (spec.beta[k - 1] / top) * w
+        share = table.branch[k][0] * w
         if u < acc + share:
             v = (u - acc) / share  # reuse the draw for the routing choice
-            choices = routing_choices(spec, k)
+            choices = table.routes[k]
             for cum, l in choices:
                 if v < cum:
                     return apply_transition(spec, xi, TransitionLabel(k, l))
@@ -252,11 +231,11 @@ def simulate_path(
     spec: NetworkSpec, xi0: NetworkState, n: int, rng
 ) -> list[NetworkState]:
     """Length n+1 embedded-chain path from xi0; deterministic given the stream."""
-    alphabet = event_alphabet(spec)
+    table = transition_table(spec)
     path = [xi0]
     state = xi0
     for _ in range(n):
-        state = embedded_step(spec, state, rng, alphabet)
+        state = embedded_step(spec, state, rng, table)
         path.append(state)
     return path
 

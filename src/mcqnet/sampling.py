@@ -7,8 +7,9 @@ snapshotted in class-sorted canonical order, which represents the same lumped
 state; every functional used on such networks depends on the state only
 through its composition.
 
-Both samplers read the spec's compiled ``qprocess.TransitionTable`` (event
-alphabet, per-class branch tables, routing) and build no laws of their own.
+Both samplers read the spec's compiled ``qprocess.TransitionTable`` (events,
+per-class branch tables, routing, preferential rankings) as it is and build
+no laws of their own.
 
 ``batch_terminal_norms`` vectorizes many replications at once for networks in
 which every station is single-class, order-insensitive (proportional,
@@ -89,9 +90,6 @@ class _HQStation:
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self.buf)
 
-    def __len__(self) -> int:
-        return len(self.buf)
-
 
 class _OIStation:
     """Composition-count buffer for order-insensitive allocations."""
@@ -102,8 +100,7 @@ class _OIStation:
         protocol = spec.protocols[i]
         self.classes = spec.stations[i]
         self.kind = protocol.allocation.kind
-        ranking = protocol.allocation.ranking
-        self.order = ranking.order if ranking is not None else None
+        self.order = table.ranked[i]
         self.beta_scale = {k: table.branch[k][0] for k in self.classes}
         self.routing = table.routes
         self.counts = {k: 0 for k in self.classes}
@@ -166,22 +163,13 @@ class _OIStation:
     def snapshot(self) -> tuple[int, ...]:
         return tuple(k for k in sorted(self.classes) for _ in range(self.counts[k]))
 
-    def __len__(self) -> int:
-        return self.total
-
 
 class PathSampler:
     """Reusable embedded-chain runner over mutable station buffers."""
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        table = transition_table(spec)
-        self.rate = table.alphabet.rate
-        # (cum, class, None) for arrivals, (cum, 0, station) for departures
-        self.events = tuple(
-            (cum, idx, None) if kind == "A" else (cum, 0, idx)
-            for cum, kind, idx in table.alphabet.entries
-        )
+        self.table = table = transition_table(spec)
         self.stations = [
             _OIStation(spec, i, table) if spec.protocols[i].allocation.order_insensitive
             else _HQStation(spec, i, table)
@@ -199,11 +187,12 @@ class PathSampler:
     def step(self) -> None:
         uni = self._uni
         u = uni.next()
-        for cum, k, i in self.events:
+        for cum, event in self.table.events:
             if u < cum:
                 break
-        if k:  # arrival
-            self.stations[self.spec.station_of(k)].insert(k)
+        kind, i = event
+        if kind == "A":  # i is the arriving class
+            self.stations[self.spec.station_of(i)].insert(i)
             self.norm += 1
             return
         served = self.stations[i].serve(uni.next())
@@ -221,6 +210,8 @@ class PathSampler:
     # -- run helpers -------------------------------------------------------
 
     def run_terminal_norm(self, xi0: NetworkState, n: int, rng) -> int:
+        if n < 0:
+            raise ValueError("steps must be nonnegative")
         # at most two uniforms per step, so one block serves short runs
         self.reset(xi0, rng, block=min(4096, 2 * n + 4))
         step = self.step
@@ -355,6 +346,10 @@ def batch_terminal_norms(
     """
     if not is_batch_steppable(spec):
         raise ValueError("batch stepping cannot run multi-class LCFS or SBP head-of-queue stations")
+    if n < 0:
+        raise ValueError("steps must be nonnegative")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     kernel = _BatchKernel(spec)
     d = spec.class_count
     counts = np.zeros((reps, kernel.columns), dtype=np.int64)
@@ -448,7 +443,7 @@ class _BatchKernel:
 
     def __init__(self, spec: NetworkSpec):
         table = transition_table(spec)
-        entries = table.alphabet.entries
+        events = table.events
         self.slots = slots = max(len(classes) for classes in spec.stations)
         zero = spec.class_count + 1
         # the empty column is needed by multi-class stations only
@@ -457,8 +452,8 @@ class _BatchKernel:
         slot_cols, slope, cap = [], [], []
         self.ring_stations, ring_of_event = [], []
         self.counted = False  # any multi-class order-insensitive station
-        lows = [0.0] + [cum for cum, _, _ in entries[:-1]]
-        for (cum, kind, idx), low in zip(entries, lows):
+        lows = [0.0] + [cum for cum, _ in events[:-1]]
+        for (cum, (kind, idx)), low in zip(events, lows):
             slot_cols.append([zero] * slots)
             slope.append(0.0)
             cap.append(_SINK)
@@ -480,7 +475,7 @@ class _BatchKernel:
             else:
                 self.counted = True
                 if allocation.kind == "preferential":
-                    classes = allocation.ranking.order
+                    classes = table.ranked[idx]
                 else:
                     slope[-1] = 1.0 / (cum - low)
                 if allocation.kind == "egalitarian":
@@ -492,7 +487,7 @@ class _BatchKernel:
                 bounds = tuple(c for c, _ in routes[:-1]) + (scale,)
                 rows.append((bounds, tuple((k, l) for _, l in routes) + ((zero, zero),)))
             rows += [((), ((zero, zero),))] * (slots - len(classes))
-        self.event_cum = np.asarray([cum for cum, _, _ in entries])
+        self.event_cum = np.asarray([cum for cum, _ in events])
         self.lows = np.asarray(lows)
         self.slot_cols = np.asarray(slot_cols, dtype=np.intp)
         self.slope = np.asarray(slope)

@@ -362,8 +362,14 @@ def test_spec_file_with_a_wrong_type_entry_is_a_usage_error(tmp_path, capsys):
          "--report", "a/couple.json"),
     ],
 )
-def test_output_name_with_a_directory_part_is_a_usage_error(tmp_path, capsys, argv):
-    # simulate died with FileNotFoundError and left an empty --out-dir behind
+def test_output_name_with_a_directory_part_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # simulate died with FileNotFoundError and left an empty --out-dir behind;
+    # the names are checked before the run is solved
+    def never(*args):
+        raise AssertionError("the run was solved before its output names were checked")
+
+    monkeypatch.setattr(mcqnet.cli, "PathSampler", never)
+    monkeypatch.setattr(mcqnet.cli, "run_coupling", never)
     out = tmp_path / "out"
     assert run_cli("--out-dir", str(out), *argv) == 2
     assert "must be a file name without a directory part" in capsys.readouterr().err

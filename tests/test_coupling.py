@@ -504,7 +504,7 @@ COUPLE_PAIRS = [
 def _reference_step(kernel, cs, uni):
     """The coupled step rule on whole states: ``_apply`` (``apply_transition``
     plus a full canonicalization) for each copy, ``replace`` for the counters."""
-    kind, idx = kernel.table.alphabet.draw(uni.next())
+    kind, idx = kernel.table.draw(uni.next())
     if kind == "A":
         lower, upper = kernel._apply(cs.lower, 0, idx), kernel._apply(cs.upper, 0, idx)
         return replace(cs, lower=lower, upper=upper), ("A", idx)

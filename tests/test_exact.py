@@ -76,7 +76,7 @@ class DictBFS:
 
 def reference_moves(spec, reduced):
     table = transition_table(spec)
-    lam = table.alphabet.rate
+    lam = table.rate
     canon = state_canonicalizer(spec) if reduced else (lambda xi: xi)
 
     def moves(xi):

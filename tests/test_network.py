@@ -223,10 +223,23 @@ def test_spec_from_dict_names_a_missing_key():
         ("beta", {"a": 1}, "the spec's 'beta' entry"),
         ("routing", [1, 2], "the spec's 'routing' entry"),
         ("protocols", 3, "the spec's 'protocols' entry"),
+        # a string where a list belongs, read character by character before
+        ("theta", "1000", "the spec's 'theta' entry"),
+        ("beta", "8383", "the spec's 'beta' entry"),
+        ("routing", ["0100", "0010", "0001", "0000"], "the spec's 'routing' entry"),
+        ("stations", ["14", "23"], "the spec's 'stations' entry"),
+        ("protocols", "ab", "the spec's 'protocols' entry"),
+        # a non-integer class count or class id, truncated to an integer before
+        ("classes", 4.7, "the spec's 'classes' entry"),
+        ("classes", "4", "the spec's 'classes' entry"),
+        ("classes", True, "the spec's 'classes' entry"),
+        ("stations", [[1, 4], [2, 3.9]], "the spec's 'stations' entry"),
+        ("stations", [[1, "4"], [2, 3]], "the spec's 'stations' entry"),
     ],
 )
 def test_spec_from_dict_names_a_wrong_type_entry(key, value, where):
-    # each raised TypeError (or an unnamed ValueError) while converting
+    # each raised TypeError (or an unnamed ValueError) while converting, or was
+    # read without complaint as another value
     data = spec_to_dict(builtin_fixture("lk-sbp"))
     data[key] = value
     with pytest.raises(ValueError, match=f"^{where} is malformed"):
@@ -237,6 +250,15 @@ def test_spec_from_dict_names_a_malformed_protocol():
     data = spec_to_dict(builtin_fixture("lk-sbp"))
     data["protocols"][1]["ranking"] = 5
     with pytest.raises(ValueError, match="^protocol 2 is malformed"):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("ranking", [[True, 4], [[4.0], [1.0]], [[4], ["1"]], "41"])
+def test_spec_from_dict_rejects_a_ranking_of_non_integer_classes(ranking):
+    # [[4.0], [1.0]] and [True, 4] were read as rankings of 4.0 over 1.0 and of True over 4
+    data = spec_to_dict(builtin_fixture("lk-sbp"))
+    data["protocols"][0]["ranking"] = ranking
+    with pytest.raises(ValueError, match="^protocol 1 is malformed"):
         spec_from_dict(data)
 
 

@@ -32,11 +32,11 @@ from mcqnet.qprocess import (
     canonicalize_state,
     embedded_step,
     empty_state,
-    event_alphabet,
     is_substate,
     simulate_path,
     state_norm,
     transition_rate,
+    transition_table,
     uniformization_rate,
 )
 
@@ -99,11 +99,10 @@ def test_embedded_step_scripted_lk_prop():
 
 
 def test_event_alphabet_probabilities():
-    alphabet = event_alphabet(LK_PROP)
     probs = {}
     prev = 0.0
-    for cum, kind, idx in alphabet.entries:
-        probs[(kind, idx)] = cum - prev
+    for cum, event in transition_table(LK_PROP).events:
+        probs[event] = cum - prev
         prev = cum
     assert probs[("A", 1)] == pytest.approx(0.1)
     assert probs[("D", 0)] == pytest.approx(0.4)
@@ -293,10 +292,10 @@ def test_exact_kernel_matches_reference_rates(any_fixture):
 
 
 def _frequencies(spec, state, draws, rng):
-    alphabet = event_alphabet(spec)
+    table = transition_table(spec)
     counts = Counter()
     for _ in range(draws):
-        counts[embedded_step(spec, state, rng, alphabet)] += 1
+        counts[embedded_step(spec, state, rng, table)] += 1
     return counts
 
 

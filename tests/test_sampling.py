@@ -22,15 +22,13 @@ from mcqnet import sampling
 from mcqnet.allocation import ServiceAllocation, StationProtocol
 from mcqnet.configurations import PriorityRanking, QueuePolicy
 from mcqnet.exact import ExactEngine
-from mcqnet.network import NetworkSpec, builtin_fixture, validate
+from mcqnet.network import FIXTURE_NAMES, NetworkSpec, builtin_fixture, validate
 from mcqnet.qprocess import (
     TransitionLabel,
     apply_transition,
     empty_state,
-    routing_choices,
     state_composition,
     state_norm,
-    station_top_rate,
     transition_table,
     uniformization_rate,
 )
@@ -53,7 +51,7 @@ def reference_terminal_norms(spec, xi0, n, reps, rng):
             event_cls.append(k)
             event_dep.append(False)
     for i in range(spec.station_count):
-        cum += station_top_rate(spec, i) / lam
+        cum += max(spec.beta[k - 1] for k in spec.stations[i]) / lam
         event_cum.append(cum)
         event_cls.append(spec.stations[i][0])
         event_dep.append(True)
@@ -61,7 +59,16 @@ def reference_terminal_norms(spec, xi0, n, reps, rng):
     event_cls_arr = np.asarray(event_cls)
     event_dep_arr = np.asarray(event_dep)
 
-    routes = {k: routing_choices(spec, k) for k in range(1, d + 1)}
+    # cumulative routing law of each class over targets 1..d, then exit (0)
+    routes = {}
+    for k in range(1, d + 1):
+        probs = [*enumerate(spec.routing[k - 1], start=1), (0, spec.exit_probability(k))]
+        cum = 0.0
+        routes[k] = []
+        for l, p in probs:
+            if p > 0:
+                cum += p
+                routes[k].append((cum, l))
     width = max(len(r) for r in routes.values())
     route_cum = np.full((d + 1, width), 2.0)
     route_tgt = np.zeros((d + 1, width), dtype=np.int64)
@@ -168,6 +175,24 @@ def test_block_stepper_rejects_multi_class_stations():
             batch_terminal_norms(spec, tuple(() for _ in spec.stations), 5, 8, master_rng(1))
 
 
+def test_batch_stepper_rejects_no_replications():
+    spec = SPECS["tandem2"]
+    with pytest.raises(ValueError, match="reps"):
+        batch_terminal_norms(spec, empty_state(spec), 5, 0, master_rng(1))
+
+
+def test_batch_stepper_rejects_negative_steps():
+    spec = SPECS["tandem2"]
+    with pytest.raises(ValueError, match="steps"):
+        batch_terminal_norms(spec, ((1,), (2,)), -1, 8, master_rng(1))
+
+
+def test_scalar_sampler_rejects_negative_steps():
+    spec = builtin_fixture("lk-sbp")
+    with pytest.raises(ValueError, match="steps"):
+        PathSampler(spec).run_terminal_norm(((1,), (3,)), -1, master_rng(1))
+
+
 # ---------------------------------------------------------------------------
 # Multi-class FCFS head-of-queue stations against a per-replication replay
 
@@ -185,7 +210,7 @@ def replay_terminal_norms(spec, xi0, n, reps, rng):
     for rep in range(reps):
         xi = xi0
         for u, v in draws[:, :, rep]:
-            kind, idx = table.alphabet.draw(u)
+            kind, idx = table.draw(u)
             if kind == "A":
                 xi = apply_transition(spec, xi, TransitionLabel(0, idx))
                 continue
@@ -409,3 +434,60 @@ def test_phi_estimate_on_lk_lines_runs_without_the_scalar_sampler(name, monkeypa
     spec = builtin_fixture(name)
     est = phi_estimate(spec, spec.theta, 50, 1.0, 64, master_rng(3))
     assert 0.0 < est.mean <= 1.0 and est.reps == 64
+
+
+# ---------------------------------------------------------------------------
+# The compiled transition table against laws read off the spec
+
+
+def _check_table(spec):
+    table = transition_table(spec)
+    lam = uniformization_rate(spec)
+    assert table.rate == lam
+    classes = range(1, spec.class_count + 1)
+    tops = [max(spec.beta[k - 1] for k in at) for at in spec.stations]
+    expected = [(("A", k), spec.theta[k - 1] / lam) for k in classes if spec.theta[k - 1] > 0]
+    expected += [(("D", i), top / lam) for i, top in enumerate(tops)]
+    assert [event for _, event in table.events] == [event for event, _ in expected]
+    prev = 0.0
+    for (cum, _), (_, p) in zip(table.events, expected):
+        assert cum - prev == pytest.approx(p, rel=1e-12, abs=1e-15)
+        prev = cum
+    assert prev == pytest.approx(1.0, abs=1e-12)
+    # each event just below its cumulative value, the next one at it, and the
+    # last one at every u past the last cumulative value
+    events = [event for _, event in table.events]
+    for j, (cum, event) in enumerate(table.events):
+        assert table.draw(math.nextafter(cum, 0.0)) == event
+        assert table.draw(cum) == events[min(j + 1, len(events) - 1)]
+    for u in (prev, math.nextafter(prev, 2.0), 1.0):
+        assert table.draw(u) == events[-1]
+    for k in classes:
+        law = [(l, r) for l, r in enumerate(spec.routing[k - 1], start=1) if r > 0]
+        if spec.exit_probability(k) > 0:
+            law.append((0, spec.exit_probability(k)))
+        routes = table.routes[k]
+        assert [l for _, l in routes] == [l for l, _ in law]
+        assert np.diff([0.0] + [c for c, _ in routes]) == pytest.approx([r for _, r in law])
+        scale, scaled = table.branch[k]
+        assert scale == spec.beta[k - 1] / tops[spec.station_of(k)]
+        assert scaled == tuple((c * scale, l) for c, l in routes)
+    for i, (at, protocol) in enumerate(zip(spec.stations, spec.protocols)):
+        ranked = table.ranked[i]
+        if protocol.allocation.kind != "preferential":
+            assert ranked is None
+            continue
+        ranking = protocol.allocation.ranking
+        assert sorted(ranked) == sorted(at)
+        assert [ranking.caste_index(k) for k in ranked] == list(range(len(at)))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_transition_table_on_fixtures(name):
+    _check_table(builtin_fixture(name))
+
+
+def test_transition_table_on_random_specs():
+    rng = np.random.default_rng(20261018)
+    for _ in range(14):
+        _check_table(random_batch_spec(rng))
