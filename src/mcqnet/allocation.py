@@ -79,7 +79,7 @@ def allocate(alloc: ServiceAllocation, p: QueueConfig) -> dict[int, float]:
 
 
 def allocate_fractions(alloc: ServiceAllocation, p: QueueConfig) -> dict[int, Fraction]:
-    """Exact rational service fractions; used by the exact engine."""
+    """Exact rational service fractions, the reference ``allocate`` is tested against."""
     if not p:
         return {}
     if alloc.kind == "hq":

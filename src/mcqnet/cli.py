@@ -91,9 +91,20 @@ def _load(args: argparse.Namespace) -> tuple[NetworkSpec, RoutingAnalysis]:
     return spec, validate(spec)
 
 
-def _state_key(state) -> str:
-    """The compact JSON array of a state's buffers, e.g. ``[[1,4],[2]]``."""
-    return "[" + ",".join(["[" + ",".join(map(str, q)) + "]" for q in state]) + "]"
+class _BufferTexts(dict):
+    """Buffer -> its compact JSON text, e.g. ``[1,4]``, made on first lookup."""
+
+    def __missing__(self, q) -> str:
+        text = self[q] = "[" + ",".join(map(str, q)) + "]"
+        return text
+
+
+def _state_key(state, texts: _BufferTexts | None = None) -> str:
+    """The compact JSON array of a state's buffers, e.g. ``[[1,4],[2]]``;
+    ``texts`` keeps each buffer's text across calls."""
+    if texts is None:
+        texts = _BufferTexts()
+    return "[" + ",".join(map(texts.__getitem__, state)) + "]"
 
 
 class _HashingSink(io.RawIOBase):
@@ -217,10 +228,11 @@ def _cmd_exact(args, spec, analysis, out) -> str:
     engine = ExactEngine(spec, reduced=args.reduced, budget=args.budget)
     dist = engine.distribution(empty_state(spec), args.steps)
     value = expectation(dist, lambda s: math.exp(-args.alpha * state_norm(s)))
+    texts = _BufferTexts()
     payload = {
         "steps": args.steps,
         "functional": {"name": args.functional, "alpha": args.alpha, "value": value},
-        "distribution": {_state_key(s): p for s, p in dist.items()},
+        "distribution": {_state_key(s, texts): p for s, p in dist.items()},
     }
     out.write_json("exact_law.json", payload)
     return f"E[exp(-{args.alpha} * jobs)] at step {args.steps}: {value:.12g}"

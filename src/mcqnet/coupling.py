@@ -384,11 +384,15 @@ def verify_coupling_path(path: CoupledPath) -> InvariantReport:
 class PairEngine(ExactEngine):
     """Exact law of the coupled pair chain, for verification.
 
-    The pair chain is one more kernel on ``ExactEngine``: states are canonical
-    (lower, upper) pairs, each copy moved by ``CouplingKernel._move``, and
-    only the moves of a pair and the start canonicalization
-    (``CouplingKernel.start``, which also checks the one-extra-job relation)
-    are its own. Interning, kernel rows, self-loop
+    The pair chain is one more kernel on ``ExactEngine``'s row builder: a
+    station's buffer is the pair (lower, upper) of its two copies' canonical
+    buffers, each moved by ``StationMoves``. A pair buffer's branches come
+    from the head of the upper buffer; the lower one follows them when its own
+    head is the same (``mirrored``, a station-local test, since equal copies
+    have equal heads) and stays put otherwise. A join carries the token
+    (l, mirrored) and moves the lower buffer only when mirrored. The start
+    canonicalization (``CouplingKernel.start``, which also checks the
+    one-extra-job relation) is its own too. Interning, kernel rows, self-loop
     remainder, BFS step, budget and mass check are the engine's.
     """
 
@@ -400,20 +404,41 @@ class PairEngine(ExactEngine):
         start = self.kernel_tables.start(*pair)
         return start.lower, start.upper
 
-    def _moves(self, pair):
-        lower, upper = pair
-        kt = self.kernel_tables
-        move = kt._move
-        for k, p in self.table.arrivals:
-            yield (move(lower, 0, k), move(upper, 0, k)), p
-        for i, q_up in enumerate(upper):
-            if not q_up:
-                continue
-            h_up = kt.head(i, q_up)
-            mirrored = lower == upper or kt.head(i, lower[i]) == h_up
-            for l, rate_kl in self.table.serve[h_up]:
-                low2 = move(lower, h_up, l) if mirrored else lower
-                yield (low2, move(upper, h_up, l)), rate_kl / self.rate
+    def _token_count(self) -> int:
+        """Token l is the l-job joining both copies; d + l, the upper copy only."""
+        return 2 * self.spec.class_count
+
+    def _split(self, pair) -> tuple:
+        return tuple(zip(*pair))
+
+    def _assemble(self, columns):
+        lowers = zip(*[[lower for lower, _ in col] for col in columns])
+        uppers = zip(*[[upper for _, upper in col] for col in columns])
+        return list(zip(lowers, uppers))
+
+    def _branches(self, i, buf):
+        lower, upper = buf
+        if not upper:
+            return ()
+        head = self.kernel_tables.head
+        h = head(i, upper)
+        mirrored = head(i, lower) == h
+        leave = self._station_moves.leave
+        skip = 0 if mirrored else self.spec.class_count
+        out = []
+        for l, rate_kl in self.table.serve[h]:
+            up, j = leave(i, upper, h, l)
+            low = leave(i, lower, h, l)[0] if mirrored else lower
+            out.append((rate_kl / self.rate, (low, up), j, skip + l))
+        return out
+
+    def _joined(self, j, buf, token):
+        lower, upper = buf
+        join = self._station_moves.join
+        d = self.spec.class_count
+        if token > d:
+            return lower, join(j, upper, token - d)
+        return join(j, lower, token), join(j, upper, token)
 
 
 def exact_pair_law_check(

@@ -2,23 +2,36 @@
 
 Every transition adds at most one job, so the n-step reachable set from a
 fixed start is finite and the law of the chain can be computed by breadth-
-first probability propagation. ``ExactEngine`` is the one BFS engine. It
-interns each canonical state to an integer id on first sight and stores the
-one-step kernel of a state as a row of flat, doubling ``int64`` target and
-``float64`` probability buffers, built once, when the state first holds mass.
-A step gathers the rows of the support and sums ``mass * probability`` per
-target with one ``np.bincount``; the support keeps the order in which its
-states are first reached, so every target sums its terms in a fixed order.
-The engine adds the uniformization self-loop, checks the kernel mass and the
-final mass drift, and counts interned states against ``budget``, checked
-while rows are built, so a run stops before it allocates past the budget.
-The moves of a state come from one overridable method, so the coupled pair
-chain (``coupling.PairEngine``) runs on the same engine as one more kernel.
-Chain kernels read the spec's compiled ``TransitionTable`` as it is (rate,
-arrival and serve rates; service fractions as exact rationals, one float
-conversion per branch) and move states by ``qprocess.StationMoves``, the rule
-the pair chain moves both its copies by; the served branches and insertions
-are computed once per distinct station buffer. The transient
+first probability propagation. ``ExactEngine`` is the one BFS engine.
+
+*Station-coded states.* Each station buffer is interned once to an integer
+key. A state is the row of its stations' keys, packed into one ``int64``
+code (one station: its key; two: ``key0 << 32 | key1``; from three on, the
+leading stations fold pairwise into dense prefix ids first), and states are
+interned to ids by ``searchsorted`` against a sorted code array. ``states``
+is filled in bulk from the key rows when it is read.
+
+*Layer rows.* A state's one-step kernel is stored as a row of flat, doubling
+``int64`` target and ``float64`` probability buffers, built once, when the
+state first holds mass. Python works once per distinct buffer: its served
+branches (float ``allocate``, ``StationMoves.leave``: one job leaves station
+i and may still join station j) followed by the station's part of the
+uniformization self-loop, the share of its departure event the branches
+leave; and its joins (``StationMoves.join``). The arrivals are the branches
+of a virtual source station that every state holds. The rows of all states
+that first hold mass at one step (a BFS layer) are then built from these
+tables with numpy gathers.
+
+*Sorted supports.* A step gathers the rows of the support and sums ``mass *
+probability`` per target with one ``np.bincount``; the next support is the
+set of targets reached, marked and listed in id order. The engine checks the
+kernel mass (per buffer, against its station's share) and the final mass
+drift, and counts interned states against ``budget``, checked as targets
+are interned, so a run stops before it allocates past the budget.
+
+The buffers, branches and joins come from a few overridable methods, so the
+coupled pair chain (``coupling.PairEngine``, whose buffer at a station is a
+(lower, upper) pair) runs on the same row builder. The transient
 (continuous-time) functional is recovered from the step laws through the
 Poisson jump-count mixture.
 """
@@ -30,7 +43,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .allocation import allocate_fractions
+from .allocation import allocate
+from .allocation import allocate_fractions  # noqa: F401  (bench/tracing.py times it here)
 from .errors import BudgetExceededError
 from .network import NetworkSpec
 from .qprocess import (
@@ -46,19 +60,63 @@ StateDistribution = dict[NetworkState, float]
 
 _POISSON_MAX_TERMS = 100_000  # longest jump-count mixture a transient may need
 _SLACK_LIMIT = 6  # most norm headroom ``reachable_states`` adds before it stops
+_KEY_LIMIT = 1 << 31  # buffer keys (int32 arrays) and prefix ids fill 32-bit halves of a code
+_NO_CODE = np.iinfo(np.int64).max  # past every code: 32-bit halves never reach it
 
 
 def _grown(a: np.ndarray, need: int, fill) -> np.ndarray:
-    """``a`` itself, or a copy at least twice as long when ``need`` exceeds it."""
-    if need <= len(a):
+    """``a`` itself, or a copy at least twice as long when ``need`` rows exceed it."""
+    size = len(a)
+    if need <= size:
         return a
-    out = np.full(max(need, 2 * len(a)), fill, dtype=a.dtype)
-    out[: len(a)] = a
+    out = np.full((max(need, 2 * size),) + a.shape[1:], fill, dtype=a.dtype)
+    out[:size] = a
     return out
 
 
+class _CodeTable:
+    """Dense ids of int64 codes, found by ``searchsorted`` in a sorted code array."""
+
+    def __init__(self):
+        self.codes = np.full(1, _NO_CODE, dtype=np.int64)  # sorted, the sentinel last
+        self.ids = np.full(1, -1, dtype=np.int64)  # the id of each sorted code
+        self.size = 0
+
+    def intern(self, codes: np.ndarray, room: int = _NO_CODE):
+        """(ids, first): the id of each code, where new codes take the next
+        ids in code order, and the index in ``codes`` of each new code's first
+        occurrence, by id. With more than ``room`` new codes only the first
+        ``room`` are added, and ids is None."""
+        pos = self.codes.searchsorted(codes)
+        ids = self.ids[pos]
+        miss = (self.codes[pos] != codes).nonzero()[0]
+        if not len(miss):
+            return ids, miss
+        size = self.size
+        if len(miss) == 1:  # one new code, as in a chain that adds one state a step
+            new, starts, rank = codes[miss], miss, size
+        else:
+            order = miss[codes[miss].argsort(kind="stable")]
+            ordered = codes[order]
+            first = np.empty(len(order), dtype=bool)
+            first[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            new, starts = ordered[first], order[first]
+            miss, rank = order, first.cumsum() + (size - 1)
+        count = min(len(new), room)
+        merged = np.concatenate((self.codes, new[:count]))
+        by_code = merged.argsort(kind="stable")  # merges two sorted runs
+        self.codes = merged[by_code]
+        self.ids = np.concatenate((self.ids, np.arange(size, size + count)))[by_code]
+        self.size = size + count
+        if count < len(new):
+            return None, starts[:count]
+        ids[miss] = rank
+        return ids, starts
+
+
 class ExactEngine:
-    """Breadth-first exact distribution engine on interned states and array rows.
+    """Breadth-first exact distribution engine on station-coded states and layer rows.
 
     ``states[x]`` is the state with id x. With ``reduced=True`` states are
     canonicalized per station protocol after every transition, shrinking the
@@ -75,157 +133,272 @@ class ExactEngine:
         self.rate = self.table.rate
         self._canon = state_canonicalizer(spec) if reduced else (lambda xi: xi)
         self._station_moves = StationMoves(spec, reduced)
+        # Buffer keys. Key 0 is the source: a virtual station S that every
+        # state holds, whose branches are the arrivals.
+        S = self._stations = spec.station_count
+        self._buf_objs: list = [None]
+        self._buf_station = [S]
+        self._buf_keys: list[dict] = [{} for _ in range(S)]
+        self._buf_array = np.empty(0, dtype=object)  # the buffers, to gather states from
+        self._join = np.full((64, self._token_count() + 1), -1, dtype=np.int32)
+        self._join[0, 0] = 0  # [key, token] -> key after the join; token 0 joins nothing
+        self._br_start = np.zeros(64, dtype=np.int64)
+        self._br_len = np.full(64, -1, dtype=np.int64)  # -1: branches not built yet
+        # Flat branches: probability, and (station left, its new key, station joined, token).
+        self._br_p = np.zeros(256)
+        self._br_move = np.zeros((256, 4), dtype=np.int32)
+        self._br_used = 0
+        # A departure event at station i has probability share[i]; what its
+        # branches leave of it is the station's part of the self-loop.
+        self._share = [max(spec.beta[k - 1] for k in at) / self.rate for at in spec.stations]
         station_of = self._station_moves.station_of
-        self._arrivals = tuple((station_of[k], k, p) for k, p in self.table.arrivals)
-        self._served_at: dict = {}  # (station, buffer) -> served branches
-        self._joined: dict = {}  # (station, buffer, class) -> buffer after insertion
-        self.states: list = []
-        self._ids: dict = {}
-        self._row_start = np.zeros(0, dtype=np.int64)
-        self._row_len = np.zeros(0, dtype=np.int64)  # 0: no row built yet
-        self._targets = np.zeros(0, dtype=np.int64)
-        self._probs = np.zeros(0, dtype=np.float64)
+        self._store_branches([(0, [(p, (S, 0, station_of[k], k)) for k, p in self.table.arrivals])])
+        # States: a row of buffer keys each (the source's last), codes, kernel rows.
+        self._n = 0
+        self._cols = np.zeros((64, S + 1), dtype=np.int32)
+        self._codes = _CodeTable()
+        self._prefixes = [_CodeTable() for _ in range(S - 2)]
+        self._states: list = []
+        self._row_start = np.zeros(64, dtype=np.int64)
+        self._row_len = np.zeros(64, dtype=np.int64)  # 0: no row built yet
+        self._targets = np.zeros(256, dtype=np.int32)  # state ids; 2**31 states would not fit in memory
+        self._probs = np.zeros(256, dtype=np.float64)
         self._used = 0
 
     def canonical(self, xi: NetworkState) -> NetworkState:
         """The start state as the engine stores it."""
         return self._canon(xi)
 
-    # -- interning and rows ------------------------------------------------
+    # -- what a state is made of (overridden by the pair chain) ------------
 
-    def _id(self, state) -> int:
-        """The id of ``state``, interned on first sight within the budget."""
-        x = self._ids.get(state)
-        if x is None:
-            x = len(self.states)
-            if x >= self.budget:
-                raise BudgetExceededError(
-                    f"state space passed the budget of {self.budget} interned states"
-                )
-            self._ids[state] = x
-            self.states.append(state)
-        return x
+    def _token_count(self) -> int:
+        """Join tokens are 1..count; here the class that joins."""
+        return self.spec.class_count
 
-    def _build_rows(self, ids) -> None:
-        """Build and store the kernel rows of ``ids``, interning their targets.
+    def _split(self, state) -> tuple:
+        """The per-station buffers of ``state``."""
+        return state
 
-        The moves come from ``_moves``, summed per target in move order; the
-        mass they leave is the uniformization self-loop.
-        """
-        states, known, intern = self.states, self._ids, self._id
-        targets: list[int] = []
-        probs: list[float] = []
-        lengths: list[int] = []
-        for x in ids:
-            xi = states[x]
-            acc: dict[int, float] = {}
-            total = 0.0
-            for target, p in self._moves(xi):
-                t = known.get(target)
-                if t is None:
-                    t = intern(target)
-                acc[t] = acc.get(t, 0.0) + p
-                total += p
-            if total > 1.0 + 1e-12:
-                raise AssertionError(f"kernel mass {total} exceeds one at {xi}")
-            rest = 1.0 - total
-            if rest > 1e-15:
-                acc[x] = acc.get(x, 0.0) + rest
-            targets.extend(acc)
-            probs.extend(acc.values())
-            lengths.append(len(acc))
-        n, used = len(states), self._used
-        self._row_start = _grown(self._row_start, n, 0)
-        self._row_len = _grown(self._row_len, n, 0)
-        self._targets = _grown(self._targets, used + len(targets), 0)
-        self._probs = _grown(self._probs, used + len(probs), 0.0)
-        lengths = np.array(lengths, dtype=np.int64)
-        ids = np.asarray(ids, dtype=np.int64)
-        self._row_len[ids] = lengths
-        self._row_start[ids] = used + np.cumsum(lengths) - lengths
-        self._used = used + len(targets)
-        self._targets[used : self._used] = targets
-        self._probs[used : self._used] = probs
+    def _assemble(self, columns: list[list]) -> list:
+        """The states whose per-station buffers are ``columns``, one list per station."""
+        return list(zip(*columns))
 
-    def _moves(self, xi: NetworkState):
-        """Yield (target, probability) for every arrival and every served branch."""
-        join = self._join
-        for j, l, p in self._arrivals:
-            yield xi[:j] + (join(j, xi[j], l),) + xi[j + 1 :], p
-        for i, q in enumerate(xi):
-            if not q:
+    def _branches(self, i: int, q):
+        """(probability, buffer left at i, station to join or None, token) per served branch."""
+        if not q:
+            return ()
+        lam = self.rate
+        serve = self.table.serve
+        leave = self._station_moves.leave
+        out = []
+        for k, w in allocate(self.spec.protocols[i].allocation, q).items():
+            if w == 0:
                 continue
-            for p, b, j, l in self._served(i, q):
-                if j is None:
-                    yield xi[:i] + (b,) + xi[i + 1 :], p
-                else:
-                    st = list(xi)
-                    st[i] = b
-                    st[j] = join(j, xi[j], l)
-                    yield tuple(st), p
+            for l, rate_kl in serve[k]:
+                b, j = leave(i, q, k, l)
+                out.append((w * rate_kl / lam, b, j, l))
+        return out
 
-    def _served(self, i: int, q):
-        """(probability, buffer left at i, station to join or None, class) per branch."""
-        key = (i, q)
-        branches = self._served_at.get(key)
-        if branches is None:
-            lam = self.rate
-            serve = self.table.serve
-            leave = self._station_moves.leave
-            weights = allocate_fractions(self.spec.protocols[i].allocation, q)
-            branches = []
-            for k, w in weights.items():
-                if w == 0:
-                    continue
-                wf = float(w)
-                for l, rate_kl in serve[k]:
-                    b, j = leave(i, q, k, l)
-                    branches.append((wf * rate_kl / lam, b, j, l))
-            self._served_at[key] = branches
-        return branches
+    def _joined(self, j: int, q, token: int):
+        """Station j's buffer after the class ``token`` joins ``q``."""
+        return self._station_moves.join(j, q, token)
 
-    def _join(self, j: int, q, l: int):
-        key = (j, q, l)
-        b = self._joined.get(key)
-        if b is None:
-            b = self._joined[key] = self._station_moves.join(j, q, l)
-        return b
+    # -- buffers -----------------------------------------------------------
+
+    def _key(self, i: int, obj) -> int:
+        """The key of station i's buffer ``obj``, interned on first sight."""
+        key = self._buf_keys[i].get(obj)
+        if key is None:
+            key = len(self._buf_objs)
+            if key >= _KEY_LIMIT:
+                raise BudgetExceededError("more station buffers than a state code can hold")
+            self._buf_keys[i][obj] = key
+            self._buf_objs.append(obj)
+            self._buf_station.append(i)
+            if key >= len(self._br_len):
+                self._join = _grown(self._join, key + 1, -1)
+                self._br_start = _grown(self._br_start, key + 1, 0)
+                self._br_len = _grown(self._br_len, key + 1, -1)
+            self._join[key, 0] = key
+        return key
+
+    def _store_branches(self, rows) -> None:
+        """Append the branches (p, (i, left key, j, token)) of each (key, branches) row."""
+        used = start = self._br_used
+        ps, moves = [], []
+        br_start, br_len = self._br_start, self._br_len
+        for key, branches in rows:
+            br_start[key] = start
+            br_len[key] = len(branches)
+            start += len(branches)
+            for p, move in branches:
+                ps.append(p)
+                moves.append(move)
+        self._br_used = start
+        if start > len(self._br_p):
+            self._br_p = _grown(self._br_p, start, 0.0)
+            self._br_move = _grown(self._br_move, start, 0)
+        if ps:
+            self._br_p[used:start] = ps
+            self._br_move[used:start] = moves
+
+    def _build_branches(self, keys) -> None:
+        """The served branches of each buffer key, then the station's self-loop:
+        the part of its departure event they leave, when above 1e-15."""
+        key, rows = self._key, []
+        for k in keys:
+            i, q = self._buf_station[k], self._buf_objs[k]
+            branches = [
+                (p, (i, key(i, b), i, 0) if j is None else (i, key(i, b), j, token))
+                for p, b, j, token in self._branches(i, q)
+            ]
+            served = sum(p for p, _ in branches)
+            if served > self._share[i] + 1e-12:
+                raise AssertionError(
+                    f"kernel mass exceeds one: station {i + 1} serves {served!r} "
+                    f"of its {self._share[i]!r} at {q}"
+                )
+            if self._share[i] - served > 1e-15:
+                branches.append((self._share[i] - served, (i, k, i, 0)))
+            rows.append((k, branches))
+        self._store_branches(rows)
+
+    def _build_joins(self, keys: np.ndarray, tokens: np.ndarray) -> None:
+        """Tabulate the (key, token) joins not known yet."""
+        for key, token in sorted(set(zip(keys.tolist(), tokens.tolist()))):
+            i = self._buf_station[key]
+            self._join[key, token] = self._key(i, self._joined(i, self._buf_objs[key], token))
+
+    # -- states --------------------------------------------------------------
+
+    @property
+    def states(self) -> list:
+        """The interned states, by id."""
+        have = len(self._states)
+        if have < self._n:
+            known, objs = len(self._buf_array), self._buf_objs
+            if known < len(objs):
+                fresh = np.fromiter(objs[known:], dtype=object, count=len(objs) - known)
+                self._buf_array = np.concatenate((self._buf_array, fresh))
+            cols = self._cols[have : self._n]
+            columns = [self._buf_array[cols[:, s]].tolist() for s in range(self._stations)]
+            self._states.extend(self._assemble(columns))
+        return self._states
+
+    def _code(self, cols: np.ndarray) -> np.ndarray:
+        """The int64 code of each row of buffer keys in ``cols``."""
+        code = cols[:, 0].astype(np.int64)
+        for s, prefix in enumerate(self._prefixes, start=1):
+            code = prefix.intern((code << 32) | cols[:, s])[0]
+        if self._stations > 1:
+            code = (code << 32) | cols[:, self._stations - 1]
+        return code
+
+    def _intern(self, cols: np.ndarray) -> np.ndarray:
+        """The ids of the states whose key rows are ``cols``; new states are
+        interned within the budget, in code order."""
+        n = self._n
+        ids, first = self._codes.intern(self._code(cols), self.budget - n)
+        if len(first):
+            self._n = end = n + len(first)
+            if end > len(self._cols):
+                self._cols = _grown(self._cols, end, 0)
+                self._row_start = _grown(self._row_start, end, 0)
+                self._row_len = _grown(self._row_len, end, 0)
+            self._cols[n:end] = cols[first]
+        if ids is None:
+            raise BudgetExceededError(
+                f"state space passed the budget of {self.budget} interned states"
+            )
+        return ids
+
+    def _ids_of(self, states) -> np.ndarray:
+        """The ids of ``states`` (as the engine stores them), interned on first sight."""
+        key = self._key
+        cols = [[key(i, b) for i, b in enumerate(self._split(state))] + [0] for state in states]
+        return self._intern(np.array(cols, dtype=np.int32).reshape(len(states), self._stations + 1))
+
+    # -- rows ----------------------------------------------------------------
+
+    def _build_rows(self, ids: np.ndarray) -> None:
+        """Build and store the kernel rows of the states ``ids``, interning their targets.
+
+        A row lists the branches of the state's buffers, station by station
+        (each station's self-loop last), then the arrivals, the branches of
+        the source.
+        """
+        S = self._stations
+        cols = self._cols[ids]
+        keys = cols.ravel()  # state by state: stations 0..S-1, then the source
+        lens = self._br_len[keys]
+        if lens[lens.argmin()] < 0:
+            self._build_branches(sorted(set(keys[lens < 0].tolist())))
+            lens = self._br_len[keys]
+        ends = lens.cumsum()
+        entry = np.arange(ends[-1])
+        at = (self._br_start[keys] + lens - ends).repeat(lens)
+        at += entry
+        row_ends = ends[S :: S + 1]
+        row_len = row_ends.copy()
+        row_len[1:] -= row_ends[:-1]
+        targets = cols.repeat(row_len, axis=0)
+        i, left, j, token = self._br_move[at].T
+        targets[entry, i] = left
+        joining = targets[entry, j]
+        joined = self._join[joining, token]
+        if joined[joined.argmin()] < 0:
+            unknown = (joined < 0).nonzero()[0]
+            self._build_joins(joining[unknown], token[unknown])
+            joined[unknown] = self._join[joining[unknown], token[unknown]]
+        targets[entry, j] = joined
+        targets = self._intern(targets)
+        used = self._used
+        self._used = end = used + len(targets)
+        if end > len(self._targets):
+            self._targets = _grown(self._targets, end, 0)
+            self._probs = _grown(self._probs, end, 0.0)
+        self._targets[used:end] = targets
+        self._probs[used:end] = self._br_p[at]
+        self._row_len[ids] = row_len
+        row_ends += used - row_len
+        self._row_start[ids] = row_ends
+
+    def _rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row lengths of ``ids`` and the positions of their entries, building missing rows."""
+        lengths = self._row_len[ids]
+        if len(ids) and not lengths[lengths.argmin()]:
+            self._build_rows(ids[lengths == 0])
+            lengths = self._row_len[ids]
+        ends = lengths.cumsum()
+        at = (self._row_start[ids] + lengths - ends).repeat(lengths)
+        at += np.arange(len(at))
+        return lengths, at
 
     def kernel(self, xi):
         """(target, probability) pairs of one step from ``xi``, built once."""
-        x = self._id(xi)
-        if x >= len(self._row_len) or not self._row_len[x]:
-            self._build_rows([x])
-        start = int(self._row_start[x])
-        stop = start + int(self._row_len[x])
+        _, at = self._rows(self._ids_of([xi]))
+        row: dict[int, float] = {}
+        for t, p in zip(self._targets[at].tolist(), self._probs[at].tolist()):
+            row[t] = row.get(t, 0.0) + p
         states = self.states
-        return tuple(zip(
-            [states[t] for t in self._targets[start:stop].tolist()],
-            self._probs[start:stop].tolist(),
-        ))
+        return tuple((states[t], p) for t, p in row.items())
 
     # -- propagation ---------------------------------------------------------
 
     def _push(self, support: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step on arrays: the next support (in first-reached order) and its mass."""
-        row_len = _grown(self._row_len, len(self.states), 0)
-        fresh = support[row_len[support] == 0]
-        if len(fresh):
-            self._build_rows(fresh.tolist())
-        lengths = self._row_len[support]
-        ends = np.cumsum(lengths)
-        at = np.repeat(self._row_start[support] - (ends - lengths), lengths)
-        at += np.arange(len(at))
+        """One step on arrays: the next support (in id order) and its mass."""
+        lengths, at = self._rows(support)
         targets = self._targets[at]
-        out = np.bincount(targets, weights=np.repeat(mass, lengths) * self._probs[at])
-        reached, first = np.unique(targets, return_index=True)
-        support = reached[np.argsort(first)]
+        out = np.bincount(targets, self._probs[at] * mass.repeat(lengths))
+        reached = np.zeros(len(out), dtype=bool)
+        reached[targets] = True
+        support = reached.nonzero()[0]
         return support, out[support]
 
     def _start(self, xi0, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n < 0:
             raise ValueError("step count must be nonnegative")
-        return np.array([self._id(self.canonical(xi0))], dtype=np.int64), np.ones(1)
+        return self._ids_of([self.canonical(xi0)]), np.ones(1)
 
     def _law(self, support: np.ndarray, mass: np.ndarray) -> StateDistribution:
         states = self.states
@@ -236,7 +409,7 @@ class ExactEngine:
 
         Raises BudgetExceededError when the interned states pass the budget.
         """
-        support = np.array([self._id(s) for s in dist], dtype=np.int64)
+        support = self._ids_of(list(dist))
         return self._law(*self._push(support, np.fromiter(dist.values(), float, len(dist))))
 
     def distribution(self, xi0, n: int) -> dict:
@@ -261,7 +434,7 @@ class ExactEngine:
             if m:
                 support, mass = self._push(support, mass)
             known = len(values_of)
-            if known < len(self.states):
+            if known < self._n:
                 fresh = np.fromiter(map(phi, self.states[known:]), float)
                 values_of = np.concatenate([values_of, fresh])
             series.append(sum((mass * values_of[support]).tolist()))
@@ -402,18 +575,23 @@ def reachable_states(
     from .qprocess import empty_state
 
     engine = ExactEngine(spec, reduced=reduced)
+    start = engine._ids_of([engine.canonical(empty_state(spec))])
+    norms = np.zeros(0, dtype=np.int64)
     previous: set[NetworkState] | None = None
     for slack in range(_SLACK_LIMIT + 1):
         cap = max_norm + slack
-        seen = {engine.canonical(empty_state(spec))}
-        frontier = list(seen)
-        while frontier:
-            state = frontier.pop()
-            for target, _ in engine.kernel(state):
-                if state_norm(target) <= cap and target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        current = {s for s in seen if state_norm(s) <= max_norm}
+        seen = frontier = start
+        while len(frontier):
+            _, at = engine._rows(frontier)  # one bulk build per frontier
+            targets = np.unique(engine._targets[at])
+            if len(norms) < engine._n:
+                fresh = map(state_norm, engine.states[len(norms) :])
+                norms = np.concatenate([norms, np.fromiter(fresh, np.int64)])
+            targets = targets[norms[targets] <= cap]
+            frontier = np.setdiff1d(targets, seen, assume_unique=True)
+            seen = np.union1d(seen, frontier)
+        states = engine.states
+        current = {states[x] for x in seen[norms[seen] <= max_norm].tolist()}
         if previous is not None and current == previous:
             return current
         previous = current

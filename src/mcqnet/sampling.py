@@ -220,16 +220,20 @@ class PathSampler:
         return self.norm
 
     def run_norm_checkpoints(self, xi0: NetworkState, checkpoints, rng) -> list[int]:
+        """The norm of one path from xi0 at each checkpoint step, in the given order."""
+        checkpoints = list(checkpoints)
+        if any(cp < 0 for cp in checkpoints):
+            raise ValueError("checkpoints must be nonnegative")
         self.reset(xi0, rng)
-        out = []
+        norms = {}
         step = self.step
         last = 0
-        for cp in sorted(checkpoints):
+        for cp in sorted(set(checkpoints)):
             for _ in range(cp - last):
                 step()
             last = cp
-            out.append(self.norm)
-        return out
+            norms[cp] = self.norm
+        return [norms[cp] for cp in checkpoints]
 
     def run_functional_average(
         self, xi0: NetworkState, steps: int, burn_in: int, fn, rng

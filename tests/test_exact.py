@@ -1,17 +1,19 @@
-"""The array exact engine against the dict BFS loop it replaced.
+"""The exact engine against a dict BFS loop on the reference moves.
 
 ``DictBFS`` is that loop: a kernel cache of (target, probability) tuples per
 state, and mass pushed through it one kernel entry at a time. Chain moves come
 from ``reference_moves`` (``apply_transition`` plus a full canonicalization);
-pair-chain moves are ``PairEngine._moves``, which are already the reference.
+pair-chain moves from ``reference_pair_moves`` (each copy moved by
+``CouplingKernel._move``, the lower one only when the served heads agree).
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from mcqnet.allocation import allocate_fractions
-from mcqnet.coupling import PairEngine
+from mcqnet.coupling import CouplingKernel, PairEngine
 from mcqnet.errors import BudgetExceededError
 from mcqnet.exact import ExactEngine
 from mcqnet.network import FIXTURE_NAMES, builtin_fixture
@@ -24,6 +26,8 @@ from mcqnet.qprocess import (
     state_norm,
     transition_table,
 )
+from test_coupling import LCFS_LINE, SBP_HQ_LINE
+from test_sampling import random_batch_spec
 
 # two-job starts that fit each fixture's stations
 STARTS = {
@@ -33,6 +37,7 @@ STARTS = {
     "lk-sbp": ((4, 1), (2,)),
     "fcfs-reentrant": ((4, 1), (2,)),
 }
+SEED_RANDOM_NETWORKS = 5
 PAIR_LAWS = (  # the exact pair-law checks of the couple-verify benchmark
     ("mm1", ((),), ((1,),), 80),
     ("fcfs-reentrant", ((1,), ()), ((1, 4), ()), 16),
@@ -95,6 +100,27 @@ def reference_moves(spec, reduced):
     return moves
 
 
+def reference_pair_moves(spec):
+    kt = CouplingKernel(spec)
+    table = kt.table
+    move = kt._move
+
+    def moves(pair):
+        lower, upper = pair
+        for k, p in table.arrivals:
+            yield (move(lower, 0, k), move(upper, 0, k)), p
+        for i, q_up in enumerate(upper):
+            if not q_up:
+                continue
+            h_up = kt.head(i, q_up)
+            mirrored = lower == upper or kt.head(i, lower[i]) == h_up
+            for l, rate_kl in table.serve[h_up]:
+                low2 = move(lower, h_up, l) if mirrored else lower
+                yield (low2, move(upper, h_up, l)), rate_kl / table.rate
+
+    return moves
+
+
 def separating_phi(spec):
     """A functional that tells states of one norm apart by their composition."""
 
@@ -106,35 +132,62 @@ def separating_phi(spec):
     return phi
 
 
-def assert_same_law(got, want):
-    assert list(got) == list(want)  # same support, in first-reached order
+def assert_same_law(engine, got, want):
+    assert got.keys() == want.keys()  # the same support, listed in ascending id order
+    ids = {state: x for x, state in enumerate(engine.states)}
+    listed = [ids[state] for state in got]
+    assert listed == sorted(listed)
     for state, p in want.items():
         assert got[state] == pytest.approx(p, abs=1e-14), state
+
+
+def assert_engine_matches_dict_bfs(spec, reduced, starts, n):
+    phi = separating_phi(spec)
+    engine = ExactEngine(spec, reduced=reduced)
+    reference = DictBFS(engine.canonical, reference_moves(spec, reduced))
+    for start in starts:
+        laws = reference.laws(start, n)
+        assert_same_law(engine, engine.distribution(start, n), laws[n])
+        assert_same_law(engine, engine.distribution(start, n // 2), laws[n // 2])
+        series = engine.functional_series(start, n, phi)
+        want = [sum(p * phi(s) for s, p in law.items()) for law in laws]
+        assert series == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_engine_matches_dict_bfs(name, reduced):
     spec = builtin_fixture(name).scale_theta(1.5)
-    phi = separating_phi(spec)
-    engine = ExactEngine(spec, reduced=reduced)
-    reference = DictBFS(engine.canonical, reference_moves(spec, reduced))
     n = 40 if spec.class_count == 1 else 14
-    for start in (empty_state(spec), STARTS[name]):
-        laws = reference.laws(start, n)
-        assert_same_law(engine.distribution(start, n), laws[n])
-        assert_same_law(engine.distribution(start, n // 2), laws[n // 2])
-        series = engine.functional_series(start, n, phi)
-        want = [sum(p * phi(s) for s, p in law.items()) for law in laws]
-        assert series == pytest.approx(want, abs=1e-14)
+    assert_engine_matches_dict_bfs(spec, reduced, (empty_state(spec), STARTS[name]), n)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("spec", [LCFS_LINE, SBP_HQ_LINE], ids=["lcfs", "sbp-hq"])
+def test_engine_matches_dict_bfs_on_lines_inserting_inside_the_queue(spec, reduced):
+    assert_engine_matches_dict_bfs(spec, reduced, (empty_state(spec), ((1, 4), (3,))), 12)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+def test_engine_matches_dict_bfs_on_random_networks(reduced):
+    # the seed's six networks have one, two and three stations
+    rng = np.random.default_rng(SEED_RANDOM_NETWORKS)
+    stations = set()
+    for _ in range(6):
+        spec = random_batch_spec(rng)
+        stations.add(spec.station_count)
+        one_each = tuple(classes[:1] for classes in spec.stations)
+        assert_engine_matches_dict_bfs(spec, reduced, (empty_state(spec), one_each), 10)
+    assert stations == {1, 2, 3}
 
 
 @pytest.mark.parametrize("name,lower,upper,n", PAIR_LAWS, ids=[c[0] for c in PAIR_LAWS])
 def test_pair_engine_matches_dict_bfs(name, lower, upper, n):
-    engine = PairEngine(builtin_fixture(name))
-    reference = DictBFS(engine.canonical, engine._moves)
+    spec = builtin_fixture(name)
+    engine = PairEngine(spec)
+    reference = DictBFS(engine.canonical, reference_pair_moves(spec))
     laws = reference.laws((lower, upper), n)
-    assert_same_law(engine.distribution((lower, upper), n), laws[n])
+    assert_same_law(engine, engine.distribution((lower, upper), n), laws[n])
     assert len(laws[n]) > 10
 
 
@@ -143,7 +196,15 @@ def test_step_adapter_matches_dict_bfs():
     engine = ExactEngine(spec, reduced=True)
     laws = DictBFS(engine.canonical, reference_moves(spec, True)).laws(STARTS["lk-sbp"], 6)
     for before, after in zip(laws, laws[1:]):
-        assert_same_law(engine.step(before), after)
+        assert_same_law(engine, engine.step(before), after)
+
+
+def test_kernel_mass_above_one_raises():
+    engine = ExactEngine(builtin_fixture("tandem2"))
+    served = engine._branches
+    engine._branches = lambda i, q: [(2 * p, *rest) for p, *rest in served(i, q)]
+    with pytest.raises(AssertionError, match="kernel mass exceeds one"):
+        engine.distribution(((1,), ()), 2)
 
 
 def _rows_built(engine):

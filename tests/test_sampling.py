@@ -193,6 +193,18 @@ def test_scalar_sampler_rejects_negative_steps():
         PathSampler(spec).run_terminal_norm(((1,), (3,)), -1, master_rng(1))
 
 
+def test_norm_checkpoints_reject_a_negative_checkpoint():
+    with pytest.raises(ValueError, match="checkpoints"):
+        PathSampler(builtin_fixture("mm1")).run_norm_checkpoints(((),), [-5, 3], master_rng(1))
+
+
+def test_norm_checkpoints_come_back_in_the_given_order():
+    sampler = PathSampler(builtin_fixture("mm1"))
+    ordered = sampler.run_norm_checkpoints(((),), [0, 3], master_rng(1))
+    assert ordered[0] == 0
+    assert sampler.run_norm_checkpoints(((),), [3, 0], master_rng(1)) == ordered[::-1]
+
+
 # ---------------------------------------------------------------------------
 # Multi-class FCFS head-of-queue stations against a per-replication replay
 
