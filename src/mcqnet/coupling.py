@@ -220,6 +220,8 @@ class CouplingKernel:
         rest run in ``_run_coupled``. The path certifies the time-changed order
         (lower at n - F_n inside upper at n), not dominance at a fixed time.
         """
+        if n < 0:
+            raise ValueError("steps must be nonnegative")
         uni = Uniforms(rng)
         cs = self.start(lower, upper)
         states = [cs]

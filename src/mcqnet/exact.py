@@ -25,9 +25,18 @@ tables with numpy gathers.
 *Sorted supports.* A step gathers the rows of the support and sums ``mass *
 probability`` per target with one ``np.bincount``; the next support is the
 set of targets reached, marked and listed in id order. The engine checks the
-kernel mass (per buffer, against its station's share) and the final mass
-drift, and counts interned states against ``budget``, checked as targets
-are interned, so a run stops before it allocates past the budget.
+kernel mass (per buffer, against its station's share) and counts interned
+states against ``budget``, checked as targets are interned, so a run stops
+before it allocates past the budget.
+
+*One path.* Every public call enters through ``_ids_of``, which interns the
+``canonical`` form of each state it is given, so keys that share a canonical
+form are one state and ``step`` merges their mass. ``_push`` is the one
+reader of the rows: ``step`` and ``kernel`` (a ``step`` from one state) push
+a law once, and ``reachable_states`` pushes each frontier of its closure.
+``distribution`` and ``functional_series`` run one sweep, ``_sweep``, which
+yields the support and mass at steps 0..n and checks the mass drift after
+the last step.
 
 The buffers, branches and joins come from a few overridable methods, so the
 coupled pair chain (``coupling.PairEngine``, whose buffer at a station is a
@@ -39,7 +48,7 @@ Poisson jump-count mixture.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -59,7 +68,6 @@ from .qprocess import (
 StateDistribution = dict[NetworkState, float]
 
 _POISSON_MAX_TERMS = 100_000  # longest jump-count mixture a transient may need
-_SLACK_LIMIT = 6  # most norm headroom ``reachable_states`` adds before it stops
 _KEY_LIMIT = 1 << 31  # buffer keys (int32 arrays) and prefix ids fill 32-bit halves of a code
 _NO_CODE = np.iinfo(np.int64).max  # past every code: 32-bit halves never reach it
 
@@ -313,9 +321,9 @@ class ExactEngine:
         return ids
 
     def _ids_of(self, states) -> np.ndarray:
-        """The ids of ``states`` (as the engine stores them), interned on first sight."""
-        key = self._key
-        cols = [[key(i, b) for i, b in enumerate(self._split(state))] + [0] for state in states]
+        """The ids of the canonical forms of ``states``, interned on first sight."""
+        key, split, canonical = self._key, self._split, self.canonical
+        cols = [[key(i, b) for i, b in enumerate(split(canonical(xi)))] + [0] for xi in states]
         return self._intern(np.array(cols, dtype=np.int32).reshape(len(states), self._stations + 1))
 
     # -- rows ----------------------------------------------------------------
@@ -374,15 +382,6 @@ class ExactEngine:
         at += np.arange(len(at))
         return lengths, at
 
-    def kernel(self, xi):
-        """(target, probability) pairs of one step from ``xi``, built once."""
-        _, at = self._rows(self._ids_of([xi]))
-        row: dict[int, float] = {}
-        for t, p in zip(self._targets[at].tolist(), self._probs[at].tolist()):
-            row[t] = row.get(t, 0.0) + p
-        states = self.states
-        return tuple((states[t], p) for t, p in row.items())
-
     # -- propagation ---------------------------------------------------------
 
     def _push(self, support: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,44 +394,50 @@ class ExactEngine:
         support = reached.nonzero()[0]
         return support, out[support]
 
-    def _start(self, xi0, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _sweep(self, xi0, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(support, mass) at steps 0..n from xi0; the mass drift is checked after the last."""
         if n < 0:
             raise ValueError("step count must be nonnegative")
-        return self._ids_of([self.canonical(xi0)]), np.ones(1)
+        support, mass = self._ids_of([xi0]), np.ones(1)
+        yield support, mass
+        for _ in range(n):
+            support, mass = self._push(support, mass)
+            yield support, mass
+        total = sum(mass.tolist())
+        if abs(total - 1.0) >= 1e-10:
+            raise RuntimeError(f"mass drifted to {total}")
 
     def _law(self, support: np.ndarray, mass: np.ndarray) -> StateDistribution:
         states = self.states
         return dict(zip([states[x] for x in support.tolist()], mass.tolist()))
 
     def step(self, dist: dict) -> dict:
-        """One BFS step: the law after pushing ``dist`` through the kernel.
+        """One BFS step: the law after pushing ``dist`` through the kernel; keys
+        with one canonical form share their mass.
 
         Raises BudgetExceededError when the interned states pass the budget.
         """
-        support = self._ids_of(list(dist))
-        return self._law(*self._push(support, np.fromiter(dist.values(), float, len(dist))))
+        ids, inverse = np.unique(self._ids_of(list(dist)), return_inverse=True)
+        mass = np.bincount(inverse.ravel(), np.fromiter(dist.values(), float, len(dist)))
+        return self._law(*self._push(ids, mass))
+
+    def kernel(self, xi):
+        """(target, probability) pairs of one step from ``xi``: a ``step`` from it alone."""
+        return tuple(self.step({xi: 1.0}).items())
 
     def distribution(self, xi0, n: int) -> dict:
         """Exact law of the chain after n steps from xi0."""
-        support, mass = self._start(xi0, n)
-        for _ in range(n):
-            support, mass = self._push(support, mass)
-        dist = self._law(support, mass)
-        total = sum(dist.values())
-        if abs(total - 1.0) >= 1e-10:
-            raise RuntimeError(f"mass drifted to {total}")
-        return dist
+        for support, mass in self._sweep(xi0, n):
+            pass  # the sweep checks the last law's mass as it ends
+        return self._law(support, mass)
 
     def functional_series(
         self, xi0: NetworkState, n: int, phi: Callable[[NetworkState], float]
     ) -> list[float]:
         """E[phi(state at step m)] for m = 0..n; phi runs once per interned state."""
-        support, mass = self._start(xi0, n)
         values_of = np.zeros(0)
         series = []
-        for m in range(n + 1):
-            if m:
-                support, mass = self._push(support, mass)
+        for support, mass in self._sweep(xi0, n):
             known = len(values_of)
             if known < self._n:
                 fresh = np.fromiter(map(phi, self.states[known:]), float)
@@ -566,33 +571,19 @@ def reachable_states(
     *,
     reduced: bool = False,
 ) -> set[NetworkState]:
-    """States of norm <= max_norm reachable from empty with positive probability.
-
-    Closure is taken with a norm headroom that grows until the answer
-    stabilizes, since a small state can in principle require a detour through
-    larger ones.
-    """
+    """States reachable from empty through states of norm <= max_norm, each
+    step with positive probability: one closure, capped at max_norm."""
     from .qprocess import empty_state
 
     engine = ExactEngine(spec, reduced=reduced)
-    start = engine._ids_of([engine.canonical(empty_state(spec))])
+    seen = frontier = engine._ids_of([empty_state(spec)])
     norms = np.zeros(0, dtype=np.int64)
-    previous: set[NetworkState] | None = None
-    for slack in range(_SLACK_LIMIT + 1):
-        cap = max_norm + slack
-        seen = frontier = start
-        while len(frontier):
-            _, at = engine._rows(frontier)  # one bulk build per frontier
-            targets = np.unique(engine._targets[at])
-            if len(norms) < engine._n:
-                fresh = map(state_norm, engine.states[len(norms) :])
-                norms = np.concatenate([norms, np.fromiter(fresh, np.int64)])
-            targets = targets[norms[targets] <= cap]
-            frontier = np.setdiff1d(targets, seen, assume_unique=True)
-            seen = np.union1d(seen, frontier)
-        states = engine.states
-        current = {states[x] for x in seen[norms[seen] <= max_norm].tolist()}
-        if previous is not None and current == previous:
-            return current
-        previous = current
-    return previous
+    while len(frontier):
+        targets, _ = engine._push(frontier, np.ones(len(frontier)))
+        if len(norms) < engine._n:
+            fresh = map(state_norm, engine.states[len(norms) :])
+            norms = np.concatenate([norms, np.fromiter(fresh, np.int64)])
+        frontier = np.setdiff1d(targets[norms[targets] <= max_norm], seen, assume_unique=True)
+        seen = np.union1d(seen, frontier)
+    states = engine.states
+    return {states[x] for x in seen[norms[seen] <= max_norm].tolist()}

@@ -78,6 +78,16 @@ def phi_estimate(
     return PhiEstimate(mean=mean, stderr=stderr, reps=reps, n=n, alpha=alpha)
 
 
+def _exact_phi_series(
+    spec: NetworkSpec, theta, n: int, alpha: float, reduced: bool, budget: int
+) -> list[float]:
+    """Exact phi at steps 0..n from empty, from one engine's sweep."""
+    engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
+    return engine.functional_series(
+        empty_state(spec), n, lambda s: math.exp(-alpha * state_norm(s))
+    )
+
+
 def phi_exact(
     spec: NetworkSpec,
     theta,
@@ -89,11 +99,7 @@ def phi_exact(
 ) -> float:
     """Exact E[exp(-alpha * norm at step n)] from empty, via the BFS engine."""
     _check_phi_args(n, alpha)
-    engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
-    series = engine.functional_series(
-        empty_state(spec), n, lambda s: math.exp(-alpha * state_norm(s))
-    )
-    return series[-1]
+    return _exact_phi_series(spec, theta, n, alpha, reduced, budget)[-1]
 
 
 @dataclass
@@ -136,16 +142,16 @@ def monotonicity_table(
         raise ValueError("mode must be 'exact' or 'mc'")
     if mode == "mc" and rng is None:
         raise ValueError("mode 'mc' needs a random generator rng")
-    _check_phi_args(min(steps, default=0), alpha, reps if mode == "mc" else None)
+    for name, grid in (("scales", scales), ("steps", steps)):
+        if not grid:
+            raise ValueError(f"{name} must not be empty")
+    _check_phi_args(min(steps), alpha, reps if mode == "mc" else None)
     values = np.zeros((len(scales), len(steps)))
     stderrs = np.zeros_like(values) if mode == "mc" else None
     for a_idx, a in enumerate(scales):
         theta = tuple(a * t for t in spec.theta)
         if mode == "exact":
-            engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
-            series = engine.functional_series(
-                empty_state(spec), max(steps), lambda s: math.exp(-alpha * state_norm(s))
-            )
+            series = _exact_phi_series(spec, theta, max(steps), alpha, reduced, budget)
             for n_idx, n in enumerate(steps):
                 values[a_idx, n_idx] = series[n]
         else:

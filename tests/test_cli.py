@@ -190,6 +190,19 @@ def test_couple_rejects_non_fcfs_head_of_queue(tmp_path, capsys, policy):
     assert "head-of-queue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lower", ['[[1.7]]', '[["1"]]', "[[true]]", "5", "null"])
+def test_couple_rejects_malformed_states(tmp_path, capsys, lower):
+    # [[1.7]], [["1"]] and [[true]] ran as class 1; 5 and null ended in a TypeError
+    code = run_cli(
+        "--out-dir", str(tmp_path / "out"),
+        "couple", "--spec", "mm1", "--lower", lower, "--upper", "[[1]]", "--steps", "5",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error: state" in err and "malformed" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_threshold_synthetic_fast(tmp_path):
     # tiny statistical run just to exercise the wiring end to end
     code = run_cli(

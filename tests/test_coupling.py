@@ -168,6 +168,12 @@ def test_run_coupling_equal_states():
     assert verify_coupling_path(paths[0]).ok
 
 
+def test_run_coupling_rejects_negative_steps(rng):
+    # n = -5 returned a censored path of one record
+    with pytest.raises(ValueError, match="steps"):
+        run_coupling(MM1, ((),), ((1,),), -5, rng)
+
+
 def test_run_coupling_chain_decomposition(rng):
     paths = run_coupling(MM1, ((),), ((1, 1),), 30, rng)
     assert len(paths) == 2

@@ -5,18 +5,21 @@ state, and mass pushed through it one kernel entry at a time. Chain moves come
 from ``reference_moves`` (``apply_transition`` plus a full canonicalization);
 pair-chain moves from ``reference_pair_moves`` (each copy moved by
 ``CouplingKernel._move``, the lower one only when the served heads agree).
+``reachable_states`` is checked against ``headroom_closure``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mcqnet.allocation import allocate_fractions
+from mcqnet.allocation import StationProtocol, allocate_fractions
+from mcqnet.configurations import PriorityRanking, QueuePolicy
 from mcqnet.coupling import CouplingKernel, PairEngine
 from mcqnet.errors import BudgetExceededError
-from mcqnet.exact import ExactEngine
-from mcqnet.network import FIXTURE_NAMES, builtin_fixture
+from mcqnet.exact import ExactEngine, reachable_states
+from mcqnet.network import FIXTURE_NAMES, builtin_fixture, validate
 from mcqnet.qprocess import (
     TransitionLabel,
     apply_transition,
@@ -256,3 +259,93 @@ def test_distribution_rejects_negative_steps():
 def test_functional_series_rejects_negative_steps():
     with pytest.raises(ValueError):
         ExactEngine(builtin_fixture("mm1")).functional_series(((),), -1, lambda s: 1.0)
+
+
+def test_functional_series_checks_mass_drift():
+    engine = ExactEngine(builtin_fixture("mm1"))
+    engine._push = lambda support, mass: (support, mass / 2)
+    with pytest.raises(RuntimeError, match="mass drifted"):
+        engine.functional_series(((),), 1, lambda s: 1.0)
+
+
+def test_reduced_kernel_and_step_take_the_canonical_form():
+    # lk-prop's first station is order-insensitive: (4, 1) and (1, 4) are one state
+    engine = ExactEngine(builtin_fixture("lk-prop"), reduced=True)
+    shuffled, canonical = ((4, 1), ()), ((1, 4), ())
+    assert engine.canonical(shuffled) == canonical
+    row = engine.kernel(shuffled)
+    assert row == engine.kernel(canonical)
+    assert dict(row)[canonical] == pytest.approx(0.6, abs=1e-14)
+    assert shuffled not in dict(row)
+    merged = engine.step({shuffled: 0.25, canonical: 0.75})
+    assert merged == engine.step({canonical: 1.0})
+    assert sum(merged.values()) == pytest.approx(1.0, abs=1e-14)
+
+
+def headroom_closure(spec, max_norm, reduced, slack_limit=6):
+    """The states of norm <= max_norm found by closures capped at max_norm +
+    slack, for slack = 0, 1, ..., until two successive answers agree: the
+    headroom loop ``reachable_states`` ran before it became one capped closure."""
+    engine = ExactEngine(spec, reduced=reduced)
+    previous = None
+    for slack in range(slack_limit + 1):
+        cap = max_norm + slack
+        seen = frontier = {engine.canonical(empty_state(spec))}
+        while frontier:
+            reached = engine.step(dict.fromkeys(frontier, 1.0))
+            frontier = {s for s in reached if state_norm(s) <= cap} - seen
+            seen = seen | frontier
+        current = {s for s in seen if state_norm(s) <= max_norm}
+        if current == previous:
+            return current
+        previous = current
+    return previous
+
+
+def random_line_spec(rng):
+    """``random_batch_spec`` with each head-of-queue station made FCFS, LCFS or
+    SBP under a random ranking in one to three castes."""
+    spec = random_batch_spec(rng)
+    protocols = []
+    for classes, protocol in zip(spec.stations, spec.protocols):
+        policy = protocol.policy
+        kind = int(rng.integers(3)) if protocol.allocation.kind == "hq" else 0
+        if kind == 1:
+            policy = QueuePolicy.lcfs()
+        elif kind == 2:
+            order = [int(k) for k in rng.permutation(classes)]
+            count = int(rng.integers(1, min(3, len(order)) + 1))
+            cuts = sorted(int(c) for c in rng.choice(np.arange(1, len(order)), count - 1, replace=False))
+            castes = [order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)])]
+            policy = QueuePolicy.sbp(PriorityRanking.from_lists(castes))
+        protocols.append(StationProtocol(policy, protocol.allocation))
+    spec = dataclasses.replace(spec, protocols=tuple(protocols))
+    validate(spec)
+    return spec
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize(
+    "spec",
+    [builtin_fixture(name) for name in FIXTURE_NAMES] + [LCFS_LINE, SBP_HQ_LINE],
+    ids=list(FIXTURE_NAMES) + ["lcfs", "sbp-hq"],
+)
+def test_capped_closure_matches_headroom_loop(spec, reduced):
+    for max_norm in range(2, 6):
+        assert reachable_states(spec, max_norm, reduced=reduced) == headroom_closure(
+            spec, max_norm, reduced
+        )
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+def test_capped_closure_matches_headroom_loop_on_random_lines(reduced):
+    rng = np.random.default_rng(SEED_RANDOM_NETWORKS)
+    policies, shared_castes = set(), 0
+    for _ in range(40):
+        spec = random_line_spec(rng)
+        policies |= {p.policy.kind for p in spec.protocols}
+        shared_castes += any(
+            p.policy.kind == "sbp" and not p.policy.ranking.is_total for p in spec.protocols
+        )
+        assert reachable_states(spec, 3, reduced=reduced) == headroom_closure(spec, 3, reduced, 3)
+    assert policies == {"fcfs", "lcfs", "sbp"} and shared_castes

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mcqnet.errors import BracketFailureError
+from mcqnet.exact import ExactEngine
 from mcqnet.network import builtin_fixture
 from mcqnet.qprocess import empty_state
 from mcqnet.rng import master_rng
@@ -143,6 +144,37 @@ def test_phi_exact_lk_prop_grid_trend():
         assert values[(scale, 8)] <= values[(scale, 4)] + 1e-12
     for n in (4, 8):
         assert values[(1.2, n)] <= values[(0.6, n)] + 1e-12
+
+
+def _halving_push(monkeypatch):
+    push = ExactEngine._push
+
+    def halved(engine, support, mass):
+        support, mass = push(engine, support, mass)
+        return support, mass / 2
+
+    monkeypatch.setattr(ExactEngine, "_push", halved)
+
+
+def test_phi_exact_checks_mass_drift(monkeypatch):
+    _halving_push(monkeypatch)
+    with pytest.raises(RuntimeError, match="mass drifted"):
+        phi_exact(MM1, MM1.theta, 2, 1.0)
+
+
+def test_monotonicity_table_exact_checks_mass_drift(monkeypatch):
+    _halving_push(monkeypatch)
+    with pytest.raises(RuntimeError, match="mass drifted"):
+        monotonicity_table(MM1, (0.5, 1.0), (1, 2), 1.0, mode="exact")
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_monotonicity_table_rejects_empty_grids(mode, rng):
+    # exact mode died on max() of no steps; mc mode returned an empty table
+    with pytest.raises(ValueError, match="scales"):
+        monotonicity_table(MM1, (), (1, 2), 1.0, mode=mode, reps=10, rng=rng)
+    with pytest.raises(ValueError, match="steps"):
+        monotonicity_table(MM1, (0.5, 1.0), (), 1.0, mode=mode, reps=10, rng=rng)
 
 
 def test_scan_violations_logic():
