@@ -45,6 +45,7 @@ from .network import (
     NetworkSpec,
     RoutingAnalysis,
     builtin_fixture,
+    _reading,
     load_spec,
     spec_to_dict,
     validate,
@@ -278,10 +279,17 @@ def _cmd_monotone(args, spec, analysis, out) -> str:
     return f"violations: {len(table.violations)}"
 
 
+def _typed_state(spec, text: str, option: str):
+    """The JSON ``text`` given by ``option`` and the state it names; an error
+    quotes the text as typed and names the option."""
+    with _reading(f"state {text} given by {option}"):
+        typed = json.loads(text)
+        return typed, check_state(spec, typed)
+
+
 def _cmd_couple(args, spec, analysis, out) -> str:
-    lower_json, upper_json = json.loads(args.lower), json.loads(args.upper)
-    lower = check_state(spec, lower_json)
-    upper = check_state(spec, upper_json)
+    lower_json, lower = _typed_state(spec, args.lower, "--lower")
+    upper_json, upper = _typed_state(spec, args.upper, "--upper")
     rng = master_rng(args.seed)
     per_rep = []
     for _ in range(args.reps):
@@ -368,6 +376,14 @@ def positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def positive_alpha(text: str) -> float:
+    """The ``--alpha`` of phi = E[exp(-alpha * jobs)]: finite and above 0."""
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"alpha must be positive and finite, got {text}")
+    return value
+
+
 def nonnegative_ints(text: str) -> list[int]:
     """Comma-separated list of nonnegative ints."""
     return [nonnegative_int(x) for x in text.split(",")]
@@ -399,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def alpha(p):
-        p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--alpha", type=positive_alpha, default=1.0)
 
     def exact_limits(p):
         p.add_argument("--reduced", action="store_true")

@@ -20,22 +20,10 @@ from .errors import EmptyConfigurationError
 ClassId = int
 QueueConfig = tuple[int, ...]
 
-EMPTY: QueueConfig = ()
-
 
 def composition(p: QueueConfig) -> dict[int, int]:
     """Counts of each class present in ``p`` (absent classes omitted)."""
     return dict(Counter(p))
-
-
-def norm(p: QueueConfig) -> int:
-    """Total number of jobs in the configuration."""
-    return len(p)
-
-
-def support(p: QueueConfig) -> frozenset[int]:
-    """Set of classes with at least one representative in ``p``."""
-    return frozenset(p)
 
 
 def head(p: QueueConfig) -> int:

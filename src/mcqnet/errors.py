@@ -10,7 +10,8 @@ class DimensionMismatchError(ValueError):
 
 
 class NegativeRateError(ValueError):
-    """An arrival rate is negative or a service rate is not positive."""
+    """An arrival rate is negative or a service rate is not positive, or a rate
+    is not finite."""
 
 
 class NonTransientRoutingError(ValueError):

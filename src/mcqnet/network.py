@@ -2,10 +2,17 @@
 
 A network has d job classes partitioned over stations, per-class Poisson
 arrival rates theta and exponential service rates beta, and a substochastic
-routing matrix R (row deficits are exit probabilities). Validation computes
-the effective arrival rates gamma = (I - R')^{-1} theta, the per-station
-nominal workload rho_i = sum_{k at i} gamma_k / beta_k, a transience
-certificate for R and the irreducibility flag gamma > 0.
+routing matrix R (row deficits are exit probabilities). Every structural
+check (sizes, class cover, finite rates, routing entries and row sums,
+rankings that cover their station) runs when a ``NetworkSpec`` is made, so
+direct construction, ``dataclasses.replace``, ``with_theta`` and
+``spec_from_dict`` give only well-formed specs. The built-in networks are
+spec documents read by the same ``spec_from_dict`` as spec files.
+
+``validate`` is the routing analysis: the effective arrival rates
+gamma = (I - R')^{-1} theta, the per-station nominal workload
+rho_i = sum_{k at i} gamma_k / beta_k, a transience certificate for R and
+the irreducibility flag gamma > 0.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +51,14 @@ class NetworkSpec:
 
     def __post_init__(self):
         d = self.class_count
+        if d < 1:
+            raise DimensionMismatchError("need at least one class")
+        if len(self.theta) != d or len(self.beta) != d:
+            raise DimensionMismatchError("theta/beta length must equal the class count")
+        if len(self.routing) != d or any(len(row) != d for row in self.routing):
+            raise DimensionMismatchError("routing matrix must be d x d")
+        if len(self.protocols) != len(self.stations):
+            raise DimensionMismatchError("one protocol per station required")
         lookup = [-1] * (d + 1)
         for i, classes in enumerate(self.stations):
             for k in classes:
@@ -53,6 +69,23 @@ class NetworkSpec:
                 lookup[k] = i
         if any(s == -1 for s in lookup[1:]):
             raise DimensionMismatchError("stations do not cover every class")
+        if not all(math.isfinite(t) and t >= 0 for t in self.theta):
+            raise NegativeRateError("arrival rates must be nonnegative and finite")
+        if not all(math.isfinite(b) and b > 0 for b in self.beta):
+            raise NegativeRateError("service rates must be positive and finite")
+        for k, row in enumerate(self.routing, start=1):
+            # written so that NaN fails the comparison
+            if not all(-_TOL <= x <= 1 + _TOL for x in row):
+                raise ValueError(f"routing entries of class {k} outside [0, 1]")
+            if sum(row) > 1 + 1e-9:
+                raise ValueError(f"routing row of class {k} sums above 1")
+        for i, protocol in enumerate(self.protocols):
+            classes = frozenset(self.stations[i])
+            for ranking in (protocol.policy.ranking, protocol.allocation.ranking):
+                if ranking is not None and ranking.classes != classes:
+                    raise ValueError(
+                        f"ranking at station {i + 1} must cover exactly its classes {sorted(classes)}"
+                    )
         object.__setattr__(self, "_station_of", tuple(lookup))
 
     @property
@@ -66,19 +99,10 @@ class NetworkSpec:
         return 1.0 - sum(self.routing[k - 1])
 
     def with_theta(self, theta) -> "NetworkSpec":
-        theta = tuple(float(x) for x in theta)
-        if len(theta) != self.class_count:
-            raise DimensionMismatchError("theta length must equal the class count")
-        _check_arrival_rates(theta)
-        return replace(self, theta=theta)
+        return replace(self, theta=tuple(float(x) for x in theta))
 
     def scale_theta(self, a: float) -> "NetworkSpec":
         return self.with_theta(tuple(a * x for x in self.theta))
-
-
-def _check_arrival_rates(theta) -> None:
-    if not all(math.isfinite(t) and t >= 0 for t in theta):
-        raise NegativeRateError("arrival rates must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -88,33 +112,6 @@ class RoutingAnalysis:
     irreducible: bool
     transient: bool
     decay_power: int  # power of R certified entrywise below 1e-12
-
-
-def _check_structure(spec: NetworkSpec) -> None:
-    d = spec.class_count
-    if d < 1:
-        raise DimensionMismatchError("need at least one class")
-    if len(spec.theta) != d or len(spec.beta) != d:
-        raise DimensionMismatchError("theta/beta length must equal the class count")
-    if len(spec.routing) != d or any(len(row) != d for row in spec.routing):
-        raise DimensionMismatchError("routing matrix must be d x d")
-    if len(spec.protocols) != len(spec.stations):
-        raise DimensionMismatchError("one protocol per station required")
-    _check_arrival_rates(spec.theta)
-    if any(b <= 0 for b in spec.beta):
-        raise NegativeRateError("service rates must be positive")
-    for k, row in enumerate(spec.routing, start=1):
-        if any(x < -_TOL or x > 1 + _TOL for x in row):
-            raise ValueError(f"routing entries of class {k} outside [0, 1]")
-        if sum(row) > 1 + 1e-9:
-            raise ValueError(f"routing row of class {k} sums above 1")
-    for i, protocol in enumerate(spec.protocols):
-        classes = frozenset(spec.stations[i])
-        for ranking in (protocol.policy.ranking, protocol.allocation.ranking):
-            if ranking is not None and ranking.classes != classes:
-                raise ValueError(
-                    f"ranking at station {i + 1} must cover exactly its classes {sorted(classes)}"
-                )
 
 
 def _transience_power(routing: np.ndarray) -> int:
@@ -131,8 +128,10 @@ def _transience_power(routing: np.ndarray) -> int:
 
 
 def validate(spec: NetworkSpec) -> RoutingAnalysis:
-    """Check the spec and compute routing algebra; raises on structural defects."""
-    _check_structure(spec)
+    """The routing analysis of a spec: the transience certificate, the traffic
+    equations and the station workloads. Raises ``NonTransientRoutingError``
+    when the routing does not vanish or the traffic equations are
+    ill-conditioned; the structure was checked when the spec was made."""
     routing = np.array(spec.routing, dtype=float)
     power = _transience_power(routing)
     if power < 0:
@@ -172,92 +171,71 @@ def workload_matrix(spec: NetworkSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Built-in networks
 
-def _fcfs_hq() -> StationProtocol:
-    return StationProtocol(QueuePolicy.fcfs(), ServiceAllocation.head_of_queue())
-
-
-def _reentrant_routing() -> tuple[tuple[float, ...], ...]:
-    # deterministic line 1 -> 2 -> 3 -> 4 -> exit
-    rows = []
-    for k in range(1, 5):
-        row = [0.0] * 4
-        if k < 4:
-            row[k] = 1.0
-        rows.append(tuple(row))
-    return tuple(rows)
+_FCFS_HQ = {"policy": "fcfs", "allocation": "hq"}
+# two stations {1, 4} and {2, 3}, deterministic routing 1 -> 2 -> 3 -> 4 -> exit
+_REENTRANT_LINE = {
+    "classes": 4,
+    "stations": [[1, 4], [2, 3]],
+    "routing": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0] * 4],
+}
+# the spec documents of the built-in networks, in the form spec_to_dict writes
+_FIXTURES = {
+    "mm1": {
+        "classes": 1,
+        "stations": [[1]],
+        "theta": [1.0],
+        "beta": [2.0],
+        "routing": [[0.0]],
+        "protocols": [_FCFS_HQ],
+    },
+    "tandem2": {
+        "classes": 2,
+        "stations": [[1], [2]],
+        "theta": [1.0, 0.0],
+        "beta": [2.0, 2.5],
+        "routing": [[0.0, 1.0], [0.0, 0.0]],
+        "protocols": [_FCFS_HQ, _FCFS_HQ],
+    },
+    "lk-prop": {
+        **_REENTRANT_LINE,
+        "theta": [1.0, 0.0, 0.0, 0.0],
+        "beta": [4.0, 3.0, 5.0, 2.0],
+        "protocols": [{"policy": "fcfs", "allocation": "proportional"}] * 2,
+    },
+    "lk-sbp": {
+        **_REENTRANT_LINE,
+        "theta": [0.1, 0.0, 0.0, 0.0],
+        "beta": [0.8, 0.3, 0.8, 0.3],
+        "protocols": [
+            {"policy": "fcfs", "allocation": "preferential", "ranking": [4, 1]},
+            {"policy": "fcfs", "allocation": "preferential", "ranking": [2, 3]},
+        ],
+    },
+    "fcfs-reentrant": {
+        **_REENTRANT_LINE,
+        "theta": [0.04, 0.0, 0.0, 0.0],
+        "beta": [0.16, 0.12, 0.2, 0.08],
+        "protocols": [_FCFS_HQ, _FCFS_HQ],
+    },
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def builtin_fixture(name: str) -> NetworkSpec:
-    """Named example networks used throughout the tests and demos.
+    """Named example networks used throughout the tests and demos, read from
+    their spec documents by ``spec_from_dict``.
 
-    mm1            single class, theta=1, beta=2, FCFS.
-    tandem2        two single-class stations in series, theta=(1,0), beta=(2,2.5).
-    lk-prop        two-station reentrant line with proportional allocation,
-                   theta=(1,0,0,0), beta=(4,3,5,2).
+    mm1            single class, FCFS.
+    tandem2        two single-class stations in series.
+    lk-prop        the two-station reentrant line (Lu & Kumar) with
+                   proportional allocation.
     lk-sbp         same line under preemptive priorities (preferential
-                   allocation: class 4 over 1, class 2 over 3),
-                   theta=(0.1,0,0,0), beta=(0.8,0.3,0.8,0.3).
-    fcfs-reentrant same line, FCFS head-of-queue everywhere,
-                   theta=(0.04,0,0,0), beta=(0.16,0.12,0.20,0.08).
+                   allocation: class 4 over 1, class 2 over 3).
+    fcfs-reentrant same line, FCFS head-of-queue everywhere.
     """
-    if name == "mm1":
-        return NetworkSpec(
-            class_count=1,
-            stations=((1,),),
-            theta=(1.0,),
-            beta=(2.0,),
-            routing=((0.0,),),
-            protocols=(_fcfs_hq(),),
-        )
-    if name == "tandem2":
-        return NetworkSpec(
-            class_count=2,
-            stations=((1,), (2,)),
-            theta=(1.0, 0.0),
-            beta=(2.0, 2.5),
-            routing=((0.0, 1.0), (0.0, 0.0)),
-            protocols=(_fcfs_hq(), _fcfs_hq()),
-        )
-    if name == "lk-prop":
-        proportional = StationProtocol(QueuePolicy.fcfs(), ServiceAllocation.proportional())
-        return NetworkSpec(
-            class_count=4,
-            stations=((1, 4), (2, 3)),
-            theta=(1.0, 0.0, 0.0, 0.0),
-            beta=(4.0, 3.0, 5.0, 2.0),
-            routing=_reentrant_routing(),
-            protocols=(proportional, proportional),
-        )
-    if name == "lk-sbp":
-        pref1 = StationProtocol(
-            QueuePolicy.fcfs(),
-            ServiceAllocation.preferential(PriorityRanking.total((4, 1))),
-        )
-        pref2 = StationProtocol(
-            QueuePolicy.fcfs(),
-            ServiceAllocation.preferential(PriorityRanking.total((2, 3))),
-        )
-        return NetworkSpec(
-            class_count=4,
-            stations=((1, 4), (2, 3)),
-            theta=(0.1, 0.0, 0.0, 0.0),
-            beta=(0.8, 0.3, 0.8, 0.3),
-            routing=_reentrant_routing(),
-            protocols=(pref1, pref2),
-        )
-    if name == "fcfs-reentrant":
-        return NetworkSpec(
-            class_count=4,
-            stations=((1, 4), (2, 3)),
-            theta=(0.04, 0.0, 0.0, 0.0),
-            beta=(0.16, 0.12, 0.20, 0.08),
-            routing=_reentrant_routing(),
-            protocols=(_fcfs_hq(), _fcfs_hq()),
-        )
-    raise UnknownFixtureError(f"unknown fixture {name!r}")
-
-
-FIXTURE_NAMES = ("mm1", "tandem2", "lk-prop", "lk-sbp", "fcfs-reentrant")
+    if name not in _FIXTURES:
+        raise UnknownFixtureError(f"unknown fixture {name!r}")
+    return spec_from_dict(_FIXTURES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +331,16 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
+def _number(value) -> float:
+    """``value`` as a float if it is a real number; "1" and True are not."""
+    # int and float come first in the tuple: the check against the ABC is slow
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(x) for x in _list(values))
+    return tuple(map(_number, _list(values)))
 
 
 @contextlib.contextmanager

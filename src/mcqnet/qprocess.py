@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .allocation import StationProtocol, allocate
 from .configurations import QueueConfig, delete, insert, is_subconfig
-from .network import NetworkSpec, _integer, _list, _reading
+from .network import NetworkSpec, _integer, _list
 
 NetworkState = tuple[QueueConfig, ...]
 
@@ -62,10 +62,11 @@ def check_state(spec: NetworkSpec, xi) -> NetworkState:
     """Normalize a state-like object to tuples and check class/station fit.
 
     Buffers and class ids are read as the spec reader reads its lists and
-    integers: ``[[1.7]]``, ``[["1"]]``, ``[[true]]`` and ``5`` are not states.
+    integers: ``[[1.7]]``, ``[["1"]]``, ``[[true]]`` and ``5`` are not states
+    and raise ``TypeError``; a state that does not fit the spec raises
+    ``ValueError``.
     """
-    with _reading(f"state {xi!r}"):
-        state = tuple(tuple(_integer(k) for k in _list(q)) for q in _list(xi))
+    state = tuple(tuple(_integer(k) for k in _list(q)) for q in _list(xi))
     if len(state) != spec.station_count:
         raise ValueError("state must have one configuration per station")
     for i, q in enumerate(state):

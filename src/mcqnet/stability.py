@@ -44,9 +44,10 @@ def _check_phi_args(n: int, alpha: float, reps: int | None = None) -> None:
         raise ValueError("reps must be at least 1")
     if n < 0:
         raise ValueError("steps must be nonnegative")
-    # phi = E[exp(-alpha * jobs)] lies in (0, 1] only for a positive alpha
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    # phi = E[exp(-alpha * jobs)] lies in (0, 1] only for a positive alpha, and
+    # an infinite one makes exp(-alpha * 0) NaN
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be positive and finite")
 
 
 def _terminal_values(spec: NetworkSpec, n: int, alpha: float, reps: int, rng):

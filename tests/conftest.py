@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -7,6 +8,22 @@ import numpy as np
 import pytest
 
 from mcqnet import builtin_fixture
+from mcqnet.allocation import ServiceAllocation, StationProtocol
+from mcqnet.configurations import PriorityRanking, QueuePolicy
+
+HQ = ServiceAllocation.head_of_queue()
+# the fcfs-reentrant line with LCFS insertion, and with SBP insertion (4 over 1,
+# 2 over 3), at both head-of-queue stations
+LCFS_LINE = dataclasses.replace(
+    builtin_fixture("fcfs-reentrant"), protocols=(StationProtocol(QueuePolicy.lcfs(), HQ),) * 2
+)
+SBP_HQ_LINE = dataclasses.replace(
+    builtin_fixture("fcfs-reentrant"),
+    protocols=tuple(
+        StationProtocol(QueuePolicy.sbp(PriorityRanking.total(order)), HQ)
+        for order in ((4, 1), (2, 3))
+    ),
+)
 
 
 class ScriptedRng:

@@ -190,9 +190,10 @@ def test_couple_rejects_non_fcfs_head_of_queue(tmp_path, capsys, policy):
     assert "head-of-queue" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lower", ['[[1.7]]', '[["1"]]', "[[true]]", "5", "null"])
+@pytest.mark.parametrize("lower", ['[[1.7]]', '[["1"]]', "[[true]]", "5", "null", "[["])
 def test_couple_rejects_malformed_states(tmp_path, capsys, lower):
-    # [[1.7]], [["1"]] and [[true]] ran as class 1; 5 and null ended in a TypeError
+    # [[1.7]], [["1"]] and [[true]] ran as class 1; 5 and null ended in a TypeError;
+    # [[ was reported as a bare JSON error naming neither the option nor the text
     code = run_cli(
         "--out-dir", str(tmp_path / "out"),
         "couple", "--spec", "mm1", "--lower", lower, "--upper", "[[1]]", "--steps", "5",
@@ -200,6 +201,7 @@ def test_couple_rejects_malformed_states(tmp_path, capsys, lower):
     assert code == 2
     err = capsys.readouterr().err
     assert "usage error: state" in err and "malformed" in err
+    assert f"state {lower} given by --lower is malformed" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -341,6 +343,40 @@ def test_phi_rejects_nonpositive_alpha(tmp_path, capsys, mode):
     assert run_cli("--out-dir", str(tmp_path), *argv) == 2
     assert "alpha must be positive" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--spec", "mm1", "--steps", "5"),
+        ("phi", "--spec", "mm1", "--steps", "5"),
+        ("monotone", "--spec", "mm1", "--scales", "1", "--steps", "5", "--exact"),
+        ("threshold", "--spec", "mm1", "--direction", "1", "--epsilon", "0.2"),
+        ("region", "--spec", "mm1", "--epsilon", "0.2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_alpha_must_be_finite_and_positive(tmp_path, capsys, argv, value):
+    # exact printed E[exp(+jobs)] for -1; inf gave NaN values, a NaN table with no
+    # violations and a threshold from NaN probes, all with exit 0
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", str(out), *argv, "--alpha", value) == 2
+    assert "alpha must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_spec_file_with_a_non_finite_service_rate_is_a_domain_error(tmp_path, capsys, beta):
+    # validate reported workload nan (or 0 for Infinity) and exited 0
+    data = spec_to_dict(builtin_fixture("mm1"))
+    data["beta"] = [beta]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", str(out), "validate", "--spec", str(path)) == 1
+    assert "service rates must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spec_file_without_protocols_is_a_usage_error(tmp_path, capsys):

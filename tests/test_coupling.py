@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from mcqnet.allocation import ServiceAllocation, StationProtocol
-from mcqnet.configurations import PriorityRanking, QueuePolicy
+from mcqnet.allocation import StationProtocol
+from mcqnet.configurations import QueuePolicy
 from mcqnet.coupling import (
     CoupledPath,
     CouplingKernel,
@@ -39,7 +39,7 @@ from mcqnet.qprocess import (
 )
 from mcqnet.rng import Uniforms, master_rng
 
-from conftest import ScriptedRng, run_optimized
+from conftest import HQ, LCFS_LINE, SBP_HQ_LINE, ScriptedRng, run_optimized
 
 MM1 = builtin_fixture("mm1")
 LK_SBP = builtin_fixture("lk-sbp")
@@ -192,19 +192,6 @@ def test_run_coupling_rejects_non_subconfig(rng):
 def test_coupling_rejects_divisible_service(rng):
     with pytest.raises(UnsupportedCouplingError):
         run_coupling(builtin_fixture("lk-prop"), ((), ()), ((1,), ()), 5, rng)
-
-
-HQ = ServiceAllocation.head_of_queue()
-# the fcfs-reentrant line with LCFS insertion, and with SBP insertion (4 over 1,
-# 2 over 3), at both head-of-queue stations
-LCFS_LINE = replace(FCFS, protocols=(StationProtocol(QueuePolicy.lcfs(), HQ),) * 2)
-SBP_HQ_LINE = replace(
-    FCFS,
-    protocols=tuple(
-        StationProtocol(QueuePolicy.sbp(PriorityRanking.total(order)), HQ)
-        for order in ((4, 1), (2, 3))
-    ),
-)
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from mcqnet.qprocess import (
     state_norm,
     transition_table,
 )
-from test_coupling import LCFS_LINE, SBP_HQ_LINE
+from conftest import LCFS_LINE, SBP_HQ_LINE
 from test_sampling import random_batch_spec
 
 # two-job starts that fit each fixture's stations

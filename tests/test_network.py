@@ -155,21 +155,52 @@ def test_validation_errors():
 
 
 def test_ranking_must_cover_station_classes():
-    bad = NetworkSpec(
-        class_count=2,
-        stations=((1, 2),),
-        theta=(1.0, 0.0),
-        beta=(1.0, 1.0),
-        routing=((0.0, 0.0), (0.0, 0.0)),
-        protocols=(
-            StationProtocol(
-                QueuePolicy.fcfs(),
-                ServiceAllocation.preferential(PriorityRanking.total((1,))),
-            ),
-        ),
-    )
     with pytest.raises(ValueError):
-        validate(bad)
+        NetworkSpec(
+            class_count=2,
+            stations=((1, 2),),
+            theta=(1.0, 0.0),
+            beta=(1.0, 1.0),
+            routing=((0.0, 0.0), (0.0, 0.0)),
+            protocols=(
+                StationProtocol(
+                    QueuePolicy.fcfs(),
+                    ServiceAllocation.preferential(PriorityRanking.total((1,))),
+                ),
+            ),
+        )
+
+
+NAN, INF = float("nan"), float("inf")
+# a preferential ranking of class 2 at station 1 of tandem2, which serves class 1 only
+UNCOVERED = StationProtocol(
+    QueuePolicy.fcfs(), ServiceAllocation.preferential(PriorityRanking.total((2,)))
+)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("beta", (NAN, 2.5), "service rates must be positive and finite"),
+        ("beta", (2.0, INF), "service rates must be positive and finite"),
+        ("routing", ((0.0, NAN), (0.0, 0.0)), "routing entries of class 1 outside"),
+        ("theta", (-1.0, 0.0), "arrival rates must be nonnegative"),
+        ("theta", (NAN, 0.0), "arrival rates must be nonnegative"),
+        ("protocols", (UNCOVERED, FCFS_HQ), "ranking at station 1 must cover"),
+    ],
+)
+def test_every_way_of_making_a_spec_runs_the_checks(field, value, message):
+    # a NaN or infinite service rate and a NaN routing entry passed every check
+    # before; the other defects were caught only by validate or with_theta
+    good = builtin_fixture("tandem2")
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good) if f.init}
+    with pytest.raises(ValueError, match=message):
+        NetworkSpec(**{**fields, field: value})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(good, **{field: value})
+    if field == "theta":
+        with pytest.raises(ValueError, match=message):
+            good.with_theta(value)
 
 
 def test_workload_matrix_matches_validate(any_fixture):
@@ -235,6 +266,10 @@ def test_spec_from_dict_names_a_missing_key():
         ("classes", True, "the spec's 'classes' entry"),
         ("stations", [[1, 4], [2, 3.9]], "the spec's 'stations' entry"),
         ("stations", [[1, "4"], [2, 3]], "the spec's 'stations' entry"),
+        # a string or boolean rate, read as 1.0, 1.0 and 0.0 before
+        ("theta", ["1"], "the spec's 'theta' entry"),
+        ("beta", [True], "the spec's 'beta' entry"),
+        ("routing", [["0"]], "the spec's 'routing' entry"),
     ],
 )
 def test_spec_from_dict_names_a_wrong_type_entry(key, value, where):

@@ -36,7 +36,7 @@ from mcqnet.rng import master_rng
 from mcqnet.sampling import PathSampler, batch_terminal_norms
 from mcqnet.stability import phi_estimate
 
-from conftest import run_optimized
+from conftest import HQ, LCFS_LINE, SBP_HQ_LINE, run_optimized
 
 
 def reference_terminal_norms(spec, xi0, n, reps, rng):
@@ -153,18 +153,7 @@ def test_block_stepper_matches_reference_from_loaded_state(name, seed):
     _assert_same_as_reference(spec, xi0, 200, 64, seed)
 
 
-HQ = ServiceAllocation.head_of_queue()
 FCFS_LINE = builtin_fixture("fcfs-reentrant")
-# the fcfs-reentrant line with LCFS insertion, and with SBP insertion (4 over 1,
-# 2 over 3), at both head-of-queue stations
-LCFS_LINE = dataclasses.replace(FCFS_LINE, protocols=(StationProtocol(QueuePolicy.lcfs(), HQ),) * 2)
-SBP_HQ_LINE = dataclasses.replace(
-    FCFS_LINE,
-    protocols=tuple(
-        StationProtocol(QueuePolicy.sbp(PriorityRanking.total(order)), HQ)
-        for order in ((4, 1), (2, 3))
-    ),
-)
 
 
 def test_block_stepper_rejects_multi_class_stations():

@@ -29,7 +29,7 @@ from mcqnet.stability import (
     threshold_robbins_monro,
 )
 
-from test_sampling import LCFS_LINE, SBP_HQ_LINE
+from conftest import LCFS_LINE, SBP_HQ_LINE
 
 MM1 = builtin_fixture("mm1")
 TANDEM = builtin_fixture("tandem2")
