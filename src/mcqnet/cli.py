@@ -62,7 +62,7 @@ from .stability import (
     threshold_bisection,
     threshold_robbins_monro,
 )
-from .coupling import run_coupling, verify_coupling_path
+from .coupling import CouplingKernel, run_coupling, verify_coupling_path
 
 _DOMAIN_ERRORS = (
     NonTransientRoutingError,
@@ -291,9 +291,10 @@ def _cmd_couple(args, spec, analysis, out) -> str:
     lower_json, lower = _typed_state(spec, args.lower, "--lower")
     upper_json, upper = _typed_state(spec, args.upper, "--upper")
     rng = master_rng(args.seed)
+    kernel = CouplingKernel(spec)
     per_rep = []
     for _ in range(args.reps):
-        paths = run_coupling(spec, lower, upper, args.steps, rng.spawn(1)[0])
+        paths = run_coupling(spec, lower, upper, args.steps, rng.spawn(1)[0], kernel)
         reports = [verify_coupling_path(p) for p in paths]
         ok = all(r.ok for r in reports)
         per_rep.append({"tau": [p.tau for p in paths], "ok": ok})

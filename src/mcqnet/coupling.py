@@ -18,8 +18,11 @@ which rebuilds only the stations a move touches (``qprocess.StationMoves``, the
 move rule the exact engine builds its kernel rows with). From τ on the pair is
 one state x serving as both copies, and ``_run_coupled`` moves it on the same
 uniforms, recording ``CoupledState(x, x, 0, ...)`` per move and the previous
-record on a non-move. ``CoupledState`` is a slotted, unfrozen dataclass, since
-a path builds one per step. ``PairEngine`` moves both copies of a pair by the
+record on a non-move. Both phases move states through ``CouplingKernel._move``,
+a memo of ``StationMoves.move`` capped at ``_MOVE_MEMO_CAP`` moves, which
+``run_coupling`` shares across calls when it is given the kernel.
+``CoupledState`` is a slotted, unfrozen dataclass, since a path builds one
+per step. ``PairEngine`` moves both copies of a pair by the
 same ``StationMoves`` rule; ``CouplingKernel._apply`` (``apply_transition``
 plus a full canonicalization) is kept only as the reference that rule is
 tested against.
@@ -60,6 +63,11 @@ from .qprocess import (
     transition_table,
 )
 from .rng import Uniforms
+
+# Most (state, k, l) moves a kernel remembers. A run's moves repeat, most
+# often near its start states, which the memo takes first; the cap keeps a
+# long run on a large state space from holding every state it passes.
+_MOVE_MEMO_CAP = 256
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -143,9 +151,20 @@ class CouplingKernel:
         self.spec = spec
         self.table = transition_table(spec)
         self.canon = state_canonicalizer(spec)
-        # ``_apply`` for a canonical state holding a k-job (k = 0: arrival),
-        # rebuilding and canonicalizing only the stations the move touches
-        self._move = StationMoves(spec).move
+        self._station_move = StationMoves(spec).move
+        self._moves: dict = {}
+
+    def _move(self, xi: NetworkState, k: int, l: int) -> NetworkState:
+        """``_apply`` for a canonical state holding a k-job (k = 0: arrival),
+        rebuilding and canonicalizing only the stations the move touches
+        (``StationMoves.move``), memoized up to ``_MOVE_MEMO_CAP`` moves."""
+        key = (xi, k, l)
+        out = self._moves.get(key)
+        if out is None:
+            out = self._station_move(xi, k, l)
+            if len(self._moves) < _MOVE_MEMO_CAP:
+                self._moves[key] = out
+        return out
 
     def head(self, i: int, q) -> int | None:
         if not q:
@@ -222,7 +241,7 @@ class CouplingKernel:
         """
         if n < 0:
             raise ValueError("steps must be nonnegative")
-        uni = Uniforms(rng)
+        uni = Uniforms(rng, tail_first=True)  # a path often reads only the tail
         cs = self.start(lower, upper)
         states = [cs]
         events = []
@@ -247,12 +266,14 @@ class CouplingKernel:
         table = self.table
         table_events, branch, ranked = table.events, table.branch, table.ranked
         move, head = self._move, self.head
-        draw = uni.next
+        buf = uni.buf
         add_state, add_event = states.append, events.append
         x, frozen = cs.upper, cs.frozen_count
         low_dep, up_dep = cs.lower_departures, cs.upper_departures
         for _ in range(steps):
-            u = draw()
+            if not buf:
+                buf = uni.refill()
+            u = buf.pop()
             for cum, event in table_events:
                 if u < cum:
                     break
@@ -267,7 +288,9 @@ class CouplingKernel:
                     continue
                 k = q[0] if ranked[i] is None else head(i, q)
                 active, routes = branch[k]
-                u = draw()
+                if not buf:
+                    buf = uni.refill()
+                u = buf.pop()
                 if u >= active:  # self-loop
                     add_state(cs)
                     add_event(event)
@@ -308,14 +331,21 @@ def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]
     return chain
 
 
-def run_coupling(spec: NetworkSpec, xi, zeta, n: int, rng) -> list[CoupledPath]:
+def run_coupling(
+    spec: NetworkSpec, xi, zeta, n: int, rng, kernel: CouplingKernel | None = None
+) -> list[CoupledPath]:
     """Instrumented coupled paths from xi inside zeta.
 
     Pairs more than one job apart are decomposed into adjacent pairs along an
     interpolating chain and one coupling per adjacent pair is run (independent
-    substreams). Equal states yield a single path that starts coupled.
+    substreams). Equal states yield a single path that starts coupled. A
+    caller that runs many couplings on one spec passes its ``kernel``, built
+    once, whose move memo then serves them all.
     """
-    kernel = CouplingKernel(spec)
+    if kernel is None:
+        kernel = CouplingKernel(spec)
+    elif kernel.spec != spec:
+        raise ValueError("the coupling kernel was built for another network spec")
     lower = kernel.canon(check_state(spec, xi))
     upper = kernel.canon(check_state(spec, zeta))
     if not is_substate(lower, upper):

@@ -182,7 +182,7 @@ class PathSampler:
         for st, q in zip(self.stations, xi0):
             st.reset(q)
         self.norm = state_norm(xi0)
-        self._uni = Uniforms(rng, block or 4096)
+        self._uni = Uniforms(rng, 4096 if block is None else block)
 
     def step(self) -> None:
         uni = self._uni

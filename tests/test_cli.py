@@ -8,6 +8,7 @@ import pytest
 
 import mcqnet.cli
 from mcqnet.cli import _state_key, main
+from mcqnet.coupling import CouplingKernel
 from mcqnet.exact import reachable_states
 from mcqnet.network import FIXTURE_NAMES, builtin_fixture, dump_spec, load_spec, spec_to_dict
 
@@ -160,6 +161,24 @@ def test_couple_subcommand(tmp_path, capsys):
     payload = json.loads(read(tmp_path / "couple_report.json"))
     assert payload["invariant_failures"] == 0
     assert len(payload["runs"]) == 20
+
+
+def test_couple_builds_one_kernel_per_run(tmp_path, monkeypatch):
+    builds = []
+    real_init = CouplingKernel.__init__
+
+    def counting_init(self, spec):
+        builds.append(spec)
+        real_init(self, spec)
+
+    monkeypatch.setattr(CouplingKernel, "__init__", counting_init)
+    assert run_cli(
+        "--out-dir", str(tmp_path),
+        "couple", "--spec", "lk-sbp", "--lower", "[[],[]]", "--upper", "[[1,4],[2]]",
+        "--steps", "30", "--reps", "5",
+    ) == 0
+    assert len(builds) == 1
+    assert len(json.loads(read(tmp_path / "couple_report.json"))["runs"]) == 5
 
 
 def test_couple_rejects_oi_allocation(tmp_path, capsys):
@@ -461,6 +480,18 @@ def test_wall_clock_covers_the_solve(tmp_path, monkeypatch):
              "--upper", "[[1,4],[2]]", "--steps", "60", "--reps", "8"),
             "couple_report.json",
             "a946c3c308bfcb4a473c968c273219d2b6ee18e82550cfe6617995ec91176c0a",
+        ),
+        (  # 3000 steps read past a whole 4096-uniform block
+            ("--seed", "3", "couple", "--spec", "fcfs-reentrant", "--lower", "[[],[]]",
+             "--upper", "[[1],[]]", "--steps", "3000", "--reps", "2"),
+            "couple_report.json",
+            "f07778d7230e9879cb9cf501dedbf765ba17bd893acaf6fa7d8b074fceb0e7b0",
+        ),
+        (  # 400 steps read past the first 512 uniforms of a block
+            ("--seed", "4", "couple", "--spec", "mm1", "--lower", "[[]]", "--upper", "[[1]]",
+             "--steps", "400", "--reps", "3"),
+            "couple_report.json",
+            "369fe49dabd733282ed194dd1c88bd17c36193b56918167307c653ae95366737",
         ),
     ],
 )

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from mcqnet import coupling
 from mcqnet.allocation import StationProtocol
 from mcqnet.configurations import QueuePolicy
 from mcqnet.coupling import (
@@ -377,6 +378,31 @@ def test_move_matches_apply(name):
                 h = kt.head(i, q)
                 for l, _ in kt.table.serve[h]:
                     assert kt._move(xi, h, l) == kt._apply(xi, h, l), (xi, h, l)
+
+
+def test_move_memo_stops_at_its_cap(monkeypatch):
+    """A full memo stops taking moves; paths stay those of an unbounded memo."""
+    def paths(cap):
+        monkeypatch.setattr(coupling, "_MOVE_MEMO_CAP", cap)
+        kernel = CouplingKernel(FCFS)
+        return kernel, [kernel.run(((1,), ()), ((1, 4), ()), 150, master_rng(s)) for s in range(10)]
+
+    capped, capped_paths = paths(5)
+    unbounded, unbounded_paths = paths(10**6)
+    for a, b in zip(capped_paths, unbounded_paths):
+        _assert_same_path(a, b)
+    assert len(capped._moves) == 5 < len(unbounded._moves)
+
+
+def test_run_coupling_shares_a_kernel_built_for_its_spec():
+    kernel = CouplingKernel(LK_SBP)
+    shared = run_coupling(LK_SBP, ((), ()), ((1, 4), (2,)), 80, master_rng(3), kernel=kernel)
+    fresh = run_coupling(LK_SBP, ((), ()), ((1, 4), (2,)), 80, master_rng(3))
+    assert len(shared) == len(fresh) == 3
+    for a, b in zip(shared, fresh):
+        _assert_same_path(a, b)
+    with pytest.raises(ValueError, match="another network spec"):
+        run_coupling(FCFS, ((), ()), ((1,), ()), 10, master_rng(3), kernel=kernel)
 
 
 def test_frozen_deletion_reproduces_chain_moves(rng):

@@ -6,14 +6,23 @@ and any change to its entries or to the order in which uniforms are consumed
 shows up here as a different realization. The values are integers computed
 from Philox draws and IEEE comparisons only (no libm), so they hold on every
 platform.
+
+``Uniforms`` is checked against the plain block reader it must equal: pop
+from the end of ``rng.random(block).tolist()``, refill when empty. That
+covers the values, their order and the generator's state after the reads,
+whether a block is drawn whole or tail first.
 """
 
+import json
+
+import numpy as np
 import pytest
 
+from conftest import ScriptedRng
 from mcqnet.coupling import CouplingKernel
 from mcqnet.network import builtin_fixture
 from mcqnet.qprocess import empty_state, state_norm
-from mcqnet.rng import master_rng
+from mcqnet.rng import Uniforms, master_rng
 from mcqnet.sampling import PathSampler
 
 SEEDS = range(20)
@@ -64,3 +73,119 @@ def test_coupling_stream_is_pinned(name):
         last = path.states[-1]
         out.append((path.tau, state_norm(last.lower), state_norm(last.upper)))
     assert out == COUPLINGS[name]
+
+
+def _plain_reads(rng, block, count):
+    """``count`` uniforms popped from the end of ``rng.random(block)`` blocks."""
+    out, buf = [], []
+    for _ in range(count):
+        if not buf:
+            buf = rng.random(block).tolist()
+        out.append(buf.pop())
+    return out
+
+
+def _state(rng):
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
+
+
+def _philox_at(position):
+    rng = master_rng(41)
+    if position == "four-doubles-in":  # word aligned
+        rng.random(4)
+    elif position == "one-double-in":  # three buffered words left
+        rng.random(1)
+    elif position == "half-word-in":  # aligned, the other 32-bit half buffered
+        rng.integers(0, 2**32, dtype=np.uint32)
+        rng.random(3)
+    elif position == "spent-half-word":  # aligned, a spent 32-bit half remembered
+        rng.integers(0, 2**32, size=2, dtype=np.uint32)
+        rng.random(3)
+    return rng
+
+
+READS = (0, 1, 511, 512, 513, 4096, 4097, 9000)
+
+
+@pytest.mark.parametrize("tail_first", [True, False])
+@pytest.mark.parametrize("block", [16, 18, 1004, 4096])
+@pytest.mark.parametrize(
+    "position", ["fresh", "four-doubles-in", "one-double-in", "half-word-in", "spent-half-word"]
+)
+def test_uniforms_equal_plain_block_reads_on_philox(position, block, tail_first):
+    for count in READS:
+        rng, ref = _philox_at(position), _philox_at(position)
+        uni = Uniforms(rng, block, tail_first)
+        got = [uni.next() for _ in range(count)]
+        assert got == _plain_reads(ref, block, count), count
+        assert _state(rng) == _state(ref), count
+        # the generator goes on where the plain reads leave it
+        assert rng.random(3).tolist() == ref.random(3).tolist(), count
+
+
+def test_uniforms_equal_plain_block_reads_on_pcg64():
+    for block in (16, 1004, 4096):
+        for count in READS:
+            rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+            uni = Uniforms(rng, block, tail_first=True)
+            assert [uni.next() for _ in range(count)] == _plain_reads(ref, block, count)
+            assert _state(rng) == _state(ref)
+
+
+def test_uniforms_replay_a_script_in_order():
+    uni = Uniforms(ScriptedRng([0.1, 0.2, 0.3, 0.4, 0.5]), 2)
+    assert [uni.next() for _ in range(7)] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.5, 0.5]
+    uni = Uniforms(ScriptedRng([0.1, 0.2]), 1024, tail_first=True)
+    assert [uni.next() for _ in range(3)] == [0.1, 0.2, 0.5]
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Philox generator that records the size of every ``random`` call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.Philox(seed))
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return super().random(size)
+
+
+def test_a_short_read_draws_only_the_tail_of_a_philox_block():
+    rng = _CountingGenerator(3)
+    uni = Uniforms(rng, 4096, tail_first=True)
+    for _ in range(400):
+        uni.next()
+    assert rng.sizes == [512]
+    for _ in range(4096 - 400 + 1):  # the rest of the block, then one more
+        uni.next()
+    assert rng.sizes == [512, 4096 - 512, 512]
+    # a block no larger than the tail, or not a whole number of Philox words,
+    # is one draw, and so is every block unless the tail is asked for first
+    for block, tail_first in ((512, True), (1002, True), (4096, False)):
+        rng = _CountingGenerator(3)
+        uni = Uniforms(rng, block, tail_first)
+        uni.next()
+        assert rng.sizes == [block]
+
+
+def test_refill_hands_over_the_list_that_next_pops():
+    rng, ref = master_rng(2), master_rng(2)
+    uni = Uniforms(rng, 1004, tail_first=True)
+    got = [uni.next() for _ in range(3)]
+    buf = uni.buf
+    while buf:
+        got.append(buf.pop())
+    buf = uni.refill()
+    got.append(buf.pop())
+    got.append(uni.next())
+    assert got == _plain_reads(ref, 1004, len(got))
+
+
+@pytest.mark.parametrize("block", [0, -4])
+def test_block_size_must_be_positive(block):
+    with pytest.raises(ValueError, match=f"block size must be at least 1, got {block}"):
+        Uniforms(master_rng(1), block)
+    sampler = PathSampler(builtin_fixture("mm1"))
+    with pytest.raises(ValueError, match=f"got {block}"):
+        sampler.reset(((),), master_rng(1), block=block)
