@@ -28,6 +28,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     BracketFailureError,
@@ -39,7 +41,7 @@ from .errors import (
     UnknownFixtureError,
     UnsupportedCouplingError,
 )
-from .exact import ExactEngine, expectation
+from .exact import ExactEngine
 from .network import (
     FIXTURE_NAMES,
     NetworkSpec,
@@ -62,7 +64,7 @@ from .stability import (
     threshold_bisection,
     threshold_robbins_monro,
 )
-from .coupling import CouplingKernel, run_coupling, verify_coupling_path
+from .coupling import CouplingKernel, verify_coupling_path
 
 _DOMAIN_ERRORS = (
     NonTransientRoutingError,
@@ -106,6 +108,52 @@ def _state_key(state, texts: _BufferTexts | None = None) -> str:
     if texts is None:
         texts = _BufferTexts()
     return "[" + ",".join(map(texts.__getitem__, state)) + "]"
+
+
+def _state_keys(engine: ExactEngine, ids: np.ndarray) -> list[str]:
+    """``_state_key`` of each state id, joined from its row of buffer keys:
+    one text per distinct buffer, no tuple state."""
+    texts = _BufferTexts()
+    by_key = np.array([""] + [texts[q] for q in engine.buffers[1:]], dtype=object)
+    columns = [by_key[keys].tolist() for keys in engine.key_rows(ids).T]
+    template = "[" + ",".join(["%s"] * len(columns)) + "]"  # "[%s,%s]" for two stations
+    return list(map(template.__mod__, zip(*columns)))
+
+
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+_JSON_CHUNK = 1024  # entries of a flat mapping per C-encoder call
+
+
+def _write_json(fh, obj, depth: int = 0) -> None:
+    """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)`` does,
+    nested ``depth`` levels deep.
+
+    A nonempty dict with str keys is sorted once. When its values are all
+    scalars, its entries go out in chunks, each one ``json.dumps`` call of
+    the C encoder with the indented item separator; otherwise each value is
+    written in turn, one level deeper. Anything else is the stdlib encoder's
+    text, re-indented to ``depth`` (encoded strings hold no raw newline).
+    """
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        pad = "\n" + "  " * (depth + 1)
+        keys = sorted(obj)
+        values = list(map(obj.__getitem__, keys))
+        if set(map(type, values)) <= _JSON_SCALARS:
+            sep = "," + pad
+            fh.write("{" + pad)
+            for start in range(0, len(keys), _JSON_CHUNK):
+                if start:
+                    fh.write(sep)
+                end = start + _JSON_CHUNK
+                chunk = dict(zip(keys[start:end], values[start:end]))
+                fh.write(json.dumps(chunk, separators=(sep, ": "))[1:-1])
+        else:
+            for i, (key, value) in enumerate(zip(keys, values)):
+                fh.write(("," if i else "{") + pad + json.dumps(key) + ": ")
+                _write_json(fh, value, depth + 1)
+        fh.write("\n" + "  " * depth + "}")
+    else:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth))
 
 
 class _HashingSink(io.RawIOBase):
@@ -162,8 +210,10 @@ class RunWriter:
         self.outputs[name] = sink.sha256.hexdigest()
 
     def write_json(self, name: str, payload) -> None:
+        """``payload`` byte for byte as ``json.dump(payload, fh, indent=2,
+        sort_keys=True)`` writes it, then a newline; streamed, never one string."""
         with self._open(name) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            _write_json(fh, payload)
             fh.write("\n")
 
     def write_csv(self, name: str, header, rows) -> str:
@@ -227,13 +277,12 @@ def _cmd_simulate(args, spec, analysis, out) -> str:
 
 def _cmd_exact(args, spec, analysis, out) -> str:
     engine = ExactEngine(spec, reduced=args.reduced, budget=args.budget)
-    dist = engine.distribution(empty_state(spec), args.steps)
-    value = expectation(dist, lambda s: math.exp(-args.alpha * state_norm(s)))
-    texts = _BufferTexts()
+    support, mass = engine.law_arrays(empty_state(spec), args.steps)
+    value = engine.norm_expectation(support, mass, lambda y: math.exp(-args.alpha * y))
     payload = {
         "steps": args.steps,
         "functional": {"name": args.functional, "alpha": args.alpha, "value": value},
-        "distribution": {_state_key(s, texts): p for s, p in dist.items()},
+        "distribution": dict(zip(_state_keys(engine, support), mass.tolist())),
     }
     out.write_json("exact_law.json", payload)
     return f"E[exp(-{args.alpha} * jobs)] at step {args.steps}: {value:.12g}"
@@ -292,9 +341,11 @@ def _cmd_couple(args, spec, analysis, out) -> str:
     upper_json, upper = _typed_state(spec, args.upper, "--upper")
     rng = master_rng(args.seed)
     kernel = CouplingKernel(spec)
+    starts = kernel.starts(lower, upper)
     per_rep = []
-    for _ in range(args.reps):
-        paths = run_coupling(spec, lower, upper, args.steps, rng.spawn(1)[0], kernel)
+    for _ in range(args.reps):  # run_coupling's streams, from starts checked once
+        rep_rng = rng.spawn(1)[0]
+        paths = [kernel.run_from(cs, args.steps, rep_rng.spawn(1)[0]) for cs in starts]
         reports = [verify_coupling_path(p) for p in paths]
         ok = all(r.ok for r in reports)
         per_rep.append({"tau": [p.tau for p in paths], "ok": ok})

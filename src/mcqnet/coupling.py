@@ -12,15 +12,18 @@ whenever the served heads agree and freezes otherwise. While uncoupled, the
 pair differs by exactly one extra job (the mark b): arrivals and mirrored
 services preserve the relation, and the extra job's own departure either
 re-marks the pair (on a class change) or couples it for good (on an exit).
-``CouplingKernel.run`` has two phases. Up to the coupling time τ it is a loop
-of ``CouplingKernel.step``, the reference step rule for an uncoupled pair,
-which rebuilds only the stations a move touches (``qprocess.StationMoves``, the
-move rule the exact engine builds its kernel rows with). From τ on the pair is
-one state x serving as both copies, and ``_run_coupled`` moves it on the same
-uniforms, recording ``CoupledState(x, x, 0, ...)`` per move and the previous
-record on a non-move. Both phases move states through ``CouplingKernel._move``,
+A path (``CouplingKernel.run_from``) has two phases. Up to the coupling time
+τ it is a loop of ``CouplingKernel.step``, the reference step rule for an
+uncoupled pair, which rebuilds only the stations a move touches
+(``qprocess.StationMoves``, the move rule the exact engine builds its kernel
+rows with). From τ on the pair is one state x serving as both copies, and
+``_run_coupled`` moves it on the same uniforms, recording ``CoupledState(x,
+x, 0, ...)`` per move and the previous record on a non-move. Both phases move states through ``CouplingKernel._move``,
 a memo of ``StationMoves.move`` capped at ``_MOVE_MEMO_CAP`` moves, which
-``run_coupling`` shares across calls when it is given the kernel.
+``run_coupling`` shares across calls when it is given the kernel. The start
+records of a pair's interpolated chain (``CouplingKernel.starts``) are
+checked and marked once, so a caller that runs many paths from one pair,
+as ``mcqnet couple`` does, runs them all from the same records.
 ``CoupledState`` is a slotted, unfrozen dataclass, since a path builds one
 per step. ``PairEngine`` moves both copies of a pair by the
 same ``StationMoves`` rule; ``CouplingKernel._apply`` (``apply_transition``
@@ -184,14 +187,21 @@ class CouplingKernel:
         return self.canon(apply_transition(self.spec, xi, TransitionLabel(k, l)))
 
     def start(self, lower, upper) -> CoupledState:
-        low = self.canon(check_state(self.spec, lower))
-        up = self.canon(check_state(self.spec, upper))
-        mark = classify_pair(low, up)
-        if mark < 0:
-            raise NotASubconfigurationError(
-                "states must be equal or differ by one extra job, lower inside upper"
-            )
-        return CoupledState(low, up, mark)
+        """The start record of the pair: both states checked, canonicalized and marked."""
+        return _marked(self.canon(check_state(self.spec, lower)),
+                       self.canon(check_state(self.spec, upper)))
+
+    def starts(self, xi, zeta) -> list[CoupledState]:
+        """The start record of each adjacent pair on the chain from xi inside
+        zeta (one record, coupled, when they are equal): both states checked
+        and canonicalized, the chain interpolated and each pair marked, once.
+        ``run_from`` runs a path from each record as often as it is given it."""
+        lower = self.canon(check_state(self.spec, xi))
+        upper = self.canon(check_state(self.spec, zeta))
+        if not is_substate(lower, upper):
+            raise NotASubconfigurationError("xi must be a componentwise subsequence of zeta")
+        chain = [self.canon(z) for z in _interpolate(lower, upper)]
+        return [_marked(a, b) for a, b in zip(chain[:-1], chain[1:])] or [_marked(lower, upper)]
 
     def step(self, cs: CoupledState, uni: Uniforms) -> tuple[CoupledState, tuple[str, int]]:
         """One move of an uncoupled pair (mark > 0), the reference step rule; a
@@ -233,7 +243,13 @@ class CouplingKernel:
         return CoupledState(lower, upper, mark, frozen, low_dep, up_dep), event
 
     def run(self, lower, upper, n: int, rng) -> CoupledPath:
-        """Coupled path of n ``step`` moves from (lower, upper) on one uniform stream.
+        """Coupled path of n ``step`` moves from (lower, upper) on one uniform
+        stream: ``run_from`` the pair's checked ``start`` record."""
+        return self.run_from(self.start(lower, upper), n, rng)
+
+    def run_from(self, cs: CoupledState, n: int, rng) -> CoupledPath:
+        """Coupled path of n ``step`` moves from the start record ``cs`` (made
+        by ``start`` or ``starts``) on one uniform stream.
 
         τ is the first index with mark 0. Moves up to τ are ``step`` calls, the
         rest run in ``_run_coupled``. The path certifies the time-changed order
@@ -242,7 +258,6 @@ class CouplingKernel:
         if n < 0:
             raise ValueError("steps must be nonnegative")
         uni = Uniforms(rng, tail_first=True)  # a path often reads only the tail
-        cs = self.start(lower, upper)
         states = [cs]
         events = []
         tau = 0 if cs.mark == 0 else None
@@ -307,6 +322,17 @@ class CouplingKernel:
             add_event(event)
 
 
+def _marked(lower: NetworkState, upper: NetworkState) -> CoupledState:
+    """The start record of a canonical pair; NotASubconfigurationError unless
+    the states are equal or upper holds one extra job."""
+    mark = classify_pair(lower, upper)
+    if mark < 0:
+        raise NotASubconfigurationError(
+            "states must be equal or differ by one extra job, lower inside upper"
+        )
+    return CoupledState(lower, upper, mark)
+
+
 def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]:
     """Chain lower = Z_0 inside Z_1 ... inside Z_m = upper, one extra job each."""
     extras: list[tuple[int, int]] = []
@@ -337,22 +363,16 @@ def run_coupling(
     """Instrumented coupled paths from xi inside zeta.
 
     Pairs more than one job apart are decomposed into adjacent pairs along an
-    interpolating chain and one coupling per adjacent pair is run (independent
-    substreams). Equal states yield a single path that starts coupled. A
-    caller that runs many couplings on one spec passes its ``kernel``, built
-    once, whose move memo then serves them all.
+    interpolating chain (``CouplingKernel.starts``) and one coupling per
+    adjacent pair is run (independent substreams). Equal states yield a single
+    path that starts coupled. A caller that runs many couplings on one spec
+    passes its ``kernel``, built once, whose move memo then serves them all.
     """
     if kernel is None:
         kernel = CouplingKernel(spec)
     elif kernel.spec != spec:
         raise ValueError("the coupling kernel was built for another network spec")
-    lower = kernel.canon(check_state(spec, xi))
-    upper = kernel.canon(check_state(spec, zeta))
-    if not is_substate(lower, upper):
-        raise NotASubconfigurationError("xi must be a componentwise subsequence of zeta")
-    chain = _interpolate(lower, upper)
-    pairs = list(zip(chain[:-1], chain[1:])) or [(lower, upper)]
-    return [kernel.run(a, b, n, rng.spawn(1)[0]) for a, b in pairs]
+    return [kernel.run_from(cs, n, rng.spawn(1)[0]) for cs in kernel.starts(xi, zeta)]
 
 
 def verify_coupling_path(path: CoupledPath) -> InvariantReport:

@@ -34,9 +34,11 @@ before it allocates past the budget.
 form are one state and ``step`` merges their mass. ``_push`` is the one
 reader of the rows: ``step`` and ``kernel`` (a ``step`` from one state) push
 a law once, and ``reachable_states`` pushes each frontier of its closure.
-``distribution`` and ``functional_series`` run one sweep, ``_sweep``, which
-yields the support and mass at steps 0..n and checks the mass drift after
-the last step.
+``distribution``, ``law_arrays``, ``functional_series`` and ``norm_series``
+run one sweep, ``_sweep``, which yields the support and mass at steps 0..n
+and checks the mass drift after the last step. Functionals of the norm
+(``norm_expectation``, ``norm_series``) read each id's job count from its
+buffers' lengths (``norms``) and build no tuple state.
 
 The buffers, branches and joins come from a few overridable methods, so the
 coupled pair chain (``coupling.PairEngine``, whose buffer at a station is a
@@ -148,6 +150,7 @@ class ExactEngine:
         self._buf_station = [S]
         self._buf_keys: list[dict] = [{} for _ in range(S)]
         self._buf_array = np.empty(0, dtype=object)  # the buffers, to gather states from
+        self._buf_len = np.zeros(1, dtype=np.int64)  # jobs per buffer; the source holds none
         self._join = np.full((64, self._token_count() + 1), -1, dtype=np.int32)
         self._join[0, 0] = 0  # [key, token] -> key after the join; token 0 joins nothing
         self._br_start = np.zeros(64, dtype=np.int64)
@@ -280,6 +283,24 @@ class ExactEngine:
     # -- states --------------------------------------------------------------
 
     @property
+    def buffers(self) -> list:
+        """The station buffers, by key; key 0 is the source (None)."""
+        return self._buf_objs
+
+    def key_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Each state id's row of per-station buffer keys: state x is
+        ``tuple(buffers[k] for k in key_rows(x))``."""
+        return self._cols[ids, : self._stations]
+
+    def norms(self, ids: np.ndarray) -> np.ndarray:
+        """The job count of each state id, summed from its buffers' lengths."""
+        known = len(self._buf_len)
+        if known < len(self._buf_objs):
+            fresh = np.fromiter(map(len, self._buf_objs[known:]), np.int64)
+            self._buf_len = np.concatenate((self._buf_len, fresh))
+        return self._buf_len[self._cols[ids]].sum(axis=1)
+
+    @property
     def states(self) -> list:
         """The interned states, by id."""
         have = len(self._states)
@@ -407,6 +428,12 @@ class ExactEngine:
         if abs(total - 1.0) >= 1e-10:
             raise RuntimeError(f"mass drifted to {total}")
 
+    def law_arrays(self, xi0, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The law after n steps from xi0 as (state ids in id order, their mass)."""
+        for support, mass in self._sweep(xi0, n):
+            pass  # the sweep checks the last law's mass as it ends
+        return support, mass
+
     def _law(self, support: np.ndarray, mass: np.ndarray) -> StateDistribution:
         states = self.states
         return dict(zip([states[x] for x in support.tolist()], mass.tolist()))
@@ -427,9 +454,27 @@ class ExactEngine:
 
     def distribution(self, xi0, n: int) -> dict:
         """Exact law of the chain after n steps from xi0."""
-        for support, mass in self._sweep(xi0, n):
-            pass  # the sweep checks the last law's mass as it ends
-        return self._law(support, mass)
+        return self._law(*self.law_arrays(xi0, n))
+
+    def norm_expectation(
+        self, support: np.ndarray, mass: np.ndarray, f: Callable[[int], float]
+    ) -> float:
+        """E[f(norm)] under the law (support, mass), without tuple states.
+
+        f runs once per int norm up to the largest, and the terms mass *
+        f(norm) are added by Python ``sum`` in support order: the same IEEE
+        products in the same order as ``expectation(law, lambda s:
+        f(state_norm(s)))``, so the value is bit for bit the same.
+        """
+        norms = self.norms(support)
+        table = np.array([f(y) for y in range(int(norms.max()) + 1)], dtype=float)
+        return sum((mass * table[norms]).tolist())
+
+    def norm_series(self, xi0, n: int, f: Callable[[int], float]) -> list[float]:
+        """E[f(norm at step m)] for m = 0..n: ``norm_expectation`` of each
+        step's law, bit for bit ``functional_series(xi0, n, lambda s:
+        f(state_norm(s)))``."""
+        return [self.norm_expectation(*law, f) for law in self._sweep(xi0, n)]
 
     def functional_series(
         self, xi0: NetworkState, n: int, phi: Callable[[NetworkState], float]
@@ -577,13 +622,10 @@ def reachable_states(
 
     engine = ExactEngine(spec, reduced=reduced)
     seen = frontier = engine._ids_of([empty_state(spec)])
-    norms = np.zeros(0, dtype=np.int64)
     while len(frontier):
         targets, _ = engine._push(frontier, np.ones(len(frontier)))
-        if len(norms) < engine._n:
-            fresh = map(state_norm, engine.states[len(norms) :])
-            norms = np.concatenate([norms, np.fromiter(fresh, np.int64)])
-        frontier = np.setdiff1d(targets[norms[targets] <= max_norm], seen, assume_unique=True)
+        kept = targets[engine.norms(targets) <= max_norm]
+        frontier = np.setdiff1d(kept, seen, assume_unique=True)
         seen = np.union1d(seen, frontier)
     states = engine.states
-    return {states[x] for x in seen[norms[seen] <= max_norm].tolist()}
+    return {states[x] for x in seen[engine.norms(seen) <= max_norm].tolist()}

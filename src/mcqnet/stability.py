@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BracketFailureError
 from .exact import ExactEngine
 from .network import NetworkSpec, workload_matrix
-from .qprocess import empty_state, state_norm
+from .qprocess import empty_state
 from .sampling import PathSampler, batch_terminal_norms, is_batch_steppable
 
 _BATCH_MIN_REPS = 64
@@ -82,11 +82,10 @@ def phi_estimate(
 def _exact_phi_series(
     spec: NetworkSpec, theta, n: int, alpha: float, reduced: bool, budget: int
 ) -> list[float]:
-    """Exact phi at steps 0..n from empty, from one engine's sweep."""
+    """Exact phi at steps 0..n from empty, from one engine's sweep and one
+    ``math.exp`` per norm."""
     engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
-    return engine.functional_series(
-        empty_state(spec), n, lambda s: math.exp(-alpha * state_norm(s))
-    )
+    return engine.norm_series(empty_state(spec), n, lambda y: math.exp(-alpha * y))
 
 
 def phi_exact(

@@ -1,15 +1,19 @@
 """Command-line surface: exit codes, outputs, manifests and determinism."""
 
+import argparse
 import hashlib
 import json
+import math
+import random
 import time
 
 import pytest
 
 import mcqnet.cli
-from mcqnet.cli import _state_key, main
+import mcqnet.coupling
+from mcqnet.cli import _JSON_CHUNK, RunWriter, _state_key, _state_keys, main
 from mcqnet.coupling import CouplingKernel
-from mcqnet.exact import reachable_states
+from mcqnet.exact import ExactEngine, reachable_states
 from mcqnet.network import FIXTURE_NAMES, builtin_fixture, dump_spec, load_spec, spec_to_dict
 
 
@@ -111,6 +115,16 @@ def test_state_key_is_the_compact_json_form(name):
         assert _state_key(state) == json.dumps([list(q) for q in state], separators=(",", ":"))
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_state_keys_from_key_rows_match_state_key(name, reduced):
+    spec = builtin_fixture(name).scale_theta(1.5)
+    engine = ExactEngine(spec, reduced=reduced)
+    support, _ = engine.law_arrays(tuple(() for _ in spec.stations), 12)
+    states = engine.states
+    assert _state_keys(engine, support) == [_state_key(states[x]) for x in support.tolist()]
+
+
 def test_simulate_csv(tmp_path):
     code = run_cli(
         "--seed", "5", "--out-dir", str(tmp_path),
@@ -179,6 +193,23 @@ def test_couple_builds_one_kernel_per_run(tmp_path, monkeypatch):
     ) == 0
     assert len(builds) == 1
     assert len(json.loads(read(tmp_path / "couple_report.json"))["runs"]) == 5
+
+
+def test_couple_checks_its_start_states_once_per_run(tmp_path, monkeypatch):
+    checked = []
+    real = mcqnet.coupling.check_state
+
+    def counting_check_state(spec, xi):
+        checked.append(xi)
+        return real(spec, xi)
+
+    monkeypatch.setattr(mcqnet.coupling, "check_state", counting_check_state)
+    assert run_cli(
+        "--out-dir", str(tmp_path),
+        "couple", "--spec", "lk-sbp", "--lower", "[[],[]]", "--upper", "[[1,4],[2]]",
+        "--steps", "30", "--reps", "5",
+    ) == 0
+    assert checked == [((), ()), ((1, 4), (2,))]  # once, not per rep or per path
 
 
 def test_couple_rejects_oi_allocation(tmp_path, capsys):
@@ -437,7 +468,7 @@ def test_output_name_with_a_directory_part_is_a_usage_error(tmp_path, capsys, mo
         raise AssertionError("the run was solved before its output names were checked")
 
     monkeypatch.setattr(mcqnet.cli, "PathSampler", never)
-    monkeypatch.setattr(mcqnet.cli, "run_coupling", never)
+    monkeypatch.setattr(mcqnet.cli, "CouplingKernel", never)
     out = tmp_path / "out"
     assert run_cli("--out-dir", str(out), *argv) == 2
     assert "must be a file name without a directory part" in capsys.readouterr().err
@@ -452,13 +483,13 @@ def test_directory_spec_is_not_a_spec_file(tmp_path, capsys):
 
 
 def test_wall_clock_covers_the_solve(tmp_path, monkeypatch):
-    real = mcqnet.cli.run_coupling
+    real = mcqnet.cli.verify_coupling_path
 
-    def slow_run_coupling(*args):
+    def slow_verify_coupling_path(*args):
         time.sleep(0.05)
         return real(*args)
 
-    monkeypatch.setattr(mcqnet.cli, "run_coupling", slow_run_coupling)
+    monkeypatch.setattr(mcqnet.cli, "verify_coupling_path", slow_verify_coupling_path)
     assert run_cli(
         "--out-dir", str(tmp_path),
         "couple", "--spec", "mm1", "--lower", "[[]]", "--upper", "[[1]]", "--steps", "5",
@@ -504,6 +535,52 @@ def test_output_digests_are_pinned(tmp_path, argv, output, digest):
 
 
 @pytest.mark.parametrize(
+    "argv,output,digest",
+    [
+        (
+            ("exact", "--spec", "fcfs-reentrant", "--theta-scale", "3", "--steps", "18",
+             "--alpha", "0.5"),
+            "exact_law.json",
+            "04bbdabf5e932eec02b836cd870f59be84fa968c6456e8c2bf1de8a05d2cffc5",
+        ),
+        (
+            ("exact", "--spec", "lk-prop", "--reduced", "--steps", "30", "--alpha", "0.3"),
+            "exact_law.json",
+            "c486d7ce52e4f629508c9610592d381eb219172e455bb30edb0dee1ceeb428c9",
+        ),
+        (  # the README's example
+            ("exact", "--spec", "mm1", "--steps", "2", "--functional", "exp-norm", "--alpha", "1"),
+            "exact_law.json",
+            "86bd7703eab5b9ebfc9cbb9bd4ac028ca2fd2e5ce7c4e0a860bf968aa5494918",
+        ),
+        (
+            ("monotone", "--spec", "lk-prop", "--scales", "0.5,1.0,1.5", "--steps", "2,6,10",
+             "--exact", "--reduced"),
+            "monotone_table.csv",
+            "689ba5c20a50ecc9f035de622a33c543c9a3f26cb5335a04644853151e8d30ac",
+        ),
+        (
+            ("phi", "--spec", "fcfs-reentrant", "--steps", "12", "--exact", "--alpha", "0.5"),
+            "phi.json",
+            "e9974db02e91224c7e124af7733d072f4011d7789f40ce62fd797b620e3bae77",
+        ),
+        (
+            ("phi", "--spec", "lk-sbp", "--reduced", "--steps", "40", "--exact", "--alpha", "0.2"),
+            "phi.json",
+            "8685a0262b033c246819e119d0b1de645b25066df95a11f2aba33a2cd8ee9e8b",
+        ),
+    ],
+)
+def test_exact_output_digests_are_pinned(tmp_path, argv, output, digest):
+    # IEEE sums in a fixed order and math.exp: the bytes of the laws, the
+    # shortest float reprs and the functional values all count
+    assert run_cli("--out-dir", str(tmp_path), *argv) == 0
+    assert hashlib.sha256(read(tmp_path / output)).hexdigest() == digest
+    manifest = json.loads(read(tmp_path / f"{argv[0]}_manifest.json"))
+    assert manifest["outputs"][output] == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("phi", "--spec", "mm1", "--steps", "5", "--alpha", "-1"),
@@ -515,3 +592,81 @@ def test_failed_run_leaves_no_out_dir(tmp_path, argv):
     out = tmp_path / "new" / "out"
     assert run_cli("--out-dir", str(out), *argv) in (1, 2)
     assert not (tmp_path / "new").exists()
+
+
+JSON_SCALARS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, 2.5, 2**70, -3, 0,
+    True, False, None, "", "plain", "é ß 😀", 'q"b\\s\n\t\x00\u2028',
+]
+JSON_KEYS = ["", "a", "aa", "B", "é", "ß", "😀", "new\nline", "tab\t", 'q"', "back\\",
+             "\x00", "\u2028", "[[1,4],[2]]", "[[1],[]]"]
+
+
+def random_json(rnd: random.Random, depth: int = 0):
+    """A seeded JSON value: nested and empty dicts and lists, dicts with str,
+    int, float or bool keys, edge floats, ints, bools, None and strings that
+    need escapes."""
+    roll = rnd.random() if depth < 4 else 1.0
+    size = rnd.randrange(0, 6)
+    if roll < 0.3:
+        keys = rnd.sample(JSON_KEYS, min(size, len(JSON_KEYS)))
+        return {k: random_json(rnd, depth + 1) for k in keys}
+    if roll < 0.4:
+        return {f"k{rnd.randrange(1000)}": rnd.choice(JSON_SCALARS) for _ in range(size)}
+    if roll < 0.5:
+        key_pool = rnd.choice([list(range(-3, 9)), [0.5, -1.25, 3.0, 1e16], [True, False]])
+        keys = rnd.sample(key_pool, min(size, len(key_pool)))
+        return {k: random_json(rnd, depth + 1) for k in keys}
+    if roll < 0.65:
+        return [random_json(rnd, depth + 1) for _ in range(size)]
+    return rnd.choice(JSON_SCALARS)
+
+
+def write_and_read(tmp_path, payload) -> bytes:
+    out = RunWriter(argparse.Namespace(out_dir=str(tmp_path)))
+    out.write_json("payload.json", payload)
+    data = read(tmp_path / "payload.json")
+    assert out.outputs["payload.json"] == hashlib.sha256(data).hexdigest()
+    return data
+
+
+def json_dump_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_json_writer_matches_json_dump_on_random_values(tmp_path, seed):
+    rnd = random.Random(seed)
+    payload = {key: random_json(rnd) for key in rnd.sample(JSON_KEYS, 6)}
+    if seed % 4 == 0:
+        payload = random_json(rnd)  # any top-level value
+    assert write_and_read(tmp_path, payload) == json_dump_bytes(payload)
+
+
+def test_json_writer_matches_json_dump_on_fixed_values(tmp_path):
+    rnd = random.Random(7)
+    big = {f"[[{i}],[{rnd.randrange(9)}]]": rnd.choice(JSON_SCALARS) for i in range(2 * _JSON_CHUNK + 3)}
+    exactly_one_chunk = dict(list(big.items())[:_JSON_CHUNK])
+    cases = [
+        {}, [], 0, None, "x", -0.0,
+        {"a": {}, "b": [], "c": [{}], "d": {"e": {}}},
+        {"a": [[], [[]], {"x": []}]},
+        dict(zip(JSON_KEYS, JSON_SCALARS)),
+        {1: "a", 2: [1, {"b": None}], -5: {}},
+        {0.5: 1, -1.25: [2.0], 1e16: {"k": math.inf}},
+        {True: 1, False: {"x": -math.inf}},
+        big,
+        exactly_one_chunk,
+        {"steps": 3, "distribution": big, "functional": {"value": 5e-324}},
+        [big, {"inner": {"deeper": big}}],
+    ]
+    for payload in cases:
+        assert write_and_read(tmp_path, payload) == json_dump_bytes(payload)
+
+
+def test_json_writer_raises_as_json_dump_does(tmp_path):
+    for payload in ({"a": 1, 2: 3}, {"a": {"b": object()}}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            write_and_read(tmp_path, payload)

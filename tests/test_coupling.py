@@ -5,6 +5,7 @@ heads) is re-derived in this file from the raw transition maps and compared
 exhaustively against the kernel used by the implementation.
 """
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -188,6 +189,31 @@ def test_run_coupling_rejects_non_subconfig(rng):
         run_coupling(MM1, ((1,),), ((),), 5, rng)
     with pytest.raises(NotASubconfigurationError):
         CouplingKernel(FCFS).start(((4, 1), ()), ((1, 1, 4), ()))
+
+
+def test_starts_are_the_checked_records_of_the_interpolated_pairs():
+    kernel = CouplingKernel(LK_SBP)
+    starts = kernel.starts([[1], []], [[1, 4], [2]])
+    chain = _interpolate(((1,), ()), ((1, 4), (2,)))
+    assert starts == [kernel.start(a, b) for a, b in zip(chain[:-1], chain[1:])]
+    assert [cs.mark for cs in starts] == [4, 2]
+    assert kernel.starts([[1], []], [[1], []]) == [kernel.start(((1,), ()), ((1,), ()))]
+    assert kernel.starts([[1], []], [[1], []])[0].mark == 0
+    with pytest.raises(NotASubconfigurationError):
+        kernel.starts([[4], []], [[1], []])
+    with pytest.raises(ValueError, match="does not belong"):
+        kernel.starts([[2], []], [[2, 4], []])
+    with pytest.raises(TypeError):
+        kernel.starts([[1.5], []], [[1, 4], []])
+
+
+def test_run_from_a_start_is_run():
+    kernel = CouplingKernel(FCFS)
+    cs = kernel.starts(((1,), ()), ((1, 4), ()))[0]
+    _assert_same_path(kernel.run_from(cs, 300, master_rng(8)),
+                      kernel.run(((1,), ()), ((1, 4), ()), 300, master_rng(8)))
+    with pytest.raises(ValueError, match="steps"):
+        kernel.run_from(cs, -1, master_rng(8))
 
 
 def test_coupling_rejects_divisible_service(rng):
@@ -715,3 +741,35 @@ def test_verifier_matches_reference(spec, lower, upper):
                 assert failures == _reference_verify(bad), (field, m)
                 flagged[field] += bool(failures)
     assert all(flagged[field] > 0 for field in fields), flagged
+
+
+def _path_digest(paths) -> str:
+    """sha256 over tau, every field of every record and every event of ``paths``."""
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(repr(p.tau).encode())
+        for cs in p.states:
+            h.update(repr((cs.lower, cs.upper, cs.mark, cs.frozen_count,
+                           cs.lower_departures, cs.upper_departures)).encode())
+        for event in p.events:
+            h.update(repr(event).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec,lower,upper,n,seed,digest",
+    [
+        (MM1, [[]], [[1, 1]], 400, 21,
+         "e69d920461de0f910961915a7738d91532537f9c961d4dc19ae801351a649cd1"),
+        (FCFS, [[], []], [[1, 4], [2]], 3000, 22,
+         "7474ad3befef7210dbe6cd4eff0b84c3fa4dfe2f0a1914d10866167460c2b4cd"),
+        (LK_SBP, [[1], []], [[1, 4], [2]], 600, 23,
+         "ae3938de2589a6fa760fc9b927e0ab70b6c5920433f34f5435c31fa18154247e"),
+    ],
+)
+def test_coupled_paths_are_pinned(spec, lower, upper, n, seed, digest):
+    """Whole paths, past tau: three seeded ``run_coupling`` calls, each over an
+    interpolated chain of two or three adjacent pairs."""
+    rng = master_rng(seed)
+    paths = [p for _ in range(3) for p in run_coupling(spec, lower, upper, n, rng.spawn(1)[0])]
+    assert _path_digest(paths) == digest

@@ -18,7 +18,7 @@ from mcqnet.allocation import StationProtocol, allocate_fractions
 from mcqnet.configurations import PriorityRanking, QueuePolicy
 from mcqnet.coupling import CouplingKernel, PairEngine
 from mcqnet.errors import BudgetExceededError
-from mcqnet.exact import ExactEngine, reachable_states
+from mcqnet.exact import ExactEngine, expectation, reachable_states
 from mcqnet.network import FIXTURE_NAMES, builtin_fixture, validate
 from mcqnet.qprocess import (
     TransitionLabel,
@@ -155,6 +155,22 @@ def assert_engine_matches_dict_bfs(spec, reduced, starts, n):
         series = engine.functional_series(start, n, phi)
         want = [sum(p * phi(s) for s, p in law.items()) for law in laws]
         assert series == pytest.approx(want, abs=1e-14)
+        assert_norm_functionals_are_bit_identical(engine, start, n)
+
+
+def assert_norm_functionals_are_bit_identical(engine, start, n):
+    """``norm_series`` and ``norm_expectation`` give the very floats of
+    ``functional_series`` and ``expectation`` on tuple states."""
+    def f(y):
+        return math.exp(-0.3 * y)
+
+    def phi(state):
+        return f(state_norm(state))
+
+    assert engine.norm_series(start, n, f) == engine.functional_series(start, n, phi)
+    support, mass = engine.law_arrays(start, n)
+    law = engine.distribution(start, n)
+    assert engine.norm_expectation(support, mass, f) == expectation(law, phi)
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
@@ -163,6 +179,22 @@ def test_engine_matches_dict_bfs(name, reduced):
     spec = builtin_fixture(name).scale_theta(1.5)
     n = 40 if spec.class_count == 1 else 14
     assert_engine_matches_dict_bfs(spec, reduced, (empty_state(spec), STARTS[name]), n)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_key_rows_and_norms_match_the_states(name, reduced):
+    spec = builtin_fixture(name).scale_theta(1.5)
+    engine = ExactEngine(spec, reduced=reduced)
+    engine.distribution(STARTS[name], 10)
+    engine.norms(np.arange(len(engine.states)))  # the buffer lengths known so far
+    engine.distribution(empty_state(spec), 12)  # then more buffers and states
+    states = engine.states
+    ids = np.arange(len(states))
+    buffers = engine.buffers
+    assert [tuple(buffers[k] for k in row) for row in engine.key_rows(ids).tolist()] == states
+    assert engine.norms(ids).tolist() == [state_norm(state) for state in states]
+    assert len(states) > 10
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
