@@ -345,7 +345,7 @@ def _cmd_couple(args, spec, analysis, out) -> str:
     per_rep = []
     for _ in range(args.reps):  # run_coupling's streams, from starts checked once
         rep_rng = rng.spawn(1)[0]
-        paths = [kernel.run_from(cs, args.steps, rep_rng.spawn(1)[0]) for cs in starts]
+        paths = [kernel.run(cs, args.steps, rep_rng.spawn(1)[0]) for cs in starts]
         reports = [verify_coupling_path(p) for p in paths]
         ok = all(r.ok for r in reports)
         per_rep.append({"tau": [p.tau for p in paths], "ok": ok})

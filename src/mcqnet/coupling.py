@@ -12,18 +12,19 @@ whenever the served heads agree and freezes otherwise. While uncoupled, the
 pair differs by exactly one extra job (the mark b): arrivals and mirrored
 services preserve the relation, and the extra job's own departure either
 re-marks the pair (on a class change) or couples it for good (on an exit).
-A path (``CouplingKernel.run_from``) has two phases. Up to the coupling time
-τ it is a loop of ``CouplingKernel.step``, the reference step rule for an
-uncoupled pair, which rebuilds only the stations a move touches
-(``qprocess.StationMoves``, the move rule the exact engine builds its kernel
-rows with). From τ on the pair is one state x serving as both copies, and
-``_run_coupled`` moves it on the same uniforms, recording ``CoupledState(x,
-x, 0, ...)`` per move and the previous record on a non-move. Both phases move states through ``CouplingKernel._move``,
-a memo of ``StationMoves.move`` capped at ``_MOVE_MEMO_CAP`` moves, which
-``run_coupling`` shares across calls when it is given the kernel. The start
-records of a pair's interpolated chain (``CouplingKernel.starts``) are
-checked and marked once, so a caller that runs many paths from one pair,
-as ``mcqnet couple`` does, runs them all from the same records.
+A path (``CouplingKernel.run``) starts from a start record: ``start`` checks,
+canonicalizes and marks one pair, and ``starts`` does so once for each
+adjacent pair of the interpolated chain, so a caller that runs many paths
+from one pair, as ``mcqnet couple`` does, runs them all from the same
+records. A path has two phases. Up to the coupling time τ it is a loop of
+``CouplingKernel.step``, the reference step rule for an uncoupled pair,
+which rebuilds only the stations a move touches (``qprocess.StationMoves``,
+the move rule the exact engine builds its kernel rows with). From τ on the
+pair is one state x serving as both copies, and ``_run_coupled`` moves it on
+the same uniforms, recording ``CoupledState(x, x, 0, ...)`` per move and the
+previous record on a non-move. Both phases move states through
+``CouplingKernel._move``, a memo of ``StationMoves.move`` capped at
+``_MOVE_MEMO_CAP`` moves, which serves every path a kernel runs.
 ``CoupledState`` is a slotted, unfrozen dataclass, since a path builds one
 per step. ``PairEngine`` moves both copies of a pair by the
 same ``StationMoves`` rule; ``CouplingKernel._apply`` (``apply_transition``
@@ -195,7 +196,7 @@ class CouplingKernel:
         """The start record of each adjacent pair on the chain from xi inside
         zeta (one record, coupled, when they are equal): both states checked
         and canonicalized, the chain interpolated and each pair marked, once.
-        ``run_from`` runs a path from each record as often as it is given it."""
+        ``run`` runs a path from each record as often as it is given it."""
         lower = self.canon(check_state(self.spec, xi))
         upper = self.canon(check_state(self.spec, zeta))
         if not is_substate(lower, upper):
@@ -242,12 +243,7 @@ class CouplingKernel:
             mark = l if k == mark else classify_pair(lower, upper)
         return CoupledState(lower, upper, mark, frozen, low_dep, up_dep), event
 
-    def run(self, lower, upper, n: int, rng) -> CoupledPath:
-        """Coupled path of n ``step`` moves from (lower, upper) on one uniform
-        stream: ``run_from`` the pair's checked ``start`` record."""
-        return self.run_from(self.start(lower, upper), n, rng)
-
-    def run_from(self, cs: CoupledState, n: int, rng) -> CoupledPath:
+    def run(self, cs: CoupledState, n: int, rng) -> CoupledPath:
         """Coupled path of n ``step`` moves from the start record ``cs`` (made
         by ``start`` or ``starts``) on one uniform stream.
 
@@ -357,22 +353,16 @@ def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]
     return chain
 
 
-def run_coupling(
-    spec: NetworkSpec, xi, zeta, n: int, rng, kernel: CouplingKernel | None = None
-) -> list[CoupledPath]:
+def run_coupling(spec: NetworkSpec, xi, zeta, n: int, rng) -> list[CoupledPath]:
     """Instrumented coupled paths from xi inside zeta.
 
     Pairs more than one job apart are decomposed into adjacent pairs along an
     interpolating chain (``CouplingKernel.starts``) and one coupling per
     adjacent pair is run (independent substreams). Equal states yield a single
-    path that starts coupled. A caller that runs many couplings on one spec
-    passes its ``kernel``, built once, whose move memo then serves them all.
+    path that starts coupled.
     """
-    if kernel is None:
-        kernel = CouplingKernel(spec)
-    elif kernel.spec != spec:
-        raise ValueError("the coupling kernel was built for another network spec")
-    return [kernel.run_from(cs, n, rng.spawn(1)[0]) for cs in kernel.starts(xi, zeta)]
+    kernel = CouplingKernel(spec)
+    return [kernel.run(cs, n, rng.spawn(1)[0]) for cs in kernel.starts(xi, zeta)]
 
 
 def verify_coupling_path(path: CoupledPath) -> InvariantReport:

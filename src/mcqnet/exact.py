@@ -31,7 +31,9 @@ before it allocates past the budget.
 
 *One path.* Every public call enters through ``_ids_of``, which interns the
 ``canonical`` form of each state it is given, so keys that share a canonical
-form are one state and ``step`` merges their mass. ``_push`` is the one
+form are one state and ``step`` merges their mass; ``canonical`` checks the
+state against the spec first, so a start that is not a state of the spec
+raises ``ValueError`` at every entry. ``_push`` is the one
 reader of the rows: ``step`` and ``kernel`` (a ``step`` from one state) push
 a law once, and ``reachable_states`` pushes each frontier of its closure.
 ``distribution``, ``law_arrays``, ``functional_series`` and ``norm_series``
@@ -62,6 +64,7 @@ from .qprocess import (
     NetworkState,
     StationMoves,
     apply_transition,  # noqa: F401  (the reference move; kept importable from here)
+    check_state,
     state_canonicalizer,
     state_norm,
     transition_table,
@@ -176,9 +179,10 @@ class ExactEngine:
         self._probs = np.zeros(256, dtype=np.float64)
         self._used = 0
 
-    def canonical(self, xi: NetworkState) -> NetworkState:
-        """The start state as the engine stores it."""
-        return self._canon(xi)
+    def canonical(self, xi) -> NetworkState:
+        """The start state as the engine stores it; ``ValueError`` (or
+        ``TypeError``) unless ``xi`` is a state of the spec (``check_state``)."""
+        return self._canon(check_state(self.spec, xi))
 
     # -- what a state is made of (overridden by the pair chain) ------------
 

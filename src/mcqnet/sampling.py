@@ -18,11 +18,19 @@ steps per-class count vectors, which is the whole state where every station
 is single-class or order-insensitive; a multi-class FCFS head-of-queue
 station adds a per-replication ring of class ids, since its head class is
 the one it serves. It draws its uniforms in blocks of steps and resolves each
-block's events and routing with array operations, so only the count and ring
-updates, and at multi-class stations the pick of the served class, run step
-by step; the random stream is consumed exactly as by drawing per step.
-Multi-class LCFS and SBP head-of-queue stations insert inside the queue and
-run on ``PathSampler`` only.
+block's events and routing with array operations; the random stream is
+consumed exactly as by drawing per step. Then one loop runs the block step by
+step (``_BatchKernel.run``): on a single-class network the event fixes each
+move, and on any other network a step picks each replication's served class
+(its slot) from the counts, from the head of a ring or from both, applies
+the move and, only when the spec has ring stations, pops and pushes the
+rings. Multi-class LCFS and SBP head-of-queue stations insert inside the
+queue and run on ``PathSampler`` only.
+
+Both samplers check their start against the spec (``qprocess.check_state``):
+``batch_terminal_norms`` once per call and ``PathSampler.reset`` whenever the
+start differs from the last one it checked. A start that does not fit raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .network import NetworkSpec
 from .qprocess import (
     NetworkState,
     TransitionTable,
+    check_state,
     state_composition,
     state_norm,
     transition_table,
@@ -45,7 +54,7 @@ from .rng import Uniforms
 
 
 class _HQStation:
-    """Explicit ordered buffer; the head holds the whole server."""
+    """Explicit ordered buffer, a deque; the head holds the whole server."""
 
     __slots__ = ("policy", "fcfs", "buf", "branch")
 
@@ -53,14 +62,11 @@ class _HQStation:
         protocol = spec.protocols[i]
         self.policy = protocol.policy
         self.fcfs = protocol.policy.kind == "fcfs"
-        self.buf = deque() if self.fcfs else []
+        self.buf = deque()
         self.branch = table.branch
 
     def reset(self, q) -> None:
-        if self.fcfs:
-            self.buf = deque(q)
-        else:
-            self.buf = list(q)
+        self.buf = deque(q)
 
     def insert(self, k: int) -> None:
         buf = self.buf
@@ -81,10 +87,7 @@ class _HQStation:
         for cum, l in routes:
             if u < cum:
                 break
-        if self.fcfs:
-            buf.popleft()
-        else:
-            buf.pop(0)
+        buf.popleft()
         return k, l
 
     def snapshot(self) -> tuple[int, ...]:
@@ -177,11 +180,17 @@ class PathSampler:
         ]
         self.norm = 0
         self._uni: Uniforms | None = None
+        self._start: NetworkState | None = None  # the last start checked
 
     def reset(self, xi0: NetworkState, rng, block: int | None = None) -> None:
-        for st, q in zip(self.stations, xi0):
+        """Load the start xi0 and a fresh uniform reader on rng. A start
+        equal to the last one checked is not checked again, since estimators
+        run many short replications from one start."""
+        if xi0 != self._start:
+            self._start = check_state(self.spec, xi0)
+        for st, q in zip(self.stations, self._start):
             st.reset(q)
-        self.norm = state_norm(xi0)
+        self.norm = state_norm(self._start)
         self._uni = Uniforms(rng, 4096 if block is None else block)
 
     def step(self) -> None:
@@ -328,12 +337,15 @@ def batch_terminal_norms(
     source and target column) is resolved for the whole group and block at
     once, and a step then moves one job per replication from its source
     column to its target column if the source is nonempty. Column 0 is a sink
-    that never empties: arrivals leave it and exits enter it.
+    that never empties: arrivals leave it and exits enter it. One loop,
+    ``_BatchKernel.run``, runs the steps; single-class networks run it on the
+    block's source and target rows alone.
 
     At a single-class station the event fixes the served class. At a
     multi-class station the block resolves the outcome of every class the
-    station could serve, and the step picks the served class. Order-insensitive
-    stations pick it from the counts (``_BatchKernel.count_slots``): the
+    station could serve, and the step picks the served class (its slot) in
+    the same loop whatever the station's kind. Order-insensitive stations
+    pick it from the counts (``_BatchKernel.count_slots``): the
     top-ranked present class under preferential allocation, the class of the
     job at position floor(w * jobs) under proportional allocation and the
     present class at position floor(w * present classes) under egalitarian
@@ -343,10 +355,11 @@ def batch_terminal_norms(
     ring of class ids (``_FCFSRings``); a served job leaves the head, and a
     job that enters such a station joins the tail of its ring. The rings hold
     reps x (such stations) x cap small ints, where cap is a power of two at
-    least the longest queue of the run plus a block's steps.
+    least the longest queue of the run plus a block's steps. The loop touches
+    the rings only when the spec has such stations.
 
-    Networks of single-class and order-insensitive stations keep no rings
-    and their random stream, and single-class networks do no per-slot work.
+    ``xi0`` is checked against the spec once per call: a start that does not
+    fit raises ``ValueError``.
     """
     if not is_batch_steppable(spec):
         raise ValueError("batch stepping cannot run multi-class LCFS or SBP head-of-queue stations")
@@ -354,6 +367,7 @@ def batch_terminal_norms(
         raise ValueError("steps must be nonnegative")
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    xi0 = check_state(spec, xi0)
     kernel = _BatchKernel(spec)
     d = spec.class_count
     counts = np.zeros((reps, kernel.columns), dtype=np.int64)
@@ -524,24 +538,96 @@ class _BatchKernel:
     def run(self, flat, row, u, v, rings=None) -> None:
         """Apply a block of [step, replication] uniforms to the replications
         whose count rows start at ``row`` in ``flat`` (and to their queues in
-        ``rings``, which specs with ring stations need)."""
+        ``rings``, which specs with ring stations need).
+
+        On a single-class network the event and v fix each step's move.
+        Elsewhere the block resolves the move of every slot, and a step takes
+        each replication's slot from the counts at a multi-class
+        order-insensitive station (``count_slots``) and from the head of the
+        served ring at a ring station. A move that happens pops the served
+        ring and pushes its target onto the tail of the target's ring; each
+        replication owns its queues, so these updates never meet twice on a
+        real queue, and the scratch queue takes the rest.
+        """
         # count the thresholds at or below each draw, leaving out the last:
         # a searchsorted clipped to the table
         ev = np.zeros(u.shape, dtype=np.intp)
         for cum in self.event_cum[:-1]:
             ev += u >= cum
-        if rings is not None:
-            self.ring_steps(flat, row, ev, u, v, rings)
-            return
         if self.slots == 1:
-            moves = zip(*self.resolve(ev, v, row))
-        else:
-            moves = self.slot_moves(flat, row, ev, u, v)
-        for s, t in moves:
+            code = self.codes(ev, v)
+            src = self.src_of[code]
+            src += row
+            dst = self.dst_of[code]
+            dst += row
+            for s, t in zip(src, dst):
+                held = flat[s]
+                act = held > 0
+                flat[s] = held - act
+                flat[t] += act  # after the source update, so a self-route nets zero
+            return
+        slots = self.slots
+        steps, reps = ev.shape
+        if rings is not None:
+            stations = rings.stations
+            ring, head, length, cap = rings.ring.reshape(-1), rings.head, rings.length, rings.cap
+            qbase = row // self.columns * stations
+            # every push writes at head + length: below cap, that is a free place
+            longest = int(length[qbase[0] : qbase[-1] + stations].max())
+            if longest + steps > cap:
+                raise RuntimeError(
+                    f"FCFS ring capacity {cap} cannot hold {longest} jobs plus {steps} steps"
+                )
+            mask = cap - 1
+            scratch = len(head) - 1
+            # the queue each [step, replication] event serves, and its first place in ``ring``
+            served = self.ring_of_event[ev]
+            at_ring = served >= 0
+            queue = np.where(at_ring, qbase + served, scratch)
+            place = queue * cap
+            joins = np.empty((steps, reps, slots), dtype=np.intp)
+            cls = np.empty(joins.shape, dtype=rings.ring.dtype)
+        # per [step, replication, slot]: source and target column and, with
+        # rings, the target's class id and the queue it joins; filled slot by
+        # slot, since numpy runs slowly over a short last axis
+        src = np.empty((steps, reps, slots), dtype=np.intp)
+        dst = np.empty_like(src)
+        for j in range(slots):
+            code = self.codes(ev * slots + j, v)
+            col = self.dst_of[code]
+            src[..., j] = self.src_of[code] + row
+            dst[..., j] = col + row
+            if rings is not None:
+                cls[..., j] = col
+                target = self.ring_of_col[col]
+                joins[..., j] = np.where(target >= 0, qbase + target, scratch)
+        src, dst = src.reshape(steps, -1), dst.reshape(steps, -1)
+        if rings is not None:
+            joins, cls = joins.reshape(steps, -1), cls.reshape(steps, -1)
+        base = np.arange(reps) * slots
+        counted = self.count_slots(flat, row, ev, u) if self.counted else None
+        for t in range(steps):
+            slot = None if counted is None else next(counted)
+            if rings is not None:
+                q = queue[t]
+                h = head[q]
+                at_head = self.slot_of_col[ring[place[t] + (h & mask)]]
+                at_head += base
+                slot = at_head if slot is None else np.where(at_ring[t], at_head, slot)
+            s = src[t][slot]
             held = flat[s]
             act = held > 0
             flat[s] = held - act
-            flat[t] += act  # after the source update, so a self-route nets zero
+            flat[dst[t][slot]] += act
+            if rings is not None:
+                head[q] = h + act
+                length[q] -= act
+                # read after the pop: a job routed back to its own station
+                # joins behind the rest of the queue
+                p = joins[t][slot]
+                size = length[p]
+                ring[p * cap + ((head[p] + size) & mask)] = cls[t][slot]
+                length[p] = size + act
 
     def codes(self, rid, v):
         """Outcome codes (row * width + outcome) of table rows ``rid`` at
@@ -550,31 +636,6 @@ class _BatchKernel:
         for column in self.thresholds.T[:-1]:
             code += v >= column[rid]
         return code
-
-    def resolve(self, rid, v, row):
-        """Source and target columns of the outcomes of table rows ``rid`` at
-        routing draws ``v``, for the replications whose count rows start at
-        ``row``."""
-        code = self.codes(rid, v)
-        src = self.src_of[code]
-        src += row
-        dst = self.dst_of[code]
-        dst += row
-        return src, dst
-
-    def slot_moves(self, flat, row, ev, u, v):
-        """(source, target) per step, with the served slot picked from the counts."""
-        slots = self.slots
-        steps, reps = ev.shape
-        # source and target column per [step, replication, slot]
-        src = np.empty((steps, reps, slots), dtype=np.intp)
-        dst = np.empty_like(src)
-        for j in range(slots):
-            src[..., j], dst[..., j] = self.resolve(ev * slots + j, v, row)
-        src = src.reshape(steps, -1)
-        dst = dst.reshape(steps, -1)
-        for t, slot in enumerate(self.count_slots(flat, row, ev, u)):
-            yield src[t][slot], dst[t][slot]
 
     def count_slots(self, flat, row, ev, u):
         """Per step, the index of the served slot in the [replication, slot]
@@ -617,67 +678,3 @@ class _BatchKernel:
                 cum = cum + h
                 slot += x >= cum
             yield slot
-
-    def ring_steps(self, flat, row, ev, u, v, rings: _FCFSRings) -> None:
-        """Step a block on counts and rings: at a ring station the served slot
-        is that of the head class, and a move that happens pops the served
-        ring and pushes its target onto the tail of the target's ring.
-
-        Each replication owns its queues, so the array updates below never
-        meet twice on a real queue; the scratch queue takes the rest.
-        """
-        slots = self.slots
-        steps, reps = ev.shape
-        stations = rings.stations
-        ring, head, length, cap = rings.ring.reshape(-1), rings.head, rings.length, rings.cap
-        qbase = row // self.columns * stations
-        # every push writes at head + length: below cap, that is a free place
-        longest = int(length[qbase[0] : qbase[-1] + stations].max())
-        if longest + steps > cap:
-            raise RuntimeError(
-                f"FCFS ring capacity {cap} cannot hold {longest} jobs plus {steps} steps"
-            )
-        mask = cap - 1
-        scratch = len(head) - 1
-        # the queue each [step, replication] event serves, and its first place in ``ring``
-        served = self.ring_of_event[ev]
-        at_ring = served >= 0
-        queue = np.where(at_ring, qbase + served, scratch)
-        place = queue * cap
-        # per [step, replication, slot]: source and target column, the
-        # target's queue and its class id
-        src = np.empty((steps, reps, slots), dtype=np.intp)
-        dst = np.empty_like(src)
-        joins = np.empty_like(src)
-        cls = np.empty(src.shape, dtype=rings.ring.dtype)
-        for j in range(slots):
-            code = self.codes(ev * slots + j, v)
-            col = self.dst_of[code]
-            cls[..., j] = col
-            target = self.ring_of_col[col]
-            joins[..., j] = np.where(target >= 0, qbase + target, scratch)
-            src[..., j] = self.src_of[code] + row
-            dst[..., j] = col + row
-        src, dst, joins, cls = (a.reshape(steps, -1) for a in (src, dst, joins, cls))
-        base = np.arange(reps) * slots
-        counted = self.count_slots(flat, row, ev, u) if self.counted else None
-        for t in range(steps):
-            q = queue[t]
-            h = head[q]
-            slot = self.slot_of_col[ring[place[t] + (h & mask)]]
-            slot += base
-            if counted is not None:
-                slot = np.where(at_ring[t], slot, next(counted))
-            s = src[t][slot]
-            held = flat[s]
-            act = held > 0
-            flat[s] = held - act
-            flat[dst[t][slot]] += act
-            head[q] = h + act
-            length[q] -= act
-            # read after the pop: a job routed back to its own station
-            # joins behind the rest of the queue
-            p = joins[t][slot]
-            size = length[p]
-            ring[p * cap + ((head[p] + size) & mask)] = cls[t][slot]
-            length[p] = size + act

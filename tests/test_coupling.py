@@ -210,10 +210,10 @@ def test_starts_are_the_checked_records_of_the_interpolated_pairs():
 def test_run_from_a_start_is_run():
     kernel = CouplingKernel(FCFS)
     cs = kernel.starts(((1,), ()), ((1, 4), ()))[0]
-    _assert_same_path(kernel.run_from(cs, 300, master_rng(8)),
-                      kernel.run(((1,), ()), ((1, 4), ()), 300, master_rng(8)))
+    _assert_same_path(kernel.run(cs, 300, master_rng(8)),
+                      kernel.run(kernel.start(((1,), ()), ((1, 4), ())), 300, master_rng(8)))
     with pytest.raises(ValueError, match="steps"):
-        kernel.run_from(cs, -1, master_rng(8))
+        kernel.run(cs, -1, master_rng(8))
 
 
 def test_coupling_rejects_divisible_service(rng):
@@ -274,7 +274,7 @@ def test_mm1_tau_is_first_departure_with_empty_lower(rng):
 def test_censored_path_verifies():
     # three arrivals and out of time: never coupled
     kernel = CouplingKernel(MM1)
-    path = kernel.run(((),), ((1,),), 3, ScriptedRng([0.1, 0.1, 0.1]))
+    path = kernel.run(kernel.start(((),), ((1,),)), 3, ScriptedRng([0.1, 0.1, 0.1]))
     assert path.tau is None and path.censored
     assert verify_coupling_path(path).ok
 
@@ -411,24 +411,14 @@ def test_move_memo_stops_at_its_cap(monkeypatch):
     def paths(cap):
         monkeypatch.setattr(coupling, "_MOVE_MEMO_CAP", cap)
         kernel = CouplingKernel(FCFS)
-        return kernel, [kernel.run(((1,), ()), ((1, 4), ()), 150, master_rng(s)) for s in range(10)]
+        cs = kernel.start(((1,), ()), ((1, 4), ()))
+        return kernel, [kernel.run(cs, 150, master_rng(s)) for s in range(10)]
 
     capped, capped_paths = paths(5)
     unbounded, unbounded_paths = paths(10**6)
     for a, b in zip(capped_paths, unbounded_paths):
         _assert_same_path(a, b)
     assert len(capped._moves) == 5 < len(unbounded._moves)
-
-
-def test_run_coupling_shares_a_kernel_built_for_its_spec():
-    kernel = CouplingKernel(LK_SBP)
-    shared = run_coupling(LK_SBP, ((), ()), ((1, 4), (2,)), 80, master_rng(3), kernel=kernel)
-    fresh = run_coupling(LK_SBP, ((), ()), ((1, 4), (2,)), 80, master_rng(3))
-    assert len(shared) == len(fresh) == 3
-    for a, b in zip(shared, fresh):
-        _assert_same_path(a, b)
-    with pytest.raises(ValueError, match="another network spec"):
-        run_coupling(FCFS, ((), ()), ((1,), ()), 10, master_rng(3), kernel=kernel)
 
 
 def test_frozen_deletion_reproduces_chain_moves(rng):
@@ -612,7 +602,7 @@ def test_run_matches_step_loop(spec, lower, upper):
     chain = _interpolate(kernel.canon(lower), kernel.canon(upper))
     for seed in range(200):
         for j, (a, b) in enumerate(zip(chain, chain[1:])):
-            fast = kernel.run(a, b, 200, master_rng(1000 * j + seed))
+            fast = kernel.run(kernel.start(a, b), 200, master_rng(1000 * j + seed))
             _assert_same_path(fast, _step_loop(kernel, a, b, 200, master_rng(1000 * j + seed)))
             assert verify_coupling_path(fast).ok
 
@@ -622,7 +612,7 @@ def test_run_matches_step_loop_from_coupled_start():
     start = ((1, 4), (2,))
     for seed in range(50):
         for n in (0, 1, 2, 150):
-            fast = kernel.run(start, start, n, master_rng(seed))
+            fast = kernel.run(kernel.start(start, start), n, master_rng(seed))
             assert fast.tau == 0 and len(fast.states) == n + 1
             _assert_same_path(fast, _step_loop(kernel, start, start, n, master_rng(seed)))
             assert verify_coupling_path(fast).ok
@@ -635,12 +625,12 @@ def test_run_matches_step_loop_at_the_phase_boundary(spec, lower, upper):
     a, b = _interpolate(kernel.canon(lower), kernel.canon(upper))[:2]
     taus = set()
     for seed in range(40):
-        tau = kernel.run(a, b, 200, master_rng(seed)).tau
+        tau = kernel.run(kernel.start(a, b), 200, master_rng(seed)).tau
         if tau is None:
             continue
         taus.add(tau)
         for n in sorted({0, tau - 1, tau, tau + 1}):
-            fast = kernel.run(a, b, n, master_rng(seed))
+            fast = kernel.run(kernel.start(a, b), n, master_rng(seed))
             assert fast.tau == (tau if n >= tau else None)
             assert len(fast.states) == n + 1 and len(fast.events) == n
             _assert_same_path(fast, _step_loop(kernel, a, b, n, master_rng(seed)))
@@ -653,7 +643,7 @@ def test_run_matches_step_loop_when_never_coupled():
     # the lower copy holds a job, so the lower copy never empties
     script = [0.1] + [0.1, 0.9, 0.3] * 10
     kernel = CouplingKernel(MM1)
-    fast = kernel.run(((),), ((1,),), 21, ScriptedRng(script))
+    fast = kernel.run(kernel.start(((),), ((1,),)), 21, ScriptedRng(script))
     assert fast.tau is None
     _assert_same_path(fast, _step_loop(kernel, ((),), ((1,),), 21, ScriptedRng(script)))
 
@@ -664,7 +654,7 @@ def test_step_on_a_coupled_pair_matches_the_coupled_phase():
     kernel = CouplingKernel(LK_SBP)
     start = ((1, 4), (2,))
     for seed in range(20):
-        fast = kernel.run(start, start, 100, master_rng(seed))
+        fast = kernel.run(kernel.start(start, start), 100, master_rng(seed))
         uni = Uniforms(master_rng(seed))
         cs = kernel.start(start, start)
         for expected, event in zip(fast.states[1:], fast.events):

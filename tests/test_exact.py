@@ -300,6 +300,36 @@ def test_functional_series_checks_mass_drift():
         engine.functional_series(((),), 1, lambda s: 1.0)
 
 
+# starts that are not states of lk-prop (two stations; classes 1, 4 and 2, 3)
+# and the fault each names
+MALFORMED = [
+    (((2,), ()), "class 2 does not belong to station 1"),
+    (((1,), (), ()), "one configuration per station"),
+    (((1,),), "one configuration per station"),
+    (((7,), ()), "class 7 does not belong to station 1"),
+]
+ENTRIES = {
+    "distribution": lambda e, xi: e.distribution(xi, 1),
+    "law_arrays": lambda e, xi: e.law_arrays(xi, 1),
+    "norm_series": lambda e, xi: e.norm_series(xi, 1, float),
+    "functional_series": lambda e, xi: e.functional_series(xi, 1, state_norm),
+    "transient_grid": lambda e, xi: e.transient_grid(xi, [0.5], lambda s: 1.0),
+    "step": lambda e, xi: e.step({xi: 1.0}),
+    "kernel": lambda e, xi: e.kernel(xi),
+}
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["unreduced", "reduced"])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_every_entry_rejects_a_start_that_is_not_a_state(entry, reduced):
+    engine = ExactEngine(builtin_fixture("lk-prop"), reduced=reduced)
+    for xi, fault in MALFORMED:
+        with pytest.raises(ValueError, match=fault):
+            ENTRIES[entry](engine, xi)
+    # the engine still runs, from a start in list form too
+    assert engine.distribution([[1], []], 2) == engine.distribution(((1,), ()), 2)
+
+
 def test_reduced_kernel_and_step_take_the_canonical_form():
     # lk-prop's first station is order-insensitive: (4, 1) and (1, 4) are one state
     engine = ExactEngine(builtin_fixture("lk-prop"), reduced=True)

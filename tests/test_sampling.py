@@ -9,11 +9,14 @@ class step by step; there its terminal law is checked against the exact
 engine. At multi-class FCFS head-of-queue stations it serves the head of a
 ring of class ids: ``replay_terminal_norms`` replays the same draws one
 replication at a time on tuple states, and the norms must match it bit for
-bit.
+bit. On multi-class networks the norms and the generator's next draw are
+also pinned by digest (``PINNED_BATCH``).
 """
 
 import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -194,6 +197,54 @@ def test_norm_checkpoints_come_back_in_the_given_order():
     assert sampler.run_norm_checkpoints(((),), [3, 0], master_rng(1)) == ordered[::-1]
 
 
+def test_scalar_sampler_rejects_a_start_with_too_few_stations():
+    # the last replication's buffers at the second station are not kept
+    sampler = PathSampler(FCFS_LINE)
+    sampler.run_terminal_norm(((), (2, 3, 2, 3)), 50, master_rng(1))
+    with pytest.raises(ValueError, match="one configuration per station"):
+        sampler.run_terminal_norm(((1,),), 0, master_rng(1))
+    fresh = PathSampler(FCFS_LINE).run_terminal_norm(((1,), ()), 400, master_rng(2))
+    assert sampler.run_terminal_norm(((1,), ()), 400, master_rng(2)) == fresh
+
+
+def test_scalar_sampler_rejects_a_class_at_the_wrong_station():
+    sampler = PathSampler(FCFS_LINE)
+    with pytest.raises(ValueError, match="class 2 does not belong to station 1"):
+        sampler.run_terminal_norm(((2,), ()), 5, master_rng(1))
+    assert sampler.run_terminal_norm([[1], []], 0, master_rng(1)) == 1
+
+
+def test_scalar_sampler_checks_a_repeated_start_once(monkeypatch):
+    calls = []
+    check = sampling.check_state
+    monkeypatch.setattr(sampling, "check_state", lambda spec, xi: calls.append(xi) or check(spec, xi))
+    sampler = PathSampler(FCFS_LINE)
+    for seed in range(5):
+        sampler.run_terminal_norm(((1,), (2,)), 6, master_rng(seed))
+    sampler.run_terminal_norm(((), ()), 6, master_rng(1))
+    sampler.run_norm_checkpoints(((), ()), [3], master_rng(1))
+    assert calls == [((1,), (2,)), ((), ())]
+
+
+def test_batch_stepper_rejects_a_start_with_too_many_stations():
+    # a third station's jobs would be counted as jobs of lk-prop's classes
+    with pytest.raises(ValueError, match="one configuration per station"):
+        batch_terminal_norms(builtin_fixture("lk-prop"), ((1,), (), (1, 1)), 3, 8, master_rng(1))
+
+
+def test_batch_stepper_rejects_a_start_with_too_few_stations():
+    with pytest.raises(ValueError, match="one configuration per station"):
+        batch_terminal_norms(FCFS_LINE, ((1,),), 3, 8, master_rng(1))
+
+
+def test_batch_stepper_rejects_a_class_at_the_wrong_station():
+    with pytest.raises(ValueError, match="class 2 does not belong to station 1"):
+        batch_terminal_norms(builtin_fixture("lk-prop"), ((2,), ()), 3, 8, master_rng(1))
+    got = batch_terminal_norms(FCFS_LINE, [[1], [2, 3]], 4, 8, master_rng(1))
+    expected = batch_terminal_norms(FCFS_LINE, ((1,), (2, 3)), 4, 8, master_rng(1))
+    np.testing.assert_array_equal(got, expected)
+
+
 # ---------------------------------------------------------------------------
 # Multi-class FCFS head-of-queue stations against a per-replication replay
 
@@ -359,7 +410,64 @@ def test_block_and_group_sizes_leave_the_stream_unchanged(name, block_uniforms, 
     assert rng_new.random() == rng_ref.random()
 
 
-STATION_KINDS = ("hq-fcfs", "proportional", "preferential", "egalitarian")
+def mixed_line() -> NetworkSpec:
+    """A multi-class FCFS head-of-queue station (classes 1, 3, 5; class 5 can
+    rejoin it as class 1), a multi-class proportional station (2, 4) and a
+    single-class station (6) that feeds back to the first."""
+    spec = NetworkSpec(
+        class_count=6,
+        stations=((1, 3, 5), (2, 4), (6,)),
+        theta=(0.5, 0.0, 0.0, 0.0, 0.0, 0.2),
+        beta=(2.0, 3.0, 1.5, 2.5, 1.8, 1.2),
+        routing=(
+            (0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, 0.6, 0.3),
+            (0.2, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (0.5, 0.0, 0.0, 0.0, 0.0, 0.0),
+        ),
+        protocols=(
+            StationProtocol(QueuePolicy.fcfs(), HQ),
+            StationProtocol(QueuePolicy.fcfs(), ServiceAllocation("proportional")),
+            StationProtocol(QueuePolicy.fcfs(), HQ),
+        ),
+    )
+    validate(spec)
+    return spec
+
+
+# sha256 over the terminal norms (little-endian int64) and the generator's
+# next double of ``batch_terminal_norms`` from a loaded start, master_rng(n),
+# at every shape of PINNED_SHAPES in turn. A block holds 4096 (step,
+# replication) pairs with two slots and 2730 with three, so the shapes cover
+# several blocks, one replication, one step per block and several groups.
+PINNED_SHAPES = [(150, 50), (40, 1), (6, 3000), (4, 9000)]
+PINNED_BATCH = {
+    "lk-prop": (LINES["lk-prop"], LOADED,
+                "9dc6af5760ffbb9e1303a6747881964114485c2cd05e41d19550ebfb034d5979"),
+    "lk-sbp": (LINES["lk-sbp"], LOADED,
+               "cd2af3729c8e09df6702080c11874b385c6be0f254f9b6f65e0b6d5e53eebf2a"),
+    "lk-egal": (LINES["lk-egal"], LOADED,
+                "35943ab3f29d76ba40b1d89692a3f4448367e2b04a16233ec4341eb1b3c07571"),
+    "mixed": (mixed_line(), ((3, 1, 5, 1), (4, 2, 2), (6,)),
+              "2d242d70e1a5e036183b93221a6c6bd9d6c08c44c300ec012acffea4e922e79b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BATCH))
+def test_batch_streams_on_multi_class_stations_are_pinned(name):
+    spec, xi0, digest = PINNED_BATCH[name]
+    h = hashlib.sha256()
+    for n, reps in PINNED_SHAPES:
+        rng = master_rng(n)
+        norms = batch_terminal_norms(spec, xi0, n, reps, rng)
+        h.update(norms.astype("<i8").tobytes())
+        h.update(struct.pack("<d", rng.random()))
+    assert h.hexdigest() == digest
+
+
+STATION_KINDS =("hq-fcfs", "proportional", "preferential", "egalitarian")
 
 
 def random_batch_spec(rng) -> NetworkSpec:

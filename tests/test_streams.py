@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ScriptedRng
+from conftest import LCFS_LINE, SBP_HQ_LINE, ScriptedRng
 from mcqnet.coupling import CouplingKernel
 from mcqnet.network import builtin_fixture
 from mcqnet.qprocess import empty_state, state_norm
@@ -32,9 +32,13 @@ TERMINAL_NORMS = {
     "lk-prop": [1, 0, 0, 22, 6, 4, 0, 1, 2, 4, 6, 5, 1, 5, 3, 2, 8, 5, 0, 6],
     "lk-sbp": [1, 0, 1, 4, 1, 3, 1, 1, 4, 1, 3, 2, 3, 7, 4, 2, 10, 1, 1, 7],
     "fcfs-reentrant": [1, 2, 0, 18, 6, 9, 2, 2, 4, 4, 6, 6, 1, 6, 3, 2, 9, 5, 0, 6],
+    "lcfs-line": [1, 0, 0, 21, 6, 8, 2, 2, 5, 4, 8, 7, 1, 7, 2, 3, 14, 5, 0, 1],
+    "sbp-hq-line": [1, 6, 0, 19, 6, 9, 2, 3, 8, 4, 6, 6, 1, 8, 4, 4, 14, 5, 0, 6],
 }
+# the fcfs-reentrant line with LCFS and with SBP insertion (conftest.py)
+LINES = {"lcfs-line": LCFS_LINE, "sbp-hq-line": SBP_HQ_LINE}
 
-# CouplingKernel.run from (empty, one class-1 job), n = 200, master_rng(seed):
+# CouplingKernel.run from the start record of (empty, one class-1 job), n = 200, master_rng(seed):
 # (tau, final lower norm, final upper norm)
 COUPLINGS = {
     "lk-sbp": [
@@ -54,7 +58,7 @@ COUPLINGS = {
 
 @pytest.mark.parametrize("name", sorted(TERMINAL_NORMS))
 def test_scalar_sampler_stream_is_pinned(name):
-    spec = builtin_fixture(name)
+    spec = LINES[name] if name in LINES else builtin_fixture(name)
     sampler = PathSampler(spec)
     xi0 = empty_state(spec)
     norms = [sampler.run_terminal_norm(xi0, 500, master_rng(s)) for s in SEEDS]
@@ -69,7 +73,7 @@ def test_coupling_stream_is_pinned(name):
     upper = ((1,),) + lower[1:]
     out = []
     for s in SEEDS:
-        path = kernel.run(lower, upper, 200, master_rng(s))
+        path = kernel.run(kernel.start(lower, upper), 200, master_rng(s))
         last = path.states[-1]
         out.append((path.tau, state_norm(last.lower), state_norm(last.upper)))
     assert out == COUPLINGS[name]
