@@ -19,13 +19,16 @@ is single-class or order-insensitive; a multi-class FCFS head-of-queue
 station adds a per-replication ring of class ids, since its head class is
 the one it serves. It draws its uniforms in blocks of steps and resolves each
 block's events and routing with array operations; the random stream is
-consumed exactly as by drawing per step. Then one loop runs the block step by
-step (``_BatchKernel.run``): on a single-class network the event fixes each
-move, and on any other network a step picks each replication's served class
-(its slot) from the counts, from the head of a ring or from both, applies
-the move and, only when the spec has ring stations, pops and pushes the
-rings. Multi-class LCFS and SBP head-of-queue stations insert inside the
-queue and run on ``PathSampler`` only.
+consumed exactly as by drawing per step. Then ``_BatchKernel.run`` applies
+the block's moves. On a single-class network the event fixes each move, and
+when the routing has no cycle once self-routes are dropped, a block of enough
+steps is solved class by class with cumulative sums (Lindley's recursion,
+``_BatchKernel.scan``); other single-class blocks run a plain loop over the
+steps. On any other network a loop picks each step's served class per
+replication (its slot) from the counts, from the head of a ring or from
+both, applies the move and, only when the spec has ring stations, pops and
+pushes the rings. Multi-class LCFS and SBP head-of-queue stations insert
+inside the queue and run on ``PathSampler`` only.
 
 Both samplers check their start against the spec (``qprocess.check_state``):
 ``batch_terminal_norms`` once per call and ``PathSampler.reset`` whenever the
@@ -299,8 +302,42 @@ class PathSampler:
 # station serves (at least one step of one replication per block): small
 # enough that a block's arrays add little to the peak RSS.
 _BLOCK_UNIFORMS = 1 << 14
+# Fewest steps per class in a block for which a single-class network without
+# a routing cycle is solved by the Lindley scan rather than stepped by the
+# loop. A block holds max(1, 8192 // reps) steps; the loop's cost grows with
+# the steps and the scan's with the classes. Rep-steps/s of the scan over the
+# loop, from empty (median of 15 alternating runs, 2 shared cores, Python
+# 3.11, numpy 2.4; mm1, tandem2 and the test networks of test_sampling.py):
+#
+#   reps             64   128   256   390   512  1024  3000
+#   steps/block     128    64    32    21    16     8     2
+#   mm1 (1 class)  3.45  2.09  1.61  1.47  1.33  1.14  0.92
+#   tandem2 (2)    2.27  1.53  1.14  1.06  0.93  0.83  0.53
+#   branching (3)  1.68  1.25  1.00  0.94  0.80  0.68  0.50
+#   diamond (3)    1.81  1.23  1.07  0.78  0.65  0.60  0.44
+#   mid-exits (4)  1.26  0.90  0.74  0.74  0.62  0.53  0.36
+#
+# The scan breaks even near 4, 20, 30 and 60-90 steps with 1 to 4 classes.
+_SCAN_MIN_STEPS = 16
 # Count held by the batch stepper's sink column; no run empties it.
 _SINK = 1 << 62
+
+
+def _topological_order(d: int, edges) -> list[int] | None:
+    """Classes 1..d with k before l for every edge (k, l), or None when the
+    edges close a cycle (Kahn's algorithm)."""
+    into = [0] * (d + 1)
+    out = [[] for _ in range(d + 1)]
+    for k, l in sorted(edges):
+        into[l] += 1
+        out[k].append(l)
+    order = [l for l in range(1, d + 1) if not into[l]]
+    for k in order:  # grows as classes lose their last edge in
+        for l in out[k]:
+            into[l] -= 1
+            if not into[l]:
+                order.append(l)
+    return order if len(order) == d else None
 
 
 def is_single_class_network(spec: NetworkSpec) -> bool:
@@ -337,9 +374,16 @@ def batch_terminal_norms(
     source and target column) is resolved for the whole group and block at
     once, and a step then moves one job per replication from its source
     column to its target column if the source is nonempty. Column 0 is a sink
-    that never empties: arrivals leave it and exits enter it. One loop,
-    ``_BatchKernel.run``, runs the steps; single-class networks run it on the
-    block's source and target rows alone.
+    that never empties: arrivals leave it and exits enter it.
+
+    On a single-class network whose routing has no cycle once self-routes are
+    dropped (tandem lines, branching and merging feed-forward networks), a
+    block of at least ``_SCAN_MIN_STEPS`` steps per class is not stepped: a
+    class's count follows Lindley's recursion x_t = max(x_{t-1} + xi_t, 0),
+    so ``_BatchKernel.scan`` solves each class over the whole block with
+    cumulative sums, upstream classes first. It reads the same draws and
+    gives the same counts as the step loop, which runs every other
+    single-class block.
 
     At a single-class station the event fixes the served class. At a
     multi-class station the block resolves the outcome of every class the
@@ -534,15 +578,31 @@ class _BatchKernel:
                 dst_of[r, j] = l
         self.src_of = src_of.ravel()
         self.dst_of = dst_of.ravel()
+        self.order, self.feeders = None, set()
+        if slots == 1:
+            # a self-route moves nothing, and neither does a move from the
+            # sink to itself; with self-routes gone, a move's target is never
+            # its source, which the scan needs
+            loop = self.src_of == self.dst_of
+            self.src_of[loop] = 0
+            self.dst_of[loop] = 0
+            edges = {(k, l) for k, l in zip(self.src_of.tolist(), self.dst_of.tolist()) if k and l}
+            self.order = _topological_order(spec.class_count, edges)
+            # classes whose departures feed another class, not only the sink
+            self.feeders = {k for k, _ in edges}
 
     def run(self, flat, row, u, v, rings=None) -> None:
         """Apply a block of [step, replication] uniforms to the replications
         whose count rows start at ``row`` in ``flat`` (and to their queues in
         ``rings``, which specs with ring stations need).
 
-        On a single-class network the event and v fix each step's move.
-        Elsewhere the block resolves the move of every slot, and a step takes
-        each replication's slot from the counts at a multi-class
+        On a single-class network the event and v fix each step's move. A
+        block of at least ``_SCAN_MIN_STEPS`` steps per class on a network
+        with a scan ``order`` is solved by ``scan``; any other block runs a
+        loop that moves each step's job where its source is nonempty. Both
+        give the same counts (see ``scan``). Elsewhere the block resolves the
+        move of every slot, and a step takes each replication's slot from the
+        counts at a multi-class
         order-insensitive station (``count_slots``) and from the head of the
         served ring at a ring station. A move that happens pops the served
         ring and pushes its target onto the tail of the target's ring; each
@@ -557,14 +617,17 @@ class _BatchKernel:
         if self.slots == 1:
             code = self.codes(ev, v)
             src = self.src_of[code]
-            src += row
             dst = self.dst_of[code]
+            if self.order is not None and len(code) >= _SCAN_MIN_STEPS * len(self.order):
+                self.scan(flat, row, src, dst)
+                return
+            src += row
             dst += row
             for s, t in zip(src, dst):
                 held = flat[s]
                 act = held > 0
                 flat[s] = held - act
-                flat[t] += act  # after the source update, so a self-route nets zero
+                flat[t] += act  # after the source update, so a sink-to-sink move nets zero
             return
         slots = self.slots
         steps, reps = ev.shape
@@ -628,6 +691,45 @@ class _BatchKernel:
                 size = length[p]
                 ring[p * cap + ((head[p] + size) & mask)] = cls[t][slot]
                 length[p] = size + act
+
+    def scan(self, flat, row, src, dst) -> None:
+        """Apply a block of [step, replication] moves of a single-class
+        network without a routing cycle, one class at a time in ``order``.
+
+        The loop would move a step's job from its source column to its
+        target column when the source is nonempty. Self-routes are sink to
+        sink moves here, so a step never has class k as both its source and
+        its target. Class k's count therefore follows Lindley's recursion
+        x_t = max(x_{t-1} + xi_t, 0), where xi_t is +1 when step t moves a
+        job into k (an arrival, or a move out of an upstream class that found
+        a job there), -1 when step t serves k, and 0 otherwise: a served k
+        loses a job exactly when x_{t-1} > 0. Unrolled, x_t = S_t +
+        max(x_0, max_{s <= t} -S_s) with S the cumulative sum of xi, and
+        step t's move out of k happens exactly when it serves k and
+        x_{t-1} > 0. xi of class k reads only moves out of classes that
+        route into k, which come before k in ``order``, so one pass settles
+        every move. The arithmetic is on integers, so the counts equal the
+        loop's, bit for bit. The sink's count is not updated: a scan never
+        reads it and a loop reads only its sign.
+        """
+        moved = src == 0  # arrivals: the sink never empties
+        for k in self.order:
+            start = flat[row + k]
+            served = src == k
+            xi = (dst == k) & moved
+            s = np.cumsum(xi.view(np.int8) - served.view(np.int8), axis=0, dtype=np.int64)
+            if k not in self.feeders:
+                # nothing reads k's moves, only its last count: S + max(x_0, -min S)
+                flat[row + k] = s[-1] + np.maximum(start, -s.min(axis=0))
+                continue
+            x = np.negative(s)
+            np.maximum.accumulate(x, axis=0, out=x)
+            np.maximum(x, start, out=x)
+            x += s
+            flat[row + k] = x[-1]
+            served[0] &= start > 0
+            served[1:] &= x[:-1] > 0
+            moved |= served
 
     def codes(self, rid, v):
         """Outcome codes (row * width + outcome) of table rows ``rid`` at

@@ -10,6 +10,7 @@ import pytest
 from mcqnet import builtin_fixture
 from mcqnet.allocation import ServiceAllocation, StationProtocol
 from mcqnet.configurations import PriorityRanking, QueuePolicy
+from mcqnet.network import NetworkSpec, validate
 
 HQ = ServiceAllocation.head_of_queue()
 # the fcfs-reentrant line with LCFS insertion, and with SBP insertion (4 over 1,
@@ -24,6 +25,61 @@ SBP_HQ_LINE = dataclasses.replace(
         for order in ((4, 1), (2, 3))
     ),
 )
+
+
+STATION_KINDS = ("hq-fcfs", "proportional", "preferential", "egalitarian")
+
+
+def random_batch_spec(rng, single_class: bool = False) -> NetworkSpec:
+    """A seeded random network of at most 4 classes with transient random
+    routing: every network the batch stepper runs.
+
+    By default it has at most 3 stations, each FCFS head-of-queue or
+    order-insensitive (``STATION_KINDS``), single-class stations included.
+    With ``single_class`` every class has an FCFS station of its own, and half
+    the networks route only forward along a random class order or back to the
+    same class, so that they have no routing cycle once self-routes are
+    dropped.
+    """
+    d = int(rng.integers(1, 5))
+    if single_class:
+        stations = tuple((k,) for k in range(1, d + 1))
+        protocols = [StationProtocol(QueuePolicy.fcfs(), HQ)] * d
+    else:
+        station_count = int(rng.integers(1, min(3, d) + 1))
+        order = [int(k) for k in rng.permutation(np.arange(1, d + 1))]
+        cuts = sorted(int(c) for c in rng.choice(np.arange(1, d), size=station_count - 1, replace=False))
+        stations = tuple(tuple(sorted(int(k) for k in part)) for part in np.split(np.asarray(order), cuts))
+        protocols = []
+        for classes in stations:
+            kind = str(rng.choice(STATION_KINDS))
+            if kind == "hq-fcfs":
+                allocation = HQ
+            elif kind == "preferential":
+                ranking = PriorityRanking.total(tuple(int(k) for k in rng.permutation(classes)))
+                allocation = ServiceAllocation.preferential(ranking)
+            else:
+                allocation = ServiceAllocation(kind)
+            protocols.append(StationProtocol(QueuePolicy.fcfs(), allocation))
+    theta = rng.uniform(0.2, 1.5, d) * (rng.random(d) < 0.7)
+    theta[int(rng.integers(d))] = rng.uniform(0.2, 1.5)
+    routing = rng.random((d, d)) * (rng.random((d, d)) < 0.5)
+    if single_class and rng.random() < 0.5:
+        rank = rng.permutation(d)
+        routing *= rank[:, None] <= rank[None, :]  # forward or to itself
+    sums = routing.sum(axis=1, keepdims=True)
+    routing = np.where(sums > 0, routing / np.where(sums > 0, sums, 1.0), 0.0)
+    routing *= rng.uniform(0.0, 0.8, (d, 1))  # row sums below one: transient
+    spec = NetworkSpec(
+        class_count=d,
+        stations=stations,
+        theta=tuple(float(t) for t in theta),
+        beta=tuple(float(b) for b in rng.uniform(0.5, 3.0, d)),
+        routing=tuple(tuple(float(x) for x in r) for r in routing),
+        protocols=tuple(protocols),
+    )
+    validate(spec)
+    return spec
 
 
 class ScriptedRng:

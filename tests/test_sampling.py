@@ -3,7 +3,11 @@
 ``reference_terminal_norms`` is the batch stepper as it was before steps were
 run in blocks: two ``rng.random(reps)`` draws per step and the count vector
 updated from gather tables. On single-class networks the block stepper must
-return the same norms and leave the generator in the same state, bit for bit.
+return the same norms and leave the generator in the same state, bit for bit,
+whether a block runs the step loop or, on networks without a routing cycle,
+the Lindley scan. Their norms and the generator's next draw are also pinned
+by digest (``PINNED_SINGLE_CLASS``), and 40 seeded random single-class
+networks (``random_batch_spec`` in ``conftest.py``) are checked on both paths.
 On networks with multi-class order-insensitive stations it picks the served
 class step by step; there its terminal law is checked against the exact
 engine. At multi-class FCFS head-of-queue stations it serves the head of a
@@ -23,7 +27,7 @@ import pytest
 
 from mcqnet import sampling
 from mcqnet.allocation import ServiceAllocation, StationProtocol
-from mcqnet.configurations import PriorityRanking, QueuePolicy
+from mcqnet.configurations import QueuePolicy
 from mcqnet.exact import ExactEngine
 from mcqnet.network import FIXTURE_NAMES, NetworkSpec, builtin_fixture, validate
 from mcqnet.qprocess import (
@@ -39,7 +43,7 @@ from mcqnet.rng import master_rng
 from mcqnet.sampling import PathSampler, batch_terminal_norms
 from mcqnet.stability import phi_estimate
 
-from conftest import HQ, LCFS_LINE, SBP_HQ_LINE, run_optimized
+from conftest import HQ, LCFS_LINE, SBP_HQ_LINE, STATION_KINDS, random_batch_spec, run_optimized
 
 
 def reference_terminal_norms(spec, xi0, n, reps, rng):
@@ -102,26 +106,48 @@ def reference_terminal_norms(spec, xi0, n, reps, rng):
     return counts.sum(axis=1)
 
 
-def feedback_pair() -> NetworkSpec:
-    """Two single-class stations; class 1 feeds back to itself, both exit."""
-    fcfs = StationProtocol(QueuePolicy.fcfs(), ServiceAllocation.head_of_queue())
+def single_class_network(theta, beta, routing) -> NetworkSpec:
+    """One single-class FCFS station per class."""
+    fcfs = StationProtocol(QueuePolicy.fcfs(), HQ)
+    d = len(theta)
     spec = NetworkSpec(
-        class_count=2,
-        stations=((1,), (2,)),
-        theta=(1.0, 0.5),
-        beta=(3.0, 2.0),
-        routing=((0.3, 0.4), (0.2, 0.0)),
-        protocols=(fcfs, fcfs),
+        class_count=d,
+        stations=tuple((k,) for k in range(1, d + 1)),
+        theta=theta,
+        beta=beta,
+        routing=routing,
+        protocols=(fcfs,) * d,
     )
     validate(spec)
     return spec
+
+
+def feedback_pair() -> NetworkSpec:
+    """Two single-class stations; class 1 feeds back to itself, both exit."""
+    return single_class_network((1.0, 0.5), (3.0, 2.0), ((0.3, 0.4), (0.2, 0.0)))
 
 
 SPECS = {
     "mm1": builtin_fixture("mm1"),
     "tandem2": builtin_fixture("tandem2"),
     "feedback": feedback_pair(),
+    # the rest have no routing cycle, like mm1 and tandem2: the Lindley scan
+    # solves them. 1 -> 1, 2 or 3, arrivals at 1 and 2:
+    "branching": single_class_network(
+        (1.0, 0.3, 0.0), (3.0, 1.6, 1.2), ((0.2, 0.35, 0.25), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    ),
+    # 1 -> 2, 1 -> 3, 2 -> 3
+    "diamond": single_class_network(
+        (1.0, 0.0, 0.2), (2.5, 1.5, 2.0), ((0.0, 0.5, 0.4), (0.0, 0.0, 0.7), (0.0, 0.0, 0.0))
+    ),
+    # the line 4 -> 3 -> 2 -> 1, against class order, with exits and arrivals along it
+    "mid-exits": single_class_network(
+        (0.2, 0.0, 0.3, 0.8),
+        (0.9, 1.0, 1.2, 1.5),
+        ((0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0), (0.0, 0.7, 0.0, 0.0), (0.0, 0.0, 0.6, 0.0)),
+    ),
 }
+SCANNED = sorted(set(SPECS) - {"feedback"})
 ONE_STEP_REPS = sampling._BLOCK_UNIFORMS // 2 + 1  # a block holds a single step
 SHAPES = [
     (0, 128),  # no steps, no draws
@@ -130,6 +156,10 @@ SHAPES = [
     (7, 3000),
     (3, ONE_STEP_REPS),
 ]
+
+
+def loaded_start(spec):
+    return tuple((k,) * (2 + k) for (k,) in spec.stations)
 
 
 def _assert_same_as_reference(spec, xi0, n, reps, seed):
@@ -152,8 +182,108 @@ def test_block_stepper_matches_reference_from_empty(name, n, reps):
 @pytest.mark.parametrize("seed", [1, 7])
 def test_block_stepper_matches_reference_from_loaded_state(name, seed):
     spec = SPECS[name]
-    xi0 = tuple((k,) * (2 + k) for (k,) in spec.stations)
-    _assert_same_as_reference(spec, xi0, 200, 64, seed)
+    _assert_same_as_reference(spec, loaded_start(spec), 200, 64, seed)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The step count of every block the Lindley scan solves."""
+    blocks = []
+    scan = sampling._BatchKernel.scan
+
+    def spy(self, flat, row, src, dst):
+        blocks.append(len(src))
+        scan(self, flat, row, src, dst)
+
+    monkeypatch.setattr(sampling._BatchKernel, "scan", spy)
+    return blocks
+
+
+def test_scan_orders_follow_the_routing():
+    orders = {name: sampling._BatchKernel(SPECS[name]).order for name in SCANNED}
+    assert orders == {"branching": [1, 2, 3], "diamond": [1, 2, 3], "mid-exits": [4, 3, 2, 1],
+                      "mm1": [1], "tandem2": [1, 2]}
+    # 2 -> 1 -> 2 is a cycle; 1 -> 1 alone would not be
+    assert sampling._BatchKernel(SPECS["feedback"]).order is None
+    for name in ("lk-prop", "fcfs-reentrant"):
+        assert sampling._BatchKernel(builtin_fixture(name)).order is None
+
+
+@pytest.mark.parametrize("start", ["empty", "loaded"])
+@pytest.mark.parametrize("n,reps", SHAPES)
+@pytest.mark.parametrize("name", SCANNED)
+def test_scan_of_every_block_matches_reference(name, n, reps, start, scanned, monkeypatch):
+    # the tests above scan only blocks of _SCAN_MIN_STEPS steps per class or more
+    monkeypatch.setattr(sampling, "_SCAN_MIN_STEPS", 0)
+    spec = SPECS[name]
+    xi0 = loaded_start(spec) if start == "loaded" else empty_state(spec)
+    _assert_same_as_reference(spec, xi0, n, reps, seed=n + reps)
+    assert bool(scanned) == (n > 0)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("name", ["tandem2", "branching"])
+def test_blocks_are_scanned_from_the_threshold_on(name, offset, scanned):
+    # two full blocks and a partial one of 3 steps, which the loop runs
+    spec = SPECS[name]
+    steps = sampling._SCAN_MIN_STEPS * spec.class_count + offset
+    span = sampling._BLOCK_UNIFORMS // 2
+    reps = span // steps
+    assert max(1, span // reps) == steps
+    _assert_same_as_reference(spec, loaded_start(spec), 2 * steps + 3, reps, seed=steps)
+    assert scanned == ([steps, steps] if offset >= 0 else [])
+
+
+def test_scan_matches_reference_on_random_single_class_specs(scanned, monkeypatch):
+    rng = np.random.default_rng(20261020)
+    default = sampling._SCAN_MIN_STEPS
+    acyclic = 0
+    for case in range(40):
+        spec = random_batch_spec(rng, single_class=True)
+        ordered = sampling._BatchKernel(spec).order is not None
+        acyclic += ordered
+        loaded = tuple((k,) * int(rng.integers(0, 6)) for (k,) in spec.stations)
+        for xi0 in (empty_state(spec), loaded):
+            # 64-step blocks at the default threshold, then every block of
+            # 8 steps and the last of one
+            monkeypatch.setattr(sampling, "_SCAN_MIN_STEPS", default)
+            _assert_same_as_reference(spec, xi0, 150, 128, seed=case)
+            monkeypatch.setattr(sampling, "_SCAN_MIN_STEPS", 0)
+            _assert_same_as_reference(spec, xi0, 9, 1000, seed=case)
+        assert bool(scanned) == ordered
+        scanned.clear()
+    # both kinds are covered: 31 acyclic, 9 cyclic
+    assert acyclic >= 10 and 40 - acyclic >= 5
+
+
+def _stream_digest(spec, xi0, shapes) -> str:
+    h = hashlib.sha256()
+    for n, reps in shapes:
+        rng = master_rng(n)
+        norms = batch_terminal_norms(spec, xi0, n, reps, rng)
+        h.update(norms.astype("<i8").tobytes())
+        h.update(struct.pack("<d", rng.random()))
+    return h.hexdigest()
+
+
+# sha256 over the terminal norms (little-endian int64) and the generator's
+# next double of ``batch_terminal_norms`` from ``loaded_start``,
+# master_rng(n), at every shape of SINGLE_CLASS_SHAPES in turn: 64-step
+# blocks, a single block (of one replication at (40, 1)), 2 steps per block,
+# and 1 step per block in two groups.
+SINGLE_CLASS_SHAPES = [(800, 128), (150, 50), (40, 1), (6, 3000), (4, 9000)]
+PINNED_SINGLE_CLASS = {
+    "mm1": (SPECS["mm1"], "9e9d29809f761a6b959c7f8edf5fdbcee1519b94b09efabba210bddce6706c3d"),
+    "tandem2": (SPECS["tandem2"], "e2db38d22d8339ccdab805f24dd9338f5fa8f55895d2de0aab944b62316c4449"),
+    "feedback": (SPECS["feedback"], "c1001a63fafd1c9415c11cd23eaf5240a00c1c633e2b1b2fd575f1fd78615c6a"),
+    "branching": (SPECS["branching"], "fc08a34427999c9d83f892f239a100dce5c7b1ddd9859ab8ff0602bbb16e89ba"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SINGLE_CLASS))
+def test_batch_streams_on_single_class_networks_are_pinned(name):
+    spec, digest = PINNED_SINGLE_CLASS[name]
+    assert _stream_digest(spec, loaded_start(spec), SINGLE_CLASS_SHAPES) == digest
 
 
 FCFS_LINE = builtin_fixture("fcfs-reentrant")
@@ -458,55 +588,7 @@ PINNED_BATCH = {
 @pytest.mark.parametrize("name", sorted(PINNED_BATCH))
 def test_batch_streams_on_multi_class_stations_are_pinned(name):
     spec, xi0, digest = PINNED_BATCH[name]
-    h = hashlib.sha256()
-    for n, reps in PINNED_SHAPES:
-        rng = master_rng(n)
-        norms = batch_terminal_norms(spec, xi0, n, reps, rng)
-        h.update(norms.astype("<i8").tobytes())
-        h.update(struct.pack("<d", rng.random()))
-    assert h.hexdigest() == digest
-
-
-STATION_KINDS =("hq-fcfs", "proportional", "preferential", "egalitarian")
-
-
-def random_batch_spec(rng) -> NetworkSpec:
-    """A network of at most 3 stations and 4 classes with transient random
-    routing, whose stations are FCFS head-of-queue or order-insensitive
-    (``STATION_KINDS``): every network the batch stepper runs, single-class
-    stations included."""
-    d = int(rng.integers(1, 5))
-    station_count = int(rng.integers(1, min(3, d) + 1))
-    order = [int(k) for k in rng.permutation(np.arange(1, d + 1))]
-    cuts = sorted(int(c) for c in rng.choice(np.arange(1, d), size=station_count - 1, replace=False))
-    stations = tuple(tuple(sorted(int(k) for k in part)) for part in np.split(np.asarray(order), cuts))
-    protocols = []
-    for classes in stations:
-        kind = str(rng.choice(STATION_KINDS))
-        if kind == "hq-fcfs":
-            allocation = HQ
-        elif kind == "preferential":
-            ranking = PriorityRanking.total(tuple(int(k) for k in rng.permutation(classes)))
-            allocation = ServiceAllocation.preferential(ranking)
-        else:
-            allocation = ServiceAllocation(kind)
-        protocols.append(StationProtocol(QueuePolicy.fcfs(), allocation))
-    theta = rng.uniform(0.2, 1.5, d) * (rng.random(d) < 0.7)
-    theta[int(rng.integers(d))] = rng.uniform(0.2, 1.5)
-    routing = rng.random((d, d)) * (rng.random((d, d)) < 0.5)
-    sums = routing.sum(axis=1, keepdims=True)
-    routing = np.where(sums > 0, routing / np.where(sums > 0, sums, 1.0), 0.0)
-    routing *= rng.uniform(0.0, 0.8, (d, 1))  # row sums below one: transient
-    spec = NetworkSpec(
-        class_count=d,
-        stations=stations,
-        theta=tuple(float(t) for t in theta),
-        beta=tuple(float(b) for b in rng.uniform(0.5, 3.0, d)),
-        routing=tuple(tuple(float(x) for x in r) for r in routing),
-        protocols=tuple(protocols),
-    )
-    validate(spec)
-    return spec
+    assert _stream_digest(spec, xi0, PINNED_SHAPES) == digest
 
 
 def _kind(protocol) -> str:
