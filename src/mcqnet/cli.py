@@ -281,7 +281,7 @@ def _cmd_exact(args, spec, analysis, out) -> str:
     value = engine.norm_expectation(support, mass, lambda y: math.exp(-args.alpha * y))
     payload = {
         "steps": args.steps,
-        "functional": {"name": args.functional, "alpha": args.alpha, "value": value},
+        "functional": {"name": "exp-norm", "alpha": args.alpha, "value": value},
         "distribution": dict(zip(_state_keys(engine, support), mass.tolist())),
     }
     out.write_json("exact_law.json", payload)
@@ -403,7 +403,9 @@ def _cmd_cycle(args, spec, analysis, out) -> str:
     rng = master_rng(args.seed)
     est = cycle_estimate(spec, spec.theta, args.cap, args.reps, rng)
     payload = {
-        "mean_return_steps": est.mean_return,
+        # JSON has no inf or nan: a mean that is not finite is null, and
+        # ``degenerate`` or ``censor_fraction`` says why
+        "mean_return_steps": est.mean_return if math.isfinite(est.mean_return) else None,
         "censor_fraction": est.censor_fraction,
         "reps": est.reps,
         "cap": est.cap,
@@ -449,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=positive_int,
-        default=os.environ.get("QNET_THREADS", "1"),
+        default=1,
         help="accepted for compatibility but has no effect; it will be removed "
-        "(ROADMAP item 4). QNET_THREADS is its fallback",
+        "(ROADMAP item 4)",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifest")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -480,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", _cmd_validate, "check a spec and print routing analysis")
 
-    p = add("fixtures", _cmd_fixtures, "list built-in networks", spec=False)
-    p.add_argument("--list", action="store_true")
+    add("fixtures", _cmd_fixtures, "list built-in networks", spec=False)
 
     p = add("simulate", _cmd_simulate, "sample embedded-chain paths to CSV", theta_scale=True)
     p.add_argument("--steps", type=nonnegative_int, required=True)
@@ -490,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("exact", _cmd_exact, "exact n-step law and functional", theta_scale=True)
     p.add_argument("--steps", type=nonnegative_int, required=True)
-    p.add_argument("--functional", choices=("exp-norm",), default="exp-norm")
     alpha(p)
     exact_limits(p)
 

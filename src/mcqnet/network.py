@@ -299,8 +299,10 @@ def spec_from_dict(data: dict) -> NetworkSpec:
         with _reading(f"protocol {i}"):
             ranking = _ranking_from_json(entry["ranking"]) if "ranking" in entry else None
             kind = entry["policy"]
-            policy = QueuePolicy(kind, ranking if kind == "sbp" else None)
             alloc_kind = entry["allocation"]
+            if ranking is not None and kind != "sbp" and alloc_kind != "preferential":
+                raise ValueError("a ranking needs an sbp policy or a preferential allocation")
+            policy = QueuePolicy(kind, ranking if kind == "sbp" else None)
             allocation = ServiceAllocation(
                 alloc_kind, ranking if alloc_kind == "preferential" else None
             )

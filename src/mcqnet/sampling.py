@@ -20,15 +20,16 @@ station adds a per-replication ring of class ids, since its head class is
 the one it serves. It draws its uniforms in blocks of steps and resolves each
 block's events and routing with array operations; the random stream is
 consumed exactly as by drawing per step. Then ``_BatchKernel.run`` applies
-the block's moves. On a single-class network the event fixes each move, and
-when the routing has no cycle once self-routes are dropped, a block of enough
-steps is solved class by class with cumulative sums (Lindley's recursion,
-``_BatchKernel.scan``); other single-class blocks run a plain loop over the
-steps. On any other network a loop picks each step's served class per
-replication (its slot) from the counts, from the head of a ring or from
-both, applies the move and, only when the spec has ring stations, pops and
-pushes the rings. Multi-class LCFS and SBP head-of-queue stations insert
-inside the queue and run on ``PathSampler`` only.
+the block's moves. On a single-class network whose routing has no cycle once
+self-routes are dropped, a block of enough steps is solved class by class
+with cumulative sums (Lindley's recursion, ``_BatchKernel.scan``). Every
+other block runs one loop over the steps. Where a station serves several
+classes, it picks each step's served class per replication (its slot) from
+the counts, from the head of a ring or from both; on a single-class network
+the event fixes each move and there is nothing to pick. The loop applies the
+move and, only when the spec has ring stations, pops and pushes the rings.
+Multi-class LCFS and SBP head-of-queue stations insert inside the queue and
+run on ``PathSampler`` only.
 
 Both samplers check their start against the spec (``qprocess.check_state``):
 ``batch_terminal_norms`` once per call and ``PathSampler.reset`` whenever the
@@ -382,8 +383,8 @@ def batch_terminal_norms(
     class's count follows Lindley's recursion x_t = max(x_{t-1} + xi_t, 0),
     so ``_BatchKernel.scan`` solves each class over the whole block with
     cumulative sums, upstream classes first. It reads the same draws and
-    gives the same counts as the step loop, which runs every other
-    single-class block.
+    gives the same counts as the step loop, which runs every other block,
+    single-class or not.
 
     At a single-class station the event fixes the served class. At a
     multi-class station the block resolves the outcome of every class the
@@ -550,6 +551,7 @@ class _BatchKernel:
                 rows.append((bounds, tuple((k, l) for _, l in routes) + ((zero, zero),)))
             rows += [((), ((zero, zero),))] * (slots - len(classes))
         self.event_cum = np.asarray([cum for cum, _ in events])
+        self.ev_type = np.min_scalar_type(len(events))
         self.lows = np.asarray(lows)
         self.slot_cols = np.asarray(slot_cols, dtype=np.intp)
         self.slope = np.asarray(slope)
@@ -596,41 +598,31 @@ class _BatchKernel:
         whose count rows start at ``row`` in ``flat`` (and to their queues in
         ``rings``, which specs with ring stations need).
 
-        On a single-class network the event and v fix each step's move. A
-        block of at least ``_SCAN_MIN_STEPS`` steps per class on a network
-        with a scan ``order`` is solved by ``scan``; any other block runs a
-        loop that moves each step's job where its source is nonempty. Both
-        give the same counts (see ``scan``). Elsewhere the block resolves the
-        move of every slot, and a step takes each replication's slot from the
-        counts at a multi-class
+        A block of at least ``_SCAN_MIN_STEPS`` steps per class on a network
+        with a scan ``order`` is solved by ``scan``. Every other block runs
+        one loop: the block resolves the move of every slot, and a step takes
+        each replication's slot from the counts at a multi-class
         order-insensitive station (``count_slots``) and from the head of the
-        served ring at a ring station. A move that happens pops the served
-        ring and pushes its target onto the tail of the target's ring; each
-        replication owns its queues, so these updates never meet twice on a
-        real queue, and the scratch queue takes the rest.
+        served ring at a ring station, then moves the slot's job where its
+        source is nonempty. A single-class network has one slot, which the
+        loop takes as it is; there the event and v fix each move, and the
+        loop gives the same counts as ``scan``. A move that happens pops the
+        served ring and pushes its target onto the tail of the target's ring;
+        each replication owns its queues, so these updates never meet twice
+        on a real queue, and the scratch queue takes the rest.
         """
         # count the thresholds at or below each draw, leaving out the last:
-        # a searchsorted clipped to the table
-        ev = np.zeros(u.shape, dtype=np.intp)
+        # a searchsorted clipped to the table, summed in the narrowest int type
+        ev = np.zeros(u.shape, dtype=self.ev_type)
         for cum in self.event_cum[:-1]:
             ev += u >= cum
-        if self.slots == 1:
+        ev = ev.astype(np.intp)
+        steps, reps = ev.shape
+        if self.order is not None and steps >= _SCAN_MIN_STEPS * len(self.order):
             code = self.codes(ev, v)
-            src = self.src_of[code]
-            dst = self.dst_of[code]
-            if self.order is not None and len(code) >= _SCAN_MIN_STEPS * len(self.order):
-                self.scan(flat, row, src, dst)
-                return
-            src += row
-            dst += row
-            for s, t in zip(src, dst):
-                held = flat[s]
-                act = held > 0
-                flat[s] = held - act
-                flat[t] += act  # after the source update, so a sink-to-sink move nets zero
+            self.scan(flat, row, self.src_of.take(code), self.dst_of.take(code))
             return
         slots = self.slots
-        steps, reps = ev.shape
         if rings is not None:
             stations = rings.stations
             ring, head, length, cap = rings.ring.reshape(-1), rings.head, rings.length, rings.cap
@@ -648,40 +640,40 @@ class _BatchKernel:
             at_ring = served >= 0
             queue = np.where(at_ring, qbase + served, scratch)
             place = queue * cap
-            joins = np.empty((steps, reps, slots), dtype=np.intp)
+            joins = np.empty((steps, reps * slots), dtype=np.intp)
             cls = np.empty(joins.shape, dtype=rings.ring.dtype)
-        # per [step, replication, slot]: source and target column and, with
-        # rings, the target's class id and the queue it joins; filled slot by
-        # slot, since numpy runs slowly over a short last axis
-        src = np.empty((steps, reps, slots), dtype=np.intp)
+            base = np.arange(reps) * slots
+        # per [step, replication * slots + slot]: source and target column
+        # and, with rings, the target's class id and the queue it joins;
+        # filled slot by slot, since numpy runs slowly over a short last axis
+        src = np.empty((steps, reps * slots), dtype=np.intp)
         dst = np.empty_like(src)
+        rid = ev * slots if slots > 1 else ev
         for j in range(slots):
-            code = self.codes(ev * slots + j, v)
-            col = self.dst_of[code]
-            src[..., j] = self.src_of[code] + row
-            dst[..., j] = col + row
+            code = self.codes(rid + j if j else rid, v)
+            col = self.dst_of.take(code)
+            np.add(self.src_of.take(code), row, out=src[:, j::slots])
+            np.add(col, row, out=dst[:, j::slots])
             if rings is not None:
-                cls[..., j] = col
+                cls[:, j::slots] = col
                 target = self.ring_of_col[col]
-                joins[..., j] = np.where(target >= 0, qbase + target, scratch)
-        src, dst = src.reshape(steps, -1), dst.reshape(steps, -1)
-        if rings is not None:
-            joins, cls = joins.reshape(steps, -1), cls.reshape(steps, -1)
-        base = np.arange(reps) * slots
+                joins[:, j::slots] = np.where(target >= 0, qbase + target, scratch)
         counted = self.count_slots(flat, row, ev, u) if self.counted else None
-        for t in range(steps):
-            slot = None if counted is None else next(counted)
-            if rings is not None:
-                q = queue[t]
-                h = head[q]
-                at_head = self.slot_of_col[ring[place[t] + (h & mask)]]
-                at_head += base
-                slot = at_head if slot is None else np.where(at_ring[t], at_head, slot)
-            s = src[t][slot]
+        for t, (s, d) in enumerate(zip(src, dst)):
+            # with one slot, neither counts nor rings pick it: it is taken as it is
+            if slots > 1:
+                slot = None if counted is None else next(counted)
+                if rings is not None:
+                    q = queue[t]
+                    h = head[q]
+                    at_head = self.slot_of_col[ring[place[t] + (h & mask)]]
+                    at_head += base
+                    slot = at_head if slot is None else np.where(at_ring[t], at_head, slot)
+                s, d = s[slot], d[slot]
             held = flat[s]
             act = held > 0
             flat[s] = held - act
-            flat[dst[t][slot]] += act
+            flat[d] += act  # after the source update, so a sink-to-sink move nets zero
             if rings is not None:
                 head[q] = h + act
                 length[q] -= act

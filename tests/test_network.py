@@ -297,6 +297,20 @@ def test_spec_from_dict_rejects_a_ranking_of_non_integer_classes(ranking):
         spec_from_dict(data)
 
 
+@pytest.mark.parametrize("protocol", [
+    {"policy": "fcfs", "allocation": "hq", "ranking": [1, 2]},
+    {"policy": "lcfs", "allocation": "proportional", "ranking": [[2], [1]]},
+])
+def test_spec_from_dict_rejects_a_ranking_that_no_rule_reads(protocol):
+    # the ranking was dropped silently, and spec_to_dict wrote the spec back without it
+    data = {"classes": 2, "stations": [[1, 2]], "theta": [1.0, 0.0], "beta": [3.0, 3.0],
+            "routing": [[0.0, 1.0], [0.0, 0.0]], "protocols": [protocol]}
+    with pytest.raises(ValueError, match="^protocol 1 is malformed: a ranking needs"):
+        spec_from_dict(data)
+    del protocol["ranking"]
+    assert spec_to_dict(spec_from_dict(data))["protocols"] == [protocol]
+
+
 def test_theta_is_overridable():
     spec = builtin_fixture("mm1")
     assert spec.scale_theta(2.0).theta == (2.0,)

@@ -13,12 +13,15 @@ covers the values, their order and the generator's state after the reads,
 whether a block is drawn whole or tail first.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import LCFS_LINE, SBP_HQ_LINE, ScriptedRng
+from mcqnet.allocation import ServiceAllocation, StationProtocol
+from mcqnet.configurations import QueuePolicy
 from mcqnet.coupling import CouplingKernel
 from mcqnet.network import builtin_fixture
 from mcqnet.qprocess import empty_state, state_norm
@@ -34,9 +37,26 @@ TERMINAL_NORMS = {
     "fcfs-reentrant": [1, 2, 0, 18, 6, 9, 2, 2, 4, 4, 6, 6, 1, 6, 3, 2, 9, 5, 0, 6],
     "lcfs-line": [1, 0, 0, 21, 6, 8, 2, 2, 5, 4, 8, 7, 1, 7, 2, 3, 14, 5, 0, 1],
     "sbp-hq-line": [1, 6, 0, 19, 6, 9, 2, 3, 8, 4, 6, 6, 1, 8, 4, 4, 14, 5, 0, 6],
+    "egal-line": [1, 1, 0, 32, 6, 4, 0, 0, 3, 4, 8, 5, 1, 5, 3, 2, 8, 5, 0, 2],
+    "egal-prop-line": [1, 2, 0, 32, 6, 4, 0, 1, 3, 4, 8, 5, 1, 5, 3, 2, 8, 5, 0, 2],
 }
-# the fcfs-reentrant line with LCFS and with SBP insertion (conftest.py)
-LINES = {"lcfs-line": LCFS_LINE, "sbp-hq-line": SBP_HQ_LINE}
+
+
+def _lk_line(*kinds):
+    """The lk-prop line with the given order-insensitive allocation per station."""
+    protocols = tuple(StationProtocol(QueuePolicy.fcfs(), ServiceAllocation(k)) for k in kinds)
+    return dataclasses.replace(builtin_fixture("lk-prop"), protocols=protocols)
+
+
+# the fcfs-reentrant line with LCFS and with SBP insertion (conftest.py), and
+# the lk-prop line with egalitarian stations and with an egalitarian station
+# {1, 4} before a proportional station {2, 3}
+LINES = {
+    "lcfs-line": LCFS_LINE,
+    "sbp-hq-line": SBP_HQ_LINE,
+    "egal-line": _lk_line("egalitarian", "egalitarian"),
+    "egal-prop-line": _lk_line("egalitarian", "proportional"),
+}
 
 # CouplingKernel.run from the start record of (empty, one class-1 job), n = 200, master_rng(seed):
 # (tau, final lower norm, final upper norm)
