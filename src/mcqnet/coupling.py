@@ -66,7 +66,7 @@ from .qprocess import (
     state_norm,
     transition_table,
 )
-from .rng import Uniforms
+from .rng import Uniforms, run_block
 
 # Most (state, k, l) moves a kernel remembers. A run's moves repeat, most
 # often near its start states, which the memo takes first; the cap keeps a
@@ -245,7 +245,8 @@ class CouplingKernel:
 
     def run(self, cs: CoupledState, n: int, rng) -> CoupledPath:
         """Coupled path of n ``step`` moves from the start record ``cs`` (made
-        by ``start`` or ``starts``) on one uniform stream.
+        by ``start`` or ``starts``) on one uniform stream, read in blocks of
+        ``run_block(n)`` as ``PathSampler.run_terminal_norm`` reads its own.
 
         τ is the first index with mark 0. Moves up to τ are ``step`` calls, the
         rest run in ``_run_coupled``. The path certifies the time-changed order
@@ -253,7 +254,7 @@ class CouplingKernel:
         """
         if n < 0:
             raise ValueError("steps must be nonnegative")
-        uni = Uniforms(rng, tail_first=True)  # a path often reads only the tail
+        uni = Uniforms(rng, run_block(n))
         states = [cs]
         events = []
         tau = 0 if cs.mark == 0 else None
@@ -434,8 +435,9 @@ class PairEngine(ExactEngine):
     have equal heads) and stays put otherwise. A join carries the token
     (l, mirrored) and moves the lower buffer only when mirrored. The start
     canonicalization (``CouplingKernel.start``, which also checks the
-    one-extra-job relation) is its own too. Interning, kernel rows, self-loop
-    remainder, BFS step, budget and mass check are the engine's.
+    one-extra-job relation) is its own too, and a pair's norm is its upper
+    copy's. Interning, kernel rows, self-loop remainder, BFS step, budget and
+    mass check are the engine's.
     """
 
     def __init__(self, spec: NetworkSpec, budget: int = 10**6):
@@ -457,6 +459,9 @@ class PairEngine(ExactEngine):
         lowers = zip(*[[lower for lower, _ in col] for col in columns])
         uppers = zip(*[[upper for _, upper in col] for col in columns])
         return list(zip(lowers, uppers))
+
+    def _jobs(self, buf) -> int:
+        return len(buf[1])  # the upper copy's jobs: its norm is the chain's
 
     def _branches(self, i, buf):
         lower, upper = buf

@@ -198,6 +198,10 @@ class ExactEngine:
         """The states whose per-station buffers are ``columns``, one list per station."""
         return list(zip(*columns))
 
+    def _jobs(self, buf) -> int:
+        """The job count of the station buffer ``buf``, which ``norms`` sums."""
+        return len(buf)
+
     def _branches(self, i: int, q):
         """(probability, buffer left at i, station to join or None, token) per served branch."""
         if not q:
@@ -297,10 +301,10 @@ class ExactEngine:
         return self._cols[ids, : self._stations]
 
     def norms(self, ids: np.ndarray) -> np.ndarray:
-        """The job count of each state id, summed from its buffers' lengths."""
+        """The job count of each state id, summed over its buffers."""
         known = len(self._buf_len)
         if known < len(self._buf_objs):
-            fresh = np.fromiter(map(len, self._buf_objs[known:]), np.int64)
+            fresh = np.fromiter(map(self._jobs, self._buf_objs[known:]), np.int64)
             self._buf_len = np.concatenate((self._buf_len, fresh))
         return self._buf_len[self._cols[ids]].sum(axis=1)
 

@@ -54,7 +54,7 @@ from .qprocess import (
     state_norm,
     transition_table,
 )
-from .rng import Uniforms
+from .rng import Uniforms, run_block
 
 
 class _HQStation:
@@ -225,8 +225,7 @@ class PathSampler:
     def run_terminal_norm(self, xi0: NetworkState, n: int, rng) -> int:
         if n < 0:
             raise ValueError("steps must be nonnegative")
-        # at most two uniforms per step, so one block serves short runs
-        self.reset(xi0, rng, block=min(4096, 2 * n + 4))
+        self.reset(xi0, rng, block=run_block(n))
         step = self.step
         for _ in range(n):
             step()

@@ -79,15 +79,6 @@ def phi_estimate(
     return PhiEstimate(mean=mean, stderr=stderr, reps=reps, n=n, alpha=alpha)
 
 
-def _exact_phi_series(
-    spec: NetworkSpec, theta, n: int, alpha: float, reduced: bool, budget: int
-) -> list[float]:
-    """Exact phi at steps 0..n from empty, from one engine's sweep and one
-    ``math.exp`` per norm."""
-    engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
-    return engine.norm_series(empty_state(spec), n, lambda y: math.exp(-alpha * y))
-
-
 def phi_exact(
     spec: NetworkSpec,
     theta,
@@ -99,7 +90,9 @@ def phi_exact(
 ) -> float:
     """Exact E[exp(-alpha * norm at step n)] from empty, via the BFS engine."""
     _check_phi_args(n, alpha)
-    return _exact_phi_series(spec, theta, n, alpha, reduced, budget)[-1]
+    engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
+    law = engine.law_arrays(empty_state(spec), n)
+    return engine.norm_expectation(*law, lambda y: math.exp(-alpha * y))
 
 
 @dataclass
@@ -151,7 +144,10 @@ def monotonicity_table(
     for a_idx, a in enumerate(scales):
         theta = tuple(a * t for t in spec.theta)
         if mode == "exact":
-            series = _exact_phi_series(spec, theta, max(steps), alpha, reduced, budget)
+            engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
+            series = engine.norm_series(
+                empty_state(spec), max(steps), lambda y: math.exp(-alpha * y)
+            )
             for n_idx, n in enumerate(steps):
                 values[a_idx, n_idx] = series[n]
         else:

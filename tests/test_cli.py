@@ -278,6 +278,24 @@ def test_threshold_synthetic_fast(tmp_path):
     assert payload["threshold"] > 0
 
 
+def test_threshold_robbins_monro_reports_the_mean_of_its_trace_tail(tmp_path):
+    code = run_cli(
+        "--seed", "6", "--out-dir", str(tmp_path),
+        "threshold", "--spec", "mm1", "--direction", "1", "--epsilon", "0.3",
+        "--method", "rm", "--steps", "50", "--iters", "200",
+    )
+    assert code == 0
+    payload = json.loads(read(tmp_path / "threshold.json"))
+    assert payload["method"] == "robbins-monro"
+    assert (payload["direction"], payload["epsilon"], payload["horizon"]) == ([1.0], 0.3, 50)
+    [phase] = payload["trace"]
+    scales = phase["scales"]
+    assert phase["phase"] == "iterate" and len(scales) == 200 + 1
+    tail = scales[len(scales) // 2 :]
+    assert payload["threshold"] == pytest.approx(math.fsum(tail) / len(tail), rel=1e-12)
+    assert len(set(scales)) > 100  # the noisy probes move the scale
+
+
 def test_region_subcommand(tmp_path):
     code = run_cli(
         "--seed", "3", "--out-dir", str(tmp_path),
@@ -326,6 +344,11 @@ def test_region_subcommand(tmp_path):
         (
             ("cycle", "--spec", "mm1", "--cap", "2000", "--reps", "40"),
             ("cycle.json",),
+        ),
+        (
+            ("threshold", "--spec", "mm1", "--direction", "1", "--epsilon", "0.3",
+             "--method", "rm", "--steps", "50", "--iters", "200"),
+            ("threshold.json",),
         ),
     ],
 )
@@ -532,7 +555,7 @@ def test_wall_clock_covers_the_solve(tmp_path, monkeypatch):
             ("--seed", "11", "couple", "--spec", "lk-sbp", "--lower", "[[],[]]",
              "--upper", "[[1,4],[2]]", "--steps", "60", "--reps", "8"),
             "couple_report.json",
-            "a946c3c308bfcb4a473c968c273219d2b6ee18e82550cfe6617995ec91176c0a",
+            "daf5b0b715913552389833b185c4b333f5299f6d8d19fd00470f4045d63d4c36",
         ),
         (  # 3000 steps read past a whole 4096-uniform block
             ("--seed", "3", "couple", "--spec", "fcfs-reentrant", "--lower", "[[],[]]",
@@ -540,11 +563,11 @@ def test_wall_clock_covers_the_solve(tmp_path, monkeypatch):
             "couple_report.json",
             "f07778d7230e9879cb9cf501dedbf765ba17bd893acaf6fa7d8b074fceb0e7b0",
         ),
-        (  # 400 steps read past the first 512 uniforms of a block
+        (  # 400 steps read one block of 2 * 400 + 4 uniforms
             ("--seed", "4", "couple", "--spec", "mm1", "--lower", "[[]]", "--upper", "[[1]]",
              "--steps", "400", "--reps", "3"),
             "couple_report.json",
-            "369fe49dabd733282ed194dd1c88bd17c36193b56918167307c653ae95366737",
+            "79c7f826a22c8f83beb9d21cae46e74c3f438a4c0ac1502a1e58ec3cb4c7eb25",
         ),
     ],
 )

@@ -39,7 +39,7 @@ from mcqnet.qprocess import (
     is_substate,
     state_norm,
 )
-from mcqnet.rng import Uniforms, master_rng
+from mcqnet.rng import Uniforms, master_rng, run_block
 
 from conftest import HQ, LCFS_LINE, SBP_HQ_LINE, ScriptedRng, run_optimized
 
@@ -536,6 +536,16 @@ COUPLE_PAIRS = [
 ]
 
 
+@pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])
+def test_pair_engine_norms_are_the_upper_copy_norms(spec, lower, upper):
+    # a pair buffer (lower, upper) holds the upper copy's jobs, not both copies'
+    f = lambda y: 0.7**y
+    for cs in CouplingKernel(spec).starts(lower, upper):
+        pair = PairEngine(spec).norm_series((cs.lower, cs.upper), 12, f)
+        chain = ExactEngine(spec, reduced=True).norm_series(cs.upper, 12, f)
+        assert pair == pytest.approx(chain, rel=0, abs=1e-12)
+
+
 def _reference_step(kernel, cs, uni):
     """The coupled step rule on whole states: ``_apply`` (``apply_transition``
     plus a full canonicalization) for each copy, ``replace`` for the counters."""
@@ -571,8 +581,9 @@ def _reference_step(kernel, cs, uni):
 
 
 def _step_loop(kernel, lower, upper, n, rng):
-    """``n`` reference steps; tau is the first index with mark 0."""
-    uni = Uniforms(rng)
+    """``n`` reference steps on the uniforms ``run`` reads (blocks of
+    ``run_block(n)``); tau is the first index with mark 0."""
+    uni = Uniforms(rng, run_block(n))
     cs = kernel.start(lower, upper)
     states = [cs]
     events = []
@@ -620,20 +631,23 @@ def test_run_matches_step_loop_from_coupled_start():
 
 @pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])
 def test_run_matches_step_loop_at_the_phase_boundary(spec, lower, upper):
-    # n = 0, one step short of tau (never coupled), exactly tau, one step past
+    # n = 0, one step short of tau (never coupled), exactly tau, one step past;
+    # a scripted stream reads in the same order whatever the block size, so
+    # every n sees the uniforms of the 200-step run
     kernel = CouplingKernel(spec)
     a, b = _interpolate(kernel.canon(lower), kernel.canon(upper))[:2]
     taus = set()
     for seed in range(40):
-        tau = kernel.run(kernel.start(a, b), 200, master_rng(seed)).tau
+        script = master_rng(seed).random(2 * 200).tolist()
+        tau = kernel.run(kernel.start(a, b), 200, ScriptedRng(script)).tau
         if tau is None:
             continue
         taus.add(tau)
         for n in sorted({0, tau - 1, tau, tau + 1}):
-            fast = kernel.run(kernel.start(a, b), n, master_rng(seed))
+            fast = kernel.run(kernel.start(a, b), n, ScriptedRng(script))
             assert fast.tau == (tau if n >= tau else None)
             assert len(fast.states) == n + 1 and len(fast.events) == n
-            _assert_same_path(fast, _step_loop(kernel, a, b, n, master_rng(seed)))
+            _assert_same_path(fast, _step_loop(kernel, a, b, n, ScriptedRng(script)))
             assert verify_coupling_path(fast).ok
     assert len(taus) > 5
 
@@ -655,7 +669,7 @@ def test_step_on_a_coupled_pair_matches_the_coupled_phase():
     start = ((1, 4), (2,))
     for seed in range(20):
         fast = kernel.run(kernel.start(start, start), 100, master_rng(seed))
-        uni = Uniforms(master_rng(seed))
+        uni = Uniforms(master_rng(seed), run_block(100))
         cs = kernel.start(start, start)
         for expected, event in zip(fast.states[1:], fast.events):
             cs, ev = kernel.step(cs, uni)
@@ -750,11 +764,11 @@ def _path_digest(paths) -> str:
     "spec,lower,upper,n,seed,digest",
     [
         (MM1, [[]], [[1, 1]], 400, 21,
-         "e69d920461de0f910961915a7738d91532537f9c961d4dc19ae801351a649cd1"),
+         "1f36061d914707a009fa61e8efc47e7241bc59322352259b2b696afb16383cc7"),
         (FCFS, [[], []], [[1, 4], [2]], 3000, 22,
          "7474ad3befef7210dbe6cd4eff0b84c3fa4dfe2f0a1914d10866167460c2b4cd"),
         (LK_SBP, [[1], []], [[1, 4], [2]], 600, 23,
-         "ae3938de2589a6fa760fc9b927e0ab70b6c5920433f34f5435c31fa18154247e"),
+         "81a28c68a90028a7fce984976ec1642b465fa8e10a53a46381a84ec4cb71874d"),
     ],
 )
 def test_coupled_paths_are_pinned(spec, lower, upper, n, seed, digest):

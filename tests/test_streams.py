@@ -10,7 +10,7 @@ platform.
 ``Uniforms`` is checked against the plain block reader it must equal: pop
 from the end of ``rng.random(block).tolist()``, refill when empty. That
 covers the values, their order and the generator's state after the reads,
-whether a block is drawn whole or tail first.
+whether they are read by ``next()`` or popped from ``buf`` directly.
 """
 
 import dataclasses
@@ -62,16 +62,16 @@ LINES = {
 # (tau, final lower norm, final upper norm)
 COUPLINGS = {
     "lk-sbp": [
-        (5, 4, 4), (45, 5, 5), (6, 1, 1), (53, 1, 1), (7, 0, 0),
-        (19, 2, 2), (9, 0, 0), (18, 1, 1), (23, 5, 5), (7, 2, 2),
-        (8, 2, 2), (19, 8, 8), (18, 0, 0), (29, 4, 4), (13, 3, 3),
-        (13, 1, 1), (13, 3, 3), (7, 1, 1), (26, 1, 1), (43, 4, 4),
+        (50, 1, 1), (21, 0, 0), (13, 0, 0), (16, 6, 6), (8, 0, 0),
+        (23, 4, 4), (10, 0, 0), (17, 5, 5), (66, 4, 4), (51, 0, 0),
+        (6, 2, 2), (15, 5, 5), (11, 2, 2), (14, 6, 6), (8, 4, 4),
+        (19, 5, 5), (48, 3, 3), (5, 0, 0), (4, 2, 2), (11, 0, 0),
     ],
     "fcfs-reentrant": [
-        (5, 2, 2), (18, 5, 5), (7, 7, 7), (6, 2, 2), (7, 1, 1),
-        (9, 5, 5), (10, 2, 2), (19, 8, 8), (23, 4, 4), (26, 5, 5),
-        (8, 3, 3), (31, 8, 8), (16, 0, 0), (28, 4, 4), (14, 1, 1),
-        (14, 5, 5), (14, 10, 10), (13, 2, 2), (27, 7, 7), (31, 3, 3),
+        (14, 3, 3), (22, 5, 5), (16, 3, 3), (10, 12, 12), (36, 5, 5),
+        (23, 8, 8), (10, 8, 8), (8, 5, 5), (34, 7, 7), (9, 0, 0),
+        (10, 1, 1), (29, 9, 9), (24, 2, 2), (13, 4, 4), (8, 3, 3),
+        (19, 5, 5), (38, 11, 11), (5, 4, 4), (4, 1, 1), (10, 1, 1),
     ],
 }
 
@@ -131,16 +131,29 @@ def _philox_at(position):
 READS = (0, 1, 511, 512, 513, 4096, 4097, 9000)
 
 
-@pytest.mark.parametrize("tail_first", [True, False])
+def _reads(uni, count, direct):
+    """``count`` values of ``uni``: by ``next()``, or, with ``direct``, popped
+    from ``buf`` with a ``refill()`` whenever it is empty, as the coupled
+    runner reads them."""
+    if not direct:
+        return [uni.next() for _ in range(count)]
+    out, buf = [], uni.buf
+    for _ in range(count):
+        if not buf:
+            buf = uni.refill()
+        out.append(buf.pop())
+    return out
+
+
+@pytest.mark.parametrize("direct", [True, False])
 @pytest.mark.parametrize("block", [16, 18, 1004, 4096])
 @pytest.mark.parametrize(
     "position", ["fresh", "four-doubles-in", "one-double-in", "half-word-in", "spent-half-word"]
 )
-def test_uniforms_equal_plain_block_reads_on_philox(position, block, tail_first):
+def test_uniforms_equal_plain_block_reads_on_philox(position, block, direct):
     for count in READS:
         rng, ref = _philox_at(position), _philox_at(position)
-        uni = Uniforms(rng, block, tail_first)
-        got = [uni.next() for _ in range(count)]
+        got = _reads(Uniforms(rng, block), count, direct)
         assert got == _plain_reads(ref, block, count), count
         assert _state(rng) == _state(ref), count
         # the generator goes on where the plain reads leave it
@@ -151,7 +164,7 @@ def test_uniforms_equal_plain_block_reads_on_pcg64():
     for block in (16, 1004, 4096):
         for count in READS:
             rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-            uni = Uniforms(rng, block, tail_first=True)
+            uni = Uniforms(rng, block)
             assert [uni.next() for _ in range(count)] == _plain_reads(ref, block, count)
             assert _state(rng) == _state(ref)
 
@@ -159,7 +172,7 @@ def test_uniforms_equal_plain_block_reads_on_pcg64():
 def test_uniforms_replay_a_script_in_order():
     uni = Uniforms(ScriptedRng([0.1, 0.2, 0.3, 0.4, 0.5]), 2)
     assert [uni.next() for _ in range(7)] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.5, 0.5]
-    uni = Uniforms(ScriptedRng([0.1, 0.2]), 1024, tail_first=True)
+    uni = Uniforms(ScriptedRng([0.1, 0.2]), 1024)
     assert [uni.next() for _ in range(3)] == [0.1, 0.2, 0.5]
 
 
@@ -175,27 +188,28 @@ class _CountingGenerator(np.random.Generator):
         return super().random(size)
 
 
-def test_a_short_read_draws_only_the_tail_of_a_philox_block():
-    rng = _CountingGenerator(3)
-    uni = Uniforms(rng, 4096, tail_first=True)
-    for _ in range(400):
-        uni.next()
-    assert rng.sizes == [512]
-    for _ in range(4096 - 400 + 1):  # the rest of the block, then one more
-        uni.next()
-    assert rng.sizes == [512, 4096 - 512, 512]
-    # a block no larger than the tail, or not a whole number of Philox words,
-    # is one draw, and so is every block unless the tail is asked for first
-    for block, tail_first in ((512, True), (1002, True), (4096, False)):
-        rng = _CountingGenerator(3)
-        uni = Uniforms(rng, block, tail_first)
-        uni.next()
-        assert rng.sizes == [block]
+def test_a_run_draws_one_block_sized_to_it():
+    # a step reads at most two uniforms, so a run of n < 2046 steps makes one
+    # random(2n + 4) call; a longer run reads 4096-value blocks
+    spec = builtin_fixture("lk-sbp")
+    kernel, sampler = CouplingKernel(spec), PathSampler(spec)
+    lower = empty_state(spec)
+    start = kernel.start(lower, ((1,),) + lower[1:])
+    for n in (1, 20, 200, 2045):
+        rng = _CountingGenerator(n)
+        kernel.run(start, n, rng)
+        assert rng.sizes == [2 * n + 4]
+        rng = _CountingGenerator(n)
+        sampler.run_terminal_norm(lower, n, rng)
+        assert rng.sizes == [2 * n + 4]
+    rng = _CountingGenerator(5)
+    kernel.run(start, 3000, rng)
+    assert set(rng.sizes) == {4096} and len(rng.sizes) <= 2
 
 
 def test_refill_hands_over_the_list_that_next_pops():
     rng, ref = master_rng(2), master_rng(2)
-    uni = Uniforms(rng, 1004, tail_first=True)
+    uni = Uniforms(rng, 1004)
     got = [uni.next() for _ in range(3)]
     buf = uni.buf
     while buf:
