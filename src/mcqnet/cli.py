@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_int,
         default=1,
         help="accepted for compatibility but has no effect; it will be removed "
-        "(ROADMAP item 4)",
+        "(ROADMAP item 9)",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifest")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -5,11 +5,13 @@ fixed start is finite and the law of the chain can be computed by breadth-
 first probability propagation. ``ExactEngine`` is the one BFS engine.
 
 *Station-coded states.* Each station buffer is interned once to an integer
-key. A state is the row of its stations' keys, packed into one ``int64``
-code (one station: its key; two: ``key0 << 32 | key1``; from three on, the
-leading stations fold pairwise into dense prefix ids first), and states are
-interned to ids by ``searchsorted`` against a sorted code array. ``states``
-is filled in bulk from the key rows when it is read.
+key, which records the buffer and its job count. A state is the row of its
+stations' keys, packed into one ``int64`` code (one station: its key; two:
+``key0 << 32 | key1``; from three on, the leading stations fold pairwise
+into dense prefix ids first), and states are interned to ids by
+``searchsorted`` against a sorted code array; each new id records its norm,
+the sum of its buffers' job counts. ``states`` is filled in bulk from the
+key rows when it is read.
 
 *Layer rows.* A state's one-step kernel is stored as a row of flat, doubling
 ``int64`` target and ``float64`` probability buffers, built once, when the
@@ -39,14 +41,14 @@ a law once, and ``reachable_states`` pushes each frontier of its closure.
 ``distribution``, ``law_arrays``, ``functional_series`` and ``norm_series``
 run one sweep, ``_sweep``, which yields the support and mass at steps 0..n
 and checks the mass drift after the last step. Functionals of the norm
-(``norm_expectation``, ``norm_series``) read each id's job count from its
-buffers' lengths (``norms``) and build no tuple state.
+(``norm_expectation``, ``norm_series``) gather each id's stored job count
+(``norms``) and build no tuple state.
 
 The buffers, branches and joins come from a few overridable methods, so the
 coupled pair chain (``coupling.PairEngine``, whose buffer at a station is a
 (lower, upper) pair) runs on the same row builder. The transient
-(continuous-time) functional is recovered from the step laws through the
-Poisson jump-count mixture.
+(continuous-time) functional, ``transient_grid``, is recovered from the step
+laws through the Poisson jump-count mixture.
 """
 
 from __future__ import annotations
@@ -149,11 +151,10 @@ class ExactEngine:
         # Buffer keys. Key 0 is the source: a virtual station S that every
         # state holds, whose branches are the arrivals.
         S = self._stations = spec.station_count
-        self._buf_objs: list = [None]
         self._buf_station = [S]
         self._buf_keys: list[dict] = [{} for _ in range(S)]
-        self._buf_array = np.empty(0, dtype=object)  # the buffers, to gather states from
-        self._buf_len = np.zeros(1, dtype=np.int64)  # jobs per buffer; the source holds none
+        self._buf_objs = np.full(64, None, dtype=object)  # the buffers, to gather states from
+        self._buf_len = np.zeros(64, dtype=np.int64)  # jobs per buffer; the source holds none
         self._join = np.full((64, self._token_count() + 1), -1, dtype=np.int32)
         self._join[0, 0] = 0  # [key, token] -> key after the join; token 0 joins nothing
         self._br_start = np.zeros(64, dtype=np.int64)
@@ -170,6 +171,7 @@ class ExactEngine:
         # States: a row of buffer keys each (the source's last), codes, kernel rows.
         self._n = 0
         self._cols = np.zeros((64, S + 1), dtype=np.int32)
+        self._norm = np.zeros(64, dtype=np.int64)  # jobs per state, its buffers' sum
         self._codes = _CodeTable()
         self._prefixes = [_CodeTable() for _ in range(S - 2)]
         self._states: list = []
@@ -199,7 +201,7 @@ class ExactEngine:
         return list(zip(*columns))
 
     def _jobs(self, buf) -> int:
-        """The job count of the station buffer ``buf``, which ``norms`` sums."""
+        """The job count of the station buffer ``buf``; a state's norm is their sum."""
         return len(buf)
 
     def _branches(self, i: int, q):
@@ -228,16 +230,19 @@ class ExactEngine:
         """The key of station i's buffer ``obj``, interned on first sight."""
         key = self._buf_keys[i].get(obj)
         if key is None:
-            key = len(self._buf_objs)
+            key = len(self._buf_station)
             if key >= _KEY_LIMIT:
                 raise BudgetExceededError("more station buffers than a state code can hold")
             self._buf_keys[i][obj] = key
-            self._buf_objs.append(obj)
             self._buf_station.append(i)
             if key >= len(self._br_len):
+                self._buf_objs = _grown(self._buf_objs, key + 1, None)
+                self._buf_len = _grown(self._buf_len, key + 1, 0)
                 self._join = _grown(self._join, key + 1, -1)
                 self._br_start = _grown(self._br_start, key + 1, 0)
                 self._br_len = _grown(self._br_len, key + 1, -1)
+            self._buf_objs[key] = obj
+            self._buf_len[key] = self._jobs(obj)
             self._join[key, 0] = key
         return key
 
@@ -291,9 +296,9 @@ class ExactEngine:
     # -- states --------------------------------------------------------------
 
     @property
-    def buffers(self) -> list:
-        """The station buffers, by key; key 0 is the source (None)."""
-        return self._buf_objs
+    def buffers(self) -> np.ndarray:
+        """The station buffers (an object array), by key; key 0 is the source (None)."""
+        return self._buf_objs[: len(self._buf_station)]
 
     def key_rows(self, ids: np.ndarray) -> np.ndarray:
         """Each state id's row of per-station buffer keys: state x is
@@ -301,24 +306,16 @@ class ExactEngine:
         return self._cols[ids, : self._stations]
 
     def norms(self, ids: np.ndarray) -> np.ndarray:
-        """The job count of each state id, summed over its buffers."""
-        known = len(self._buf_len)
-        if known < len(self._buf_objs):
-            fresh = np.fromiter(map(self._jobs, self._buf_objs[known:]), np.int64)
-            self._buf_len = np.concatenate((self._buf_len, fresh))
-        return self._buf_len[self._cols[ids]].sum(axis=1)
+        """The job count of each state id, stored when the state was interned."""
+        return self._norm[ids]
 
     @property
     def states(self) -> list:
         """The interned states, by id."""
         have = len(self._states)
         if have < self._n:
-            known, objs = len(self._buf_array), self._buf_objs
-            if known < len(objs):
-                fresh = np.fromiter(objs[known:], dtype=object, count=len(objs) - known)
-                self._buf_array = np.concatenate((self._buf_array, fresh))
             cols = self._cols[have : self._n]
-            columns = [self._buf_array[cols[:, s]].tolist() for s in range(self._stations)]
+            columns = [self._buf_objs[cols[:, s]].tolist() for s in range(self._stations)]
             self._states.extend(self._assemble(columns))
         return self._states
 
@@ -340,9 +337,11 @@ class ExactEngine:
             self._n = end = n + len(first)
             if end > len(self._cols):
                 self._cols = _grown(self._cols, end, 0)
+                self._norm = _grown(self._norm, end, 0)
                 self._row_start = _grown(self._row_start, end, 0)
                 self._row_len = _grown(self._row_len, end, 0)
             self._cols[n:end] = cols[first]
+            self._norm[n:end] = self._buf_len[self._cols[n:end]].sum(axis=1)
         if ids is None:
             raise BudgetExceededError(
                 f"state space passed the budget of {self.budget} interned states"
@@ -498,15 +497,6 @@ class ExactEngine:
             series.append(sum((mass * values_of[support]).tolist()))
         return series
 
-    def transient(
-        self,
-        xi0: NetworkState,
-        t: float,
-        phi: Callable[[NetworkState], float],
-        tol: float = 1e-8,
-    ) -> float:
-        return self.transient_grid(xi0, [t], phi, tol)[0]
-
     def transient_grid(
         self,
         xi0: NetworkState,
@@ -615,7 +605,8 @@ def transient_functional(
     budget: int = 10**6,
 ) -> float:
     """E[phi(X_t)] for the continuous-time chain, absolute error below tol."""
-    return ExactEngine(spec, reduced=reduced, budget=budget).transient(xi0, t, phi, tol)
+    engine = ExactEngine(spec, reduced=reduced, budget=budget)
+    return engine.transient_grid(xi0, [t], phi, tol)[0]
 
 
 def reachable_states(

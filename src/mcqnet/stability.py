@@ -231,6 +231,7 @@ def equilibrium_estimate(
     rng,
 ) -> tuple[float, float]:
     """Long-run average of exp(-alpha * norm) with a batch-means stderr."""
+    _check_phi_args(steps, alpha)
     spec_t = spec.with_theta(theta)
     sampler = PathSampler(spec_t)
     return sampler.run_functional_average(

@@ -309,6 +309,22 @@ def test_region_subcommand(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("region", "--spec", "mm1"), "a 2-D fan needs at least two classes"),
+        (("threshold", "--spec", "mm1", "--direction", "1,1"),
+         "direction length must equal the class count"),
+    ],
+    ids=["region", "threshold"],
+)
+def test_ray_directions_must_fit_the_classes(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", str(out), *argv, "--epsilon", "0.2") == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,outputs",
     [
         (("validate", "--spec", "lk-sbp"), ("validate_report.json",)),
@@ -568,6 +584,11 @@ def test_wall_clock_covers_the_solve(tmp_path, monkeypatch):
              "--steps", "400", "--reps", "3"),
             "couple_report.json",
             "79c7f826a22c8f83beb9d21cae46e74c3f438a4c0ac1502a1e58ec3cb4c7eb25",
+        ),
+        (  # order-independent stations: the sampler snapshots _OIStation buffers
+            ("--seed", "5", "simulate", "--spec", "lk-prop", "--steps", "40", "--reps", "2"),
+            "paths.csv",
+            "4f2c0fd048c2b46cd2959b99fa7c914d41ffb293724e0de923556ca3e3fe66ee",
         ),
     ],
 )

@@ -197,6 +197,15 @@ def test_starts_are_the_checked_records_of_the_interpolated_pairs():
     chain = _interpolate(((1,), ()), ((1, 4), (2,)))
     assert starts == [kernel.start(a, b) for a, b in zip(chain[:-1], chain[1:])]
     assert [cs.mark for cs in starts] == [4, 2]
+    # an extra job ahead of a lower job: the matcher skips the 4 to match the 1
+    fcfs = CouplingKernel(FCFS)
+    lower, upper = ((1,), (3,)), ((4, 1), (2, 3))
+    chain = _interpolate(lower, upper)
+    assert chain == [lower, ((4, 1), (3,)), upper]
+    starts = fcfs.starts(lower, upper)
+    assert starts == [fcfs.start(a, b) for a, b in zip(chain[:-1], chain[1:])]
+    assert [cs.mark for cs in starts] == [4, 2]
+    assert [classify_pair(a, b) for a, b in zip(chain[:-1], chain[1:])] == [4, 2]
     assert kernel.starts([[1], []], [[1], []]) == [kernel.start(((1,), ()), ((1,), ()))]
     assert kernel.starts([[1], []], [[1], []])[0].mark == 0
     with pytest.raises(NotASubconfigurationError):

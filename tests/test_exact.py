@@ -186,7 +186,7 @@ def test_key_rows_and_norms_match_the_states(name, reduced):
     spec = builtin_fixture(name).scale_theta(1.5)
     engine = ExactEngine(spec, reduced=reduced)
     engine.distribution(STARTS[name], 10)
-    engine.norms(np.arange(len(engine.states)))  # the buffer lengths known so far
+    engine.norms(np.arange(len(engine.states)))  # the norms stored so far
     engine.distribution(empty_state(spec), 12)  # then more buffers and states
     states = engine.states
     ids = np.arange(len(states))

@@ -210,6 +210,13 @@ def test_poisson_weights_small_means_and_bad_tolerance():
         poisson_weights(1.0, 0.0)
 
 
+def test_poisson_weights_reject_negative_and_too_large_means():
+    with pytest.raises(ValueError, match="Poisson mean must be nonnegative"):
+        poisson_weights(-1.0, 1e-8)
+    with pytest.raises(RuntimeError, match="is beyond the 100000-term mixture"):
+        poisson_weights(2e5, 1e-8)
+
+
 def test_transient_at_long_horizon_reaches_product_form():
     # t = 300 gives lambda t = 900 jumps; M/M/1 at rho = 1/2 has long mixed
     value = transient_functional(MM1, empty_state(MM1), 300.0, phi_norm)

@@ -115,6 +115,13 @@ def test_equilibrium_estimate_rejects_negative_burn_in(rng):
         equilibrium_estimate(MM1, (1.0,), 50, -5, 1.0, rng)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, math.inf, math.nan])
+def test_equilibrium_estimate_rejects_alpha_outside_phi_range(alpha):
+    # inf returned (nan, nan) and -1 a mean of 10.8, outside (0, 1]
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        equilibrium_estimate(MM1, (1.0,), 1_000, 10, alpha, master_rng(1))
+
+
 def test_monotonicity_table_checks_mode_before_the_grid(rng):
     # with no scales the loop never ran, and a table labelled 'bogus' came back
     with pytest.raises(ValueError, match="mode"):
@@ -280,6 +287,16 @@ def test_threshold_bisection_argument_errors(rng):
         threshold_bisection(
             MM1, (1.0,), 0.2, 10, 1.0, 10, rng, probe=lambda a, r: (0.9, 0.0), scan_limit=6
         )
+
+
+def test_threshold_robbins_monro_rejects_epsilon_outside_the_unit_interval(rng):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        threshold_robbins_monro(MM1, (1.0,), 1.5, 10, 1.0, rng)
+
+
+def test_cycle_estimate_rejects_a_zero_cap(rng):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        cycle_estimate(MM1, (1.0,), cap=0, reps=10, rng=rng)
 
 
 def test_threshold_robbins_monro_synthetic(rng):
