@@ -64,7 +64,7 @@ from .stability import (
     threshold_bisection,
     threshold_robbins_monro,
 )
-from .coupling import CouplingKernel, verify_coupling_path
+from .coupling import CouplingKernel, path_streams, verify_coupling_path
 
 _DOMAIN_ERRORS = (
     NonTransientRoutingError,
@@ -344,8 +344,8 @@ def _cmd_couple(args, spec, analysis, out) -> str:
     starts = kernel.starts(lower, upper)
     per_rep = []
     for _ in range(args.reps):  # run_coupling's streams, from starts checked once
-        rep_rng = rng.spawn(1)[0]
-        paths = [kernel.run(cs, args.steps, rep_rng.spawn(1)[0]) for cs in starts]
+        streams = path_streams(rng.spawn(1)[0], len(starts))
+        paths = [kernel.run(cs, args.steps, g) for cs, g in zip(starts, streams)]
         reports = [verify_coupling_path(p) for p in paths]
         ok = all(r.ok for r in reports)
         per_rep.append({"tau": [p.tau for p in paths], "ok": ok})

@@ -22,14 +22,21 @@ which rebuilds only the stations a move touches (``qprocess.StationMoves``,
 the move rule the exact engine builds its kernel rows with). From τ on the
 pair is one state x serving as both copies, and ``_run_coupled`` moves it on
 the same uniforms, recording ``CoupledState(x, x, 0, ...)`` per move and the
-previous record on a non-move. Both phases move states through
-``CouplingKernel._move``, a memo of ``StationMoves.move`` capped at
-``_MOVE_MEMO_CAP`` moves, which serves every path a kernel runs.
-``CoupledState`` is a slotted, unfrozen dataclass, since a path builds one
-per step. ``PairEngine`` moves both copies of a pair by the
-same ``StationMoves`` rule; ``CouplingKernel._apply`` (``apply_transition``
-plus a full canonicalization) is kept only as the reference that rule is
-tested against.
+previous record on a non-move. Both phases read one state table, which
+serves every path a kernel runs: each canonical state reached gets an int
+id, and its station heads and its successor ids (by a small int move code,
+computed by ``StationMoves.move``) are computed once. ``_run_coupled`` walks
+ids and ``step`` moves states through ``CouplingKernel._move``, which reads
+the same table, so both record the table's state objects. The table stops
+taking states at ``_STATE_TABLE_CAP``; past it a new state's moves are
+computed and not stored. ``CoupledState`` is a slotted, unfrozen dataclass,
+since a path builds one per step. ``verify_coupling_path`` passes over a
+record that repeats the previous step's record object (a non-move) when the
+previous step added no failure and the step is not the recorded τ, since
+every check then gives the previous step's outcome. ``PairEngine`` moves
+both copies of a pair by the same ``StationMoves`` rule;
+``CouplingKernel._apply`` (``apply_transition`` plus a full
+canonicalization) is kept only as the reference that rule is tested against.
 
 What the coupling certifies is a time-changed order: with F_n the number of
 frozen steps up to n, the lower copy at step n - F_n sits inside the upper copy
@@ -68,10 +75,10 @@ from .qprocess import (
 )
 from .rng import Uniforms, run_block
 
-# Most (state, k, l) moves a kernel remembers. A run's moves repeat, most
-# often near its start states, which the memo takes first; the cap keeps a
-# long run on a large state space from holding every state it passes.
-_MOVE_MEMO_CAP = 256
+# Most canonical states a kernel's state table holds. A run's states repeat,
+# most often near its start states, which the table takes first; the cap keeps
+# a long run on a large state space from holding every state it passes.
+_STATE_TABLE_CAP = 1 << 14
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -148,7 +155,8 @@ def _require_coupling_regime(spec: NetworkSpec) -> None:
 
 
 class CouplingKernel:
-    """Shared tables, head functions and the one-step rule for coupled pairs."""
+    """Shared tables, the state table every path reads, head functions and the
+    one-step rule for coupled pairs."""
 
     def __init__(self, spec: NetworkSpec):
         _require_coupling_regime(spec)
@@ -156,19 +164,64 @@ class CouplingKernel:
         self.table = transition_table(spec)
         self.canon = state_canonicalizer(spec)
         self._station_move = StationMoves(spec).move
-        self._moves: dict = {}
+        # one small int code per move (k, l) of positive probability, k = 0 an
+        # arrival; exits (l = 0) first, so a code below ``_exits`` leaves the network
+        branch = self.table.branch
+        moves = [(k, l) for k, (_, routes) in branch.items() for _, l in routes]
+        moves.sort(key=lambda move: move[1] != 0)
+        moves += [(0, k) for k, _ in self.table.arrivals]
+        self._code_moves = moves
+        self._codes = {move: code for code, move in enumerate(moves)}
+        self._exits = sum(l == 0 for _, l in moves)
+        self._arrival_codes = [self._codes.get((0, k)) for k in range(spec.class_count + 1)]
+        # per class k: (active, (cumulative, code) per route), as ``table.branch``
+        self._serves = {
+            k: (active, tuple((cum, self._codes[k, l]) for cum, l in routes))
+            for k, (active, routes) in branch.items()
+        }
+        # the state table: id -> state, its heads' serves per station (None
+        # when empty) and its successor ids by move code
+        self._ids: dict[NetworkState, int] = {}
+        self._states: list[NetworkState] = []
+        self._heads: list[tuple] = []
+        self._succ: list[list] = []
+
+    def _intern(self, xi: NetworkState) -> int:
+        """The id of canonical ``xi``, adding it to the table while it holds
+        fewer than ``_STATE_TABLE_CAP`` states. Past the cap an unknown state
+        takes the spare id ``_STATE_TABLE_CAP``, overwritten by the next one."""
+        s = self._ids.get(xi)
+        if s is None:
+            s = len(self._ids)
+            serves, head = self._serves, self.head
+            heads = tuple([serves[head(i, q)] if q else None for i, q in enumerate(xi)])
+            if s < _STATE_TABLE_CAP:
+                self._ids[xi] = s
+            # append a stored state; overwrite the spare (or append it once)
+            self._states[s:] = (xi,)
+            self._heads[s:] = (heads,)
+            self._succ[s:] = ([None] * len(self._code_moves),)
+        return s
+
+    def _successor(self, s: int, code: int) -> int:
+        """The id reached from id ``s`` by the move ``code``, computed by
+        ``StationMoves.move`` and stored unless it lands on the spare id."""
+        t = self._intern(self._station_move(self._states[s], *self._code_moves[code]))
+        if t < _STATE_TABLE_CAP:
+            self._succ[s][code] = t
+        return t
 
     def _move(self, xi: NetworkState, k: int, l: int) -> NetworkState:
         """``_apply`` for a canonical state holding a k-job (k = 0: arrival),
         rebuilding and canonicalizing only the stations the move touches
-        (``StationMoves.move``), memoized up to ``_MOVE_MEMO_CAP`` moves."""
-        key = (xi, k, l)
-        out = self._moves.get(key)
-        if out is None:
-            out = self._station_move(xi, k, l)
-            if len(self._moves) < _MOVE_MEMO_CAP:
-                self._moves[key] = out
-        return out
+        (``StationMoves.move``). The move, one of positive probability, is
+        read from the state table, so its result is the table's object."""
+        code = self._codes[k, l]
+        s = self._intern(xi)
+        t = self._succ[s][code]
+        if t is None:
+            t = self._successor(s, code)
+        return self._states[t]
 
     def head(self, i: int, q) -> int | None:
         if not q:
@@ -176,9 +229,8 @@ class CouplingKernel:
         order = self.table.ranked[i]
         if order is None:
             return q[0]
-        present = set(q)
         for k in order:
-            if k in present:
+            if k in q:
                 return k
         return None
 
@@ -273,14 +325,15 @@ class CouplingKernel:
     def _run_coupled(self, cs: CoupledState, steps: int, uni: Uniforms, states, events) -> None:
         """``steps`` moves of the coupled pair ``cs`` (mark 0), appended to
         ``states`` and ``events``: every move is mirrored, so the pair is one
-        state x, a move records ``CoupledState(x, x, 0, ...)`` and a non-move
-        the previous record."""
-        table = self.table
-        table_events, branch, ranked = table.events, table.branch, table.ranked
-        move, head = self._move, self.head
+        state x, walked by its id in the state table. A move records
+        ``CoupledState(x, x, 0, ...)`` with the table's x and a non-move the
+        previous record."""
+        table_events, arrival_codes, exits = self.table.events, self._arrival_codes, self._exits
+        id_states, id_heads, id_succ = self._states, self._heads, self._succ
+        successor = self._successor
         buf = uni.buf
         add_state, add_event = states.append, events.append
-        x, frozen = cs.upper, cs.frozen_count
+        s, frozen = self._intern(cs.upper), cs.frozen_count
         low_dep, up_dep = cs.lower_departures, cs.upper_departures
         for _ in range(steps):
             if not buf:
@@ -291,15 +344,14 @@ class CouplingKernel:
                     break
             kind, i = event
             if kind == "A":
-                x = move(x, 0, i)
+                code = arrival_codes[i]
             else:
-                q = x[i]
-                if not q:
+                serve = id_heads[s][i]
+                if serve is None:  # empty station
                     add_state(cs)
                     add_event(event)
                     continue
-                k = q[0] if ranked[i] is None else head(i, q)
-                active, routes = branch[k]
+                active, routes = serve
                 if not buf:
                     buf = uni.refill()
                 u = buf.pop()
@@ -307,13 +359,15 @@ class CouplingKernel:
                     add_state(cs)
                     add_event(event)
                     continue
-                for cum, l in routes:
+                for cum, code in routes:
                     if u < cum:
                         break
-                x = move(x, k, l)
-                if l == 0:
+                if code < exits:
                     low_dep += 1
                     up_dep += 1
+            t = id_succ[s][code]
+            s = successor(s, code) if t is None else t
+            x = id_states[s]
             cs = CoupledState(x, x, 0, frozen, low_dep, up_dep)
             add_state(cs)
             add_event(event)
@@ -354,6 +408,14 @@ def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]
     return chain
 
 
+def path_streams(parent, count: int) -> list:
+    """One stream per path: the next ``count`` children spawned from ``parent``.
+    ``run_coupling`` spawns from its ``rng``; ``mcqnet couple`` from each rep's
+    child of the master generator, so a rep's paths run on the streams
+    ``run_coupling`` gives on ``master.spawn(1)[0]``."""
+    return parent.spawn(count)
+
+
 def run_coupling(spec: NetworkSpec, xi, zeta, n: int, rng) -> list[CoupledPath]:
     """Instrumented coupled paths from xi inside zeta.
 
@@ -363,7 +425,8 @@ def run_coupling(spec: NetworkSpec, xi, zeta, n: int, rng) -> list[CoupledPath]:
     path that starts coupled.
     """
     kernel = CouplingKernel(spec)
-    return [kernel.run(cs, n, rng.spawn(1)[0]) for cs in kernel.starts(xi, zeta)]
+    starts = kernel.starts(xi, zeta)
+    return [kernel.run(cs, n, g) for cs, g in zip(starts, path_streams(rng, len(starts)))]
 
 
 def verify_coupling_path(path: CoupledPath) -> InvariantReport:
@@ -373,19 +436,28 @@ def verify_coupling_path(path: CoupledPath) -> InvariantReport:
     mark, coupling is absorbing, departure counters match an independent
     recount of downward norm jumps, freezes are monotone and bounded by the
     step index, and the upper/lower departure counts obey the one-extra-
-    departure relation split at the coupling time. Norms and pair classes are
-    recomputed only for state objects not seen at the previous step.
+    departure relation split at the coupling time; and the recorded τ is the
+    first index with mark 0. Norms and pair classes are recomputed only for
+    state objects not seen at the previous step. A record that is the previous
+    step's record object (a non-move) is passed over when the previous step
+    added no failure and the step is not the recorded τ: every check then
+    gives the previous step's outcome.
     """
     failures: list[str] = []
     states = path.states
     tau = path.tau
     start_coupled = states[0].mark == 0
+    first_coupled = None
     lower_down = 0
     upper_down = 0
     prev = None
     prev_lower = prev_upper = None
     low_norm = up_norm = cls = 0
+    clean = False
     for m, cs in enumerate(states):
+        if cs is prev and clean and m != tau:
+            continue
+        before = len(failures)
         lower, upper = cs.lower, cs.upper
         if lower is not prev_lower or upper is not prev_upper:
             cls = 0 if lower is upper else classify_pair(lower, upper)
@@ -393,8 +465,11 @@ def verify_coupling_path(path: CoupledPath) -> InvariantReport:
             failures.append(f"step {m}: pair left the one-extra-job relation")
         elif cls != cs.mark:
             failures.append(f"step {m}: recorded mark {cs.mark} but pair classifies as {cls}")
-        if cs.mark == 0 and lower != upper:
-            failures.append(f"step {m}: coupled mark with unequal states")
+        if cs.mark == 0:
+            if lower != upper:
+                failures.append(f"step {m}: coupled mark with unequal states")
+            if first_coupled is None:
+                first_coupled = m
         prev_low_norm, prev_up_norm = low_norm, up_norm
         if lower is not prev_lower:
             low_norm = state_norm(lower)
@@ -421,6 +496,9 @@ def verify_coupling_path(path: CoupledPath) -> InvariantReport:
                 f"step {m}: departure gap {upper_down - lower_down}, expected {expected_gap}"
             )
         prev, prev_lower, prev_upper = cs, lower, upper
+        clean = len(failures) == before
+    if tau != first_coupled:
+        failures.append(f"recorded tau {tau}, but the first index with mark 0 is {first_coupled}")
     return InvariantReport(ok=not failures, failures=failures, steps_checked=len(states))
 
 

@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mcqnet import coupling
@@ -41,11 +42,12 @@ from mcqnet.qprocess import (
 )
 from mcqnet.rng import Uniforms, master_rng, run_block
 
-from conftest import HQ, LCFS_LINE, SBP_HQ_LINE, ScriptedRng, run_optimized
+from conftest import HQ, LCFS_LINE, SBP_HQ_LINE, ScriptedRng, random_batch_spec, run_optimized
 
 MM1 = builtin_fixture("mm1")
 LK_SBP = builtin_fixture("lk-sbp")
 FCFS = builtin_fixture("fcfs-reentrant")
+SEED_RANDOM_NETWORKS = 2027
 
 
 def test_classify_pair():
@@ -406,7 +408,7 @@ def test_move_matches_apply(name):
     states = {x for pair in pairs for x in pair}
     assert len(states) > 5
     for xi in states:
-        for k in range(1, spec.class_count + 1):
+        for k, _ in kt.table.arrivals:
             assert kt._move(xi, 0, k) == kt._apply(xi, 0, k), (xi, k)
         for i, q in enumerate(xi):
             if q:
@@ -415,10 +417,11 @@ def test_move_matches_apply(name):
                     assert kt._move(xi, h, l) == kt._apply(xi, h, l), (xi, h, l)
 
 
-def test_move_memo_stops_at_its_cap(monkeypatch):
-    """A full memo stops taking moves; paths stay those of an unbounded memo."""
+def test_state_table_stops_at_its_cap(monkeypatch):
+    """A full state table stops taking states; paths stay those of an unbounded
+    table, and every stored successor id is a stored state's."""
     def paths(cap):
-        monkeypatch.setattr(coupling, "_MOVE_MEMO_CAP", cap)
+        monkeypatch.setattr(coupling, "_STATE_TABLE_CAP", cap)
         kernel = CouplingKernel(FCFS)
         cs = kernel.start(((1,), ()), ((1, 4), ()))
         return kernel, [kernel.run(cs, 150, master_rng(s)) for s in range(10)]
@@ -427,7 +430,15 @@ def test_move_memo_stops_at_its_cap(monkeypatch):
     unbounded, unbounded_paths = paths(10**6)
     for a, b in zip(capped_paths, unbounded_paths):
         _assert_same_path(a, b)
-    assert len(capped._moves) == 5 < len(unbounded._moves)
+        assert verify_coupling_path(a).ok
+    assert len(capped._ids) == 5 < len(unbounded._ids)
+    assert len(capped._states) == 6  # the stored states and the spare
+    for s, x in enumerate(capped._states[:5]):
+        assert capped._ids[x] == s
+        assert all(t is None or t < 5 for t in capped._succ[s])
+        for code, t in enumerate(unbounded._succ[unbounded._ids[x]]):
+            if capped._succ[s][code] is not None:
+                assert capped._states[capped._succ[s][code]] == unbounded._states[t]
 
 
 def test_frozen_deletion_reproduces_chain_moves(rng):
@@ -720,6 +731,9 @@ def _reference_verify(path):
             failures.append(
                 f"step {m}: departure gap {upper_down - lower_down}, expected {expected_gap}"
             )
+    first_coupled = next((m for m, cs in enumerate(states) if cs.mark == 0), None)
+    if tau != first_coupled:
+        failures.append(f"recorded tau {tau}, but the first index with mark 0 is {first_coupled}")
     return failures
 
 
@@ -754,6 +768,118 @@ def test_verifier_matches_reference(spec, lower, upper):
                 assert failures == _reference_verify(bad), (field, m)
                 flagged[field] += bool(failures)
     assert all(flagged[field] > 0 for field in fields), flagged
+
+
+def test_verifier_flags_a_tau_that_is_not_the_first_coupled_index():
+    # a path that starts coupled has tau 0; recorded as censored it must not verify
+    kernel = CouplingKernel(MM1)
+    path = kernel.run(kernel.start(((1,),), ((1,),)), 30, master_rng(3))
+    assert path.tau == 0 and verify_coupling_path(path).ok
+    bad = CoupledPath(path.states, path.events, None)
+    assert bad.censored
+    expected = ["recorded tau None, but the first index with mark 0 is 0"]
+    assert verify_coupling_path(bad).failures == _reference_verify(bad) == expected
+    # a tau recorded one step late, on an uncoupled start
+    path = run_coupling(MM1, ((),), ((1,),), 60, master_rng(4))[0]
+    assert path.tau is not None and verify_coupling_path(path).ok
+    late = CoupledPath(path.states, path.events, path.tau + 1)
+    failures = verify_coupling_path(late).failures
+    assert failures == _reference_verify(late)
+    assert failures[-1] == f"recorded tau {path.tau + 1}, but the first index with mark 0 is {path.tau}"
+
+
+@pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])
+def test_verifier_matches_reference_on_a_repeated_corrupted_record(spec, lower, upper):
+    # one corrupted record object over four consecutive steps: a step after one
+    # that added a failure is checked again, not passed over
+    pick = random.Random(7)
+    fields = ("lower", "upper", "mark", "frozen_count", "lower_departures", "upper_departures")
+    flagged = Counter()
+    flagged_last = 0
+    for seed in range(30):
+        for path in run_coupling(spec, lower, upper, 120, master_rng(seed)):
+            for field in fields:
+                m = pick.randrange(len(path.states) - 4)
+                states = list(path.states)
+                states[m:m + 4] = [_corrupt(states[m], field, spec, pick)] * 4
+                bad = CoupledPath(states, path.events, path.tau)
+                failures = verify_coupling_path(bad).failures
+                assert failures == _reference_verify(bad), (field, m)
+                flagged[field] += bool(failures)
+                flagged_last += any(f.startswith(f"step {m + 3}:") for f in failures)
+    assert all(flagged[field] > 0 for field in fields), flagged
+    assert flagged_last > 0
+
+
+def test_verifier_checks_a_recorded_tau_on_a_repeated_record():
+    # the expected departure gap turns at tau, so a tau recorded on a non-move
+    # is checked even when the step before it added no failure
+    gap_flagged = 0
+    for spec, lower, upper in COUPLE_PAIRS:
+        for seed in range(40):
+            for path in run_coupling(spec, lower, upper, 120, master_rng(seed)):
+                states = path.states
+                repeats = [m for m in range(1, len(states)) if states[m] is states[m - 1]]
+                early = [m for m in repeats if path.tau is None or m < path.tau]
+                for m in early[:2] + repeats[-1:]:
+                    bad = CoupledPath(states, path.events, m)
+                    failures = verify_coupling_path(bad).failures
+                    assert failures == _reference_verify(bad) != [], m
+                    gap_flagged += f"step {m}: departure gap 0, expected 1" in failures
+    assert gap_flagged > 5
+
+
+@pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])
+def test_verifier_matches_reference_at_a_frozen_count_equal_to_its_step(spec, lower, upper):
+    # frozen count m at step m is within the bound and m + 1 is not; the same
+    # record repeated at step m + 1 is within it either way
+    for seed in range(20):
+        for path in run_coupling(spec, lower, upper, 120, master_rng(seed)):
+            for m in (1, len(path.states) // 2, len(path.states) - 3):
+                for count in (m, m + 1):
+                    states = list(path.states)
+                    states[m:m + 2] = [replace(states[m], frozen_count=count)] * 2
+                    bad = CoupledPath(states, path.events, path.tau)
+                    failures = verify_coupling_path(bad).failures
+                    assert failures == _reference_verify(bad), (m, count)
+                    exceeds = f"step {m}: frozen count exceeds the step index"
+                    assert (exceeds in failures) == (count > m)
+                    assert f"step {m + 1}: frozen count exceeds the step index" not in failures
+
+
+def test_run_matches_step_loop_on_random_networks_in_the_coupling_regime():
+    """Seeded random networks with a multi-class station that the coupling
+    accepts (FCFS head-of-queue and preferential stations), each from a
+    one-extra-job start: the run equals the reference step loop and verifies,
+    as the reference verifier agrees."""
+    rng = np.random.default_rng(SEED_RANDOM_NETWORKS)
+    kernels = []
+    while len(kernels) < 10:
+        spec = random_batch_spec(rng)
+        if max(map(len, spec.stations)) < 2:
+            continue
+        try:
+            kernels.append(CouplingKernel(spec))
+        except UnsupportedCouplingError:
+            continue
+    preferential = 0
+    for kernel in kernels:
+        spec = kernel.spec
+        preferential += any(order is not None and len(order) > 1 for order in kernel.table.ranked)
+        classes = [k for k, _ in kernel.table.arrivals]
+        lower = empty_state(spec)
+        for _ in range(int(rng.integers(0, 4))):
+            lower = kernel._apply(lower, 0, int(rng.choice(classes)))
+        upper = kernel._apply(lower, 0, int(rng.integers(1, spec.class_count + 1)))
+        assert kernel.start(lower, upper).mark > 0
+        for seed in range(15):
+            fast = kernel.run(kernel.start(lower, upper), 150, master_rng(seed))
+            ref = _step_loop(kernel, lower, upper, 150, master_rng(seed))
+            # equal values; a self-route can move a coupled state onto an equal
+            # one, so records are not compared by identity
+            assert (fast.tau, fast.events, fast.states) == (ref.tau, ref.events, ref.states)
+            assert verify_coupling_path(fast).failures == _reference_verify(fast) == []
+    assert len({k.spec.station_count for k in kernels}) > 1 and preferential > 0
 
 
 def _path_digest(paths) -> str:

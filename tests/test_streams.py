@@ -21,8 +21,9 @@ import pytest
 
 from conftest import LCFS_LINE, SBP_HQ_LINE, ScriptedRng
 from mcqnet.allocation import ServiceAllocation, StationProtocol
+from mcqnet.cli import main
 from mcqnet.configurations import QueuePolicy
-from mcqnet.coupling import CouplingKernel
+from mcqnet.coupling import CouplingKernel, run_coupling
 from mcqnet.network import builtin_fixture
 from mcqnet.qprocess import empty_state, state_norm
 from mcqnet.rng import Uniforms, master_rng
@@ -227,3 +228,22 @@ def test_block_size_must_be_positive(block):
     sampler = PathSampler(builtin_fixture("mm1"))
     with pytest.raises(ValueError, match=f"got {block}"):
         sampler.reset(((),), master_rng(1), block=block)
+
+
+def test_couple_reps_run_on_the_streams_of_run_coupling(tmp_path):
+    # ``mcqnet couple`` runs rep r's paths on the streams ``run_coupling``
+    # gives on the master generator's r-th spawned child
+    assert main([
+        "--out-dir", str(tmp_path), "--seed", "9",
+        "couple", "--spec", "lk-sbp", "--lower", "[[],[]]", "--upper", "[[1,4],[2]]",
+        "--steps", "40", "--reps", "4",
+    ]) == 0
+    runs = json.loads((tmp_path / "couple_report.json").read_text())["runs"]
+    master = master_rng(9)
+    spec = builtin_fixture("lk-sbp")
+    expected = [
+        [p.tau for p in run_coupling(spec, ((), ()), ((1, 4), (2,)), 40, master.spawn(1)[0])]
+        for _ in runs
+    ]
+    assert [run["tau"] for run in runs] == expected
+    assert len({len(t) for t in expected}) == 1 and len(expected[0]) == 3
