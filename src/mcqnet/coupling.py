@@ -16,27 +16,24 @@ A path (``CouplingKernel.run``) starts from a start record: ``start`` checks,
 canonicalizes and marks one pair, and ``starts`` does so once for each
 adjacent pair of the interpolated chain, so a caller that runs many paths
 from one pair, as ``mcqnet couple`` does, runs them all from the same
-records. A path has two phases. Up to the coupling time τ it is a loop of
-``CouplingKernel.step``, the reference step rule for an uncoupled pair,
-which rebuilds only the stations a move touches (``qprocess.StationMoves``,
-the move rule the exact engine builds its kernel rows with). From τ on the
-pair is one state x serving as both copies, and ``_run_coupled`` moves it on
-the same uniforms, recording ``CoupledState(x, x, 0, ...)`` per move and the
-previous record on a non-move. Both phases read one state table, which
-serves every path a kernel runs: each canonical state reached gets an int
-id, and its station heads and its successor ids (by a small int move code,
-computed by ``StationMoves.move``) are computed once. ``_run_coupled`` walks
-ids and ``step`` moves states through ``CouplingKernel._move``, which reads
-the same table, so both record the table's state objects. The table stops
-taking states at ``_STATE_TABLE_CAP``; past it a new state's moves are
-computed and not stored. ``CoupledState`` is a slotted, unfrozen dataclass,
-since a path builds one per step. ``verify_coupling_path`` passes over a
-record that repeats the previous step's record object (a non-move) when the
-previous step added no failure and the step is not the recorded τ, since
-every check then gives the previous step's outcome. ``PairEngine`` moves
-both copies of a pair by the same ``StationMoves`` rule;
-``CouplingKernel._apply`` (``apply_transition`` plus a full
-canonicalization) is kept only as the reference that rule is tested against.
+records. A path is one loop in which each copy walks its own id in a state
+table that serves every path a kernel runs: each canonical state reached
+gets an int id, and its station heads and its successor ids (by a small int
+move code, computed by ``StationMoves.move``, the move rule the exact engine
+builds its kernel rows with) are computed once. A departure is mirrored when
+the lower copy's stored head at the station is the upper copy's; from the
+coupling time τ on both copies walk one id. A move records the table's
+states, a non-move the previous record. The table stops taking states at
+``_STATE_TABLE_CAP``; past it a new state's moves are computed and not
+stored, and it takes a spare id, one for each copy. ``CoupledState`` is a
+slotted, unfrozen dataclass, since a path builds one per step.
+``verify_coupling_path`` passes over a record that repeats the previous
+step's record object (a non-move) when the previous step added no failure
+and the step is not the recorded τ, since every check then gives the
+previous step's outcome. ``PairEngine`` moves both copies of a pair by the
+same ``StationMoves`` rule; ``CouplingKernel._apply`` (``apply_transition``
+plus a full canonicalization) is kept only as the reference that rule is
+tested against.
 
 What the coupling certifies is a time-changed order: with F_n the number of
 frozen steps up to n, the lower copy at step n - F_n sits inside the upper copy
@@ -155,8 +152,8 @@ def _require_coupling_regime(spec: NetworkSpec) -> None:
 
 
 class CouplingKernel:
-    """Shared tables, the state table every path reads, head functions and the
-    one-step rule for coupled pairs."""
+    """Shared tables, the state table every path reads, head functions and
+    ``run``, the one step loop of a coupled pair."""
 
     def __init__(self, spec: NetworkSpec):
         _require_coupling_regime(spec)
@@ -171,12 +168,12 @@ class CouplingKernel:
         moves.sort(key=lambda move: move[1] != 0)
         moves += [(0, k) for k, _ in self.table.arrivals]
         self._code_moves = moves
-        self._codes = {move: code for code, move in enumerate(moves)}
+        codes = {move: code for code, move in enumerate(moves)}
         self._exits = sum(l == 0 for _, l in moves)
-        self._arrival_codes = [self._codes.get((0, k)) for k in range(spec.class_count + 1)]
+        self._arrival_codes = [codes.get((0, k)) for k in range(spec.class_count + 1)]
         # per class k: (active, (cumulative, code) per route), as ``table.branch``
         self._serves = {
-            k: (active, tuple((cum, self._codes[k, l]) for cum, l in routes))
+            k: (active, tuple((cum, codes[k, l]) for cum, l in routes))
             for k, (active, routes) in branch.items()
         }
         # the state table: id -> state, its heads' serves per station (None
@@ -186,10 +183,12 @@ class CouplingKernel:
         self._heads: list[tuple] = []
         self._succ: list[list] = []
 
-    def _intern(self, xi: NetworkState) -> int:
+    def _intern(self, xi: NetworkState, spare: int) -> int:
         """The id of canonical ``xi``, adding it to the table while it holds
         fewer than ``_STATE_TABLE_CAP`` states. Past the cap an unknown state
-        takes the spare id ``_STATE_TABLE_CAP``, overwritten by the next one."""
+        takes the spare id ``_STATE_TABLE_CAP + spare``, overwritten by the
+        next one: a path's lower copy uses spare 0 and its upper copy spare 1,
+        so neither overwrites the other's off-table state."""
         s = self._ids.get(xi)
         if s is None:
             s = len(self._ids)
@@ -197,31 +196,21 @@ class CouplingKernel:
             heads = tuple([serves[head(i, q)] if q else None for i, q in enumerate(xi)])
             if s < _STATE_TABLE_CAP:
                 self._ids[xi] = s
-            # append a stored state; overwrite the spare (or append it once)
-            self._states[s:] = (xi,)
-            self._heads[s:] = (heads,)
-            self._succ[s:] = ([None] * len(self._code_moves),)
+            else:
+                s += spare
+            for column in self._states, self._heads, self._succ:
+                column += [None] * (s + 1 - len(column))  # room for a new id or a spare
+            self._states[s], self._heads[s] = xi, heads
+            self._succ[s] = [None] * len(self._code_moves)
         return s
 
-    def _successor(self, s: int, code: int) -> int:
+    def _successor(self, s: int, code: int, spare: int) -> int:
         """The id reached from id ``s`` by the move ``code``, computed by
-        ``StationMoves.move`` and stored unless it lands on the spare id."""
-        t = self._intern(self._station_move(self._states[s], *self._code_moves[code]))
+        ``StationMoves.move`` and stored unless it lands on a spare id."""
+        t = self._intern(self._station_move(self._states[s], *self._code_moves[code]), spare)
         if t < _STATE_TABLE_CAP:
             self._succ[s][code] = t
         return t
-
-    def _move(self, xi: NetworkState, k: int, l: int) -> NetworkState:
-        """``_apply`` for a canonical state holding a k-job (k = 0: arrival),
-        rebuilding and canonicalizing only the stations the move touches
-        (``StationMoves.move``). The move, one of positive probability, is
-        read from the state table, so its result is the table's object."""
-        code = self._codes[k, l]
-        s = self._intern(xi)
-        t = self._succ[s][code]
-        if t is None:
-            t = self._successor(s, code)
-        return self._states[t]
 
     def head(self, i: int, q) -> int | None:
         if not q:
@@ -236,7 +225,7 @@ class CouplingKernel:
 
     def _apply(self, xi: NetworkState, k: int, l: int) -> NetworkState:
         """The reference move: ``apply_transition`` plus a full canonicalization,
-        which ``_move`` is tested against."""
+        which the state table's successors are tested against."""
         return self.canon(apply_transition(self.spec, xi, TransitionLabel(k, l)))
 
     def start(self, lower, upper) -> CoupledState:
@@ -256,86 +245,29 @@ class CouplingKernel:
         chain = [self.canon(z) for z in _interpolate(lower, upper)]
         return [_marked(a, b) for a, b in zip(chain[:-1], chain[1:])] or [_marked(lower, upper)]
 
-    def step(self, cs: CoupledState, uni: Uniforms) -> tuple[CoupledState, tuple[str, int]]:
-        """One move of an uncoupled pair (mark > 0), the reference step rule; a
-        non-move returns ``cs`` itself. ``run`` moves a coupled pair in
-        ``_run_coupled``."""
-        event = self.table.draw(uni.next())
-        kind, idx = event
-        lower, upper, mark = cs.lower, cs.upper, cs.mark
-        if kind == "A":
-            k, l, mirrored = 0, idx, True
-        else:
-            q_up = upper[idx]
-            if not q_up:  # both empty (lower is inside upper), nothing can depart
-                return cs, event
-            k = self.head(idx, q_up)
-            mirrored = self.head(idx, lower[idx]) == k
-            active, routes = self.table.branch[k]
-            u = uni.next()
-            if u >= active:  # upper self-loop
-                if mirrored:
-                    return cs, event
-                return CoupledState(lower, upper, mark, cs.frozen_count + 1,
-                                    cs.lower_departures, cs.upper_departures), event
-            for cum, l in routes:
-                if u < cum:
-                    break
-        upper = self._move(upper, k, l)
-        low_dep, up_dep = cs.lower_departures, cs.upper_departures
-        if l == 0:
-            up_dep += 1
-            low_dep += mirrored
-        frozen = cs.frozen_count
-        if mirrored:
-            lower = self._move(lower, k, l)
-        else:  # the extra job itself is served: re-mark on a class change, couple on exit
-            frozen += 1
-            # outside the coupling regime's invariant the pair is reclassified defensively
-            mark = l if k == mark else classify_pair(lower, upper)
-        return CoupledState(lower, upper, mark, frozen, low_dep, up_dep), event
-
     def run(self, cs: CoupledState, n: int, rng) -> CoupledPath:
-        """Coupled path of n ``step`` moves from the start record ``cs`` (made
-        by ``start`` or ``starts``) on one uniform stream, read in blocks of
+        """Coupled path of n moves from the start record ``cs`` (made by
+        ``start`` or ``starts``) on one uniform stream, read in blocks of
         ``run_block(n)`` as ``PathSampler.run_terminal_norm`` reads its own.
-
-        τ is the first index with mark 0. Moves up to τ are ``step`` calls, the
-        rest run in ``_run_coupled``. The path certifies the time-changed order
-        (lower at n - F_n inside upper at n), not dominance at a fixed time.
+        Each copy walks its own id in the state table; τ is the first index
+        with mark 0. The path certifies the time-changed order (lower at
+        n - F_n inside upper at n), not dominance at a fixed time.
         """
         if n < 0:
             raise ValueError("steps must be nonnegative")
         uni = Uniforms(rng, run_block(n))
-        states = [cs]
-        events = []
-        tau = 0 if cs.mark == 0 else None
-        step = self.step
-        m = 0
-        while tau is None and m < n:
-            m += 1
-            cs, ev = step(cs, uni)
-            states.append(cs)
-            events.append(ev)
-            if cs.mark == 0:
-                tau = m
-        self._run_coupled(cs, n - m, uni, states, events)
-        return CoupledPath(states, events, tau)
-
-    def _run_coupled(self, cs: CoupledState, steps: int, uni: Uniforms, states, events) -> None:
-        """``steps`` moves of the coupled pair ``cs`` (mark 0), appended to
-        ``states`` and ``events``: every move is mirrored, so the pair is one
-        state x, walked by its id in the state table. A move records
-        ``CoupledState(x, x, 0, ...)`` with the table's x and a non-move the
-        previous record."""
+        buf = uni.buf
         table_events, arrival_codes, exits = self.table.events, self._arrival_codes, self._exits
         id_states, id_heads, id_succ = self._states, self._heads, self._succ
-        successor = self._successor
-        buf = uni.buf
+        successor, code_moves = self._successor, self._code_moves
+        states = [cs]
+        events = []
         add_state, add_event = states.append, events.append
-        s, frozen = self._intern(cs.upper), cs.frozen_count
+        mark, frozen = cs.mark, cs.frozen_count
         low_dep, up_dep = cs.lower_departures, cs.upper_departures
-        for _ in range(steps):
+        up = self._intern(cs.upper, 1)
+        tau, low = (0, up) if mark == 0 else (None, self._intern(cs.lower, 0))
+        for m in range(1, n + 1):
             if not buf:
                 buf = uni.refill()
             u = buf.pop()
@@ -346,8 +278,8 @@ class CouplingKernel:
             if kind == "A":
                 code = arrival_codes[i]
             else:
-                serve = id_heads[s][i]
-                if serve is None:  # empty station
+                serve = id_heads[up][i]
+                if serve is None:  # both empty (lower is inside upper), nothing can depart
                     add_state(cs)
                     add_event(event)
                     continue
@@ -355,22 +287,48 @@ class CouplingKernel:
                 if not buf:
                     buf = uni.refill()
                 u = buf.pop()
-                if u >= active:  # self-loop
+                if u >= active:  # self-loop: the lower copy freezes unless its head is the same
+                    if id_heads[low][i] is not serve:
+                        frozen += 1
+                        cs = CoupledState(cs.lower, cs.upper, mark, frozen, low_dep, up_dep)
                     add_state(cs)
                     add_event(event)
                     continue
                 for cum, code in routes:
                     if u < cum:
                         break
+                if id_heads[low][i] is not serve:  # the extra job is served; lower freezes:
+                    # re-mark on a class change, couple on exit; outside the coupling
+                    # regime's invariant the pair is reclassified defensively
+                    frozen += 1
+                    if code < exits:
+                        up_dep += 1
+                    t = id_succ[up][code]
+                    up = successor(up, code, 1) if t is None else t
+                    lower, upper = id_states[low], id_states[up]
+                    k, l = code_moves[code]
+                    mark = l if k == mark else classify_pair(lower, upper)
+                    cs = CoupledState(lower, upper, mark, frozen, low_dep, up_dep)
+                    if mark == 0:
+                        tau, low = m, up
+                    add_state(cs)
+                    add_event(event)
+                    continue
                 if code < exits:
                     low_dep += 1
                     up_dep += 1
-            t = id_succ[s][code]
-            s = successor(s, code) if t is None else t
-            x = id_states[s]
-            cs = CoupledState(x, x, 0, frozen, low_dep, up_dep)
+            t = id_succ[up][code]
+            t = successor(up, code, 1) if t is None else t
+            if low == up:  # coupled: one id serves as both copies
+                low = up = t
+            else:
+                up = t
+                t = id_succ[low][code]
+                low = successor(low, code, 0) if t is None else t
+            cs = CoupledState(id_states[low], id_states[up], mark, frozen, low_dep, up_dep)
             add_state(cs)
             add_event(event)
+        return CoupledPath(states, events, tau)
 
 
 def _marked(lower: NetworkState, upper: NetworkState) -> CoupledState:

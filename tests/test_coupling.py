@@ -114,7 +114,7 @@ def test_step_c2_exit_couples():
     kernel = CouplingKernel(MM1)
     cs = kernel.start(((),), ((1,),))
     # departure event (0.9), branch draw 0.3 -> the lone job exits
-    nxt, _ = kernel.step(cs, Uniforms(ScriptedRng([0.9, 0.3])))
+    nxt = kernel.run(cs, 1, ScriptedRng([0.9, 0.3])).states[1]
     assert nxt.mark == 0
     assert nxt.lower == nxt.upper == ((),)
     assert nxt.frozen_count == 1 and nxt.upper_departures == 1
@@ -124,7 +124,7 @@ def test_step_c2_exit_couples():
 def test_step_shared_arrival_keeps_mark():
     kernel = CouplingKernel(MM1)
     cs = kernel.start(((),), ((1,),))
-    nxt, _ = kernel.step(cs, Uniforms(ScriptedRng([0.1])))
+    nxt = kernel.run(cs, 1, ScriptedRng([0.1])).states[1]
     assert nxt.lower == ((1,),) and nxt.upper == ((1, 1),)
     assert nxt.mark == 1 and nxt.frozen_count == 0
 
@@ -135,7 +135,7 @@ def test_step_case_b_mirrors_other_station():
     cs = kernel.start(((4,), (2,)), ((1, 4), (2,)))
     assert cs.mark == 1
     # event draw 0.7 selects D_2; branch draw 0.2 < beta_2/beta_bar_2 = 0.375
-    nxt, _ = kernel.step(cs, Uniforms(ScriptedRng([0.7, 0.2])))
+    nxt = kernel.run(cs, 1, ScriptedRng([0.7, 0.2])).states[1]
     assert nxt.lower == ((4,), (3,))
     assert nxt.upper == ((1, 4), (3,))
     assert nxt.mark == 1 and nxt.frozen_count == 0
@@ -149,16 +149,16 @@ def test_step_c2_class_change_moves_mark():
     assert cs.mark == 4
     # D_1 event: draw 0.3 (inside D_1 mass (0.059, 0.529]); branch draw 0.2 is
     # below beta_4/beta_bar_1 = 0.375, so the extra class-4 job exits
-    nxt, _ = kernel.step(cs, Uniforms(ScriptedRng([0.3, 0.2])))
+    nxt = kernel.run(cs, 1, ScriptedRng([0.3, 0.2])).states[1]
     assert nxt.mark == 0 and nxt.lower == nxt.upper == ((1,), ())
     # with draw 0.5 the departure event self-loops: a frozen non-move
-    loop, _ = kernel.step(cs, Uniforms(ScriptedRng([0.3, 0.5])))
+    loop = kernel.run(cs, 1, ScriptedRng([0.3, 0.5])).states[1]
     assert loop.mark == 4 and loop.frozen_count == 1
     assert (loop.lower, loop.upper) == (cs.lower, cs.upper)
     # same start, but the extra job is class 1 while class 4 is served on both
     cs2 = kernel.start(((4,), ()), ((1, 4), ()))
     assert cs2.mark == 1
-    nxt2, _ = kernel.step(cs2, Uniforms(ScriptedRng([0.3, 0.2])))
+    nxt2 = kernel.run(cs2, 1, ScriptedRng([0.3, 0.2])).states[1]
     # mirrored service of the shared head 4: both lose it, mark survives
     assert nxt2.mark == 1
     assert nxt2.lower == ((), ()) and nxt2.upper == ((1,), ())
@@ -396,7 +396,10 @@ def test_pair_kernel_upper_marginal_is_the_chain_kernel(name):
 
 @pytest.mark.parametrize("name", ["mm1", "fcfs-reentrant", "lk-sbp"])
 def test_move_matches_apply(name):
-    """The station-local move equals the reference move on every reachable state."""
+    """Every successor the state table stores equals the reference move, once
+    the table holds every move of positive probability from every state of
+    the pair-reachable set; every stored head is the serve entry of the
+    state's head at that station."""
     spec = builtin_fixture(name)
     empty = empty_state(spec)
     seeds = [
@@ -407,14 +410,24 @@ def test_move_matches_apply(name):
     kt = engine.kernel_tables
     states = {x for pair in pairs for x in pair}
     assert len(states) > 5
+    moves = 0
     for xi in states:
-        for k, _ in kt.table.arrivals:
-            assert kt._move(xi, 0, k) == kt._apply(xi, 0, k), (xi, k)
-        for i, q in enumerate(xi):
-            if q:
-                h = kt.head(i, q)
-                for l, _ in kt.table.serve[h]:
-                    assert kt._move(xi, h, l) == kt._apply(xi, h, l), (xi, h, l)
+        s = kt._intern(xi, 0)
+        heads = [kt.head(i, q) for i, q in enumerate(xi)]
+        assert all(got is (h and kt._serves[h]) for got, h in zip(kt._heads[s], heads))
+        labels = [(0, k) for k, _ in kt.table.arrivals]
+        labels += [(h, l) for h in heads if h for l, _ in kt.table.serve[h]]
+        for label in labels:
+            kt._successor(s, kt._code_moves.index(label), 0)
+        moves += len(set(labels))
+    stored = 0
+    for s, succ in enumerate(kt._succ):
+        for code, t in enumerate(succ):
+            if t is not None:
+                k, l = kt._code_moves[code]
+                assert kt._states[t] == kt._apply(kt._states[s], k, l), (kt._states[s], k, l)
+                stored += 1
+    assert stored == moves
 
 
 def test_state_table_stops_at_its_cap(monkeypatch):
@@ -432,7 +445,10 @@ def test_state_table_stops_at_its_cap(monkeypatch):
         _assert_same_path(a, b)
         assert verify_coupling_path(a).ok
     assert len(capped._ids) == 5 < len(unbounded._ids)
-    assert len(capped._states) == 6  # the stored states and the spare
+    assert len(capped._states) == 7  # the stored states and a spare for each copy
+    # before tau both copies sit off the table at once, each on its own spare
+    assert any(cs.mark and cs.lower not in capped._ids and cs.upper not in capped._ids
+               for p in capped_paths for cs in p.states)
     for s, x in enumerate(capped._states[:5]):
         assert capped._ids[x] == s
         assert all(t is None or t < 5 for t in capped._succ[s])
@@ -619,12 +635,13 @@ def _assert_same_path(fast, ref):
     assert fast.tau == ref.tau
     assert fast.events == ref.events
     assert fast.states == ref.states
-    # a non-move keeps the state object; a coupled move shares one state
-    for prev, cs in zip(fast.states, fast.states[1:]):
-        if cs.mark == 0 and prev.mark == 0 and cs != prev:
-            assert cs.lower is cs.upper
-        if cs == prev and cs.mark == 0:
-            assert cs is prev
+    # a non-move repeats the previous record, as the reference's does; after
+    # tau a new record holds one state object as both copies
+    for m in range(1, len(fast.states)):
+        repeated = fast.states[m] is fast.states[m - 1]
+        assert repeated == (ref.states[m] is ref.states[m - 1]), m
+        if fast.tau is not None and m > fast.tau and not repeated:
+            assert fast.states[m].lower is fast.states[m].upper, m
 
 
 @pytest.mark.parametrize("spec,lower,upper", COUPLE_PAIRS, ids=["mm1", "fcfs-reentrant", "lk-sbp"])
@@ -680,20 +697,6 @@ def test_run_matches_step_loop_when_never_coupled():
     fast = kernel.run(kernel.start(((),), ((1,),)), 21, ScriptedRng(script))
     assert fast.tau is None
     _assert_same_path(fast, _step_loop(kernel, ((),), ((1,),), 21, ScriptedRng(script)))
-
-
-def test_step_on_a_coupled_pair_matches_the_coupled_phase():
-    # ``step`` has no coupled branch: on equal copies every head agrees, so it
-    # mirrors each move and keeps the copies equal, as ``_run_coupled`` does
-    kernel = CouplingKernel(LK_SBP)
-    start = ((1, 4), (2,))
-    for seed in range(20):
-        fast = kernel.run(kernel.start(start, start), 100, master_rng(seed))
-        uni = Uniforms(master_rng(seed), run_block(100))
-        cs = kernel.start(start, start)
-        for expected, event in zip(fast.states[1:], fast.events):
-            cs, ev = kernel.step(cs, uni)
-            assert ev == event and cs == expected and cs.lower == cs.upper
 
 
 def _reference_verify(path):
@@ -874,10 +877,7 @@ def test_run_matches_step_loop_on_random_networks_in_the_coupling_regime():
         assert kernel.start(lower, upper).mark > 0
         for seed in range(15):
             fast = kernel.run(kernel.start(lower, upper), 150, master_rng(seed))
-            ref = _step_loop(kernel, lower, upper, 150, master_rng(seed))
-            # equal values; a self-route can move a coupled state onto an equal
-            # one, so records are not compared by identity
-            assert (fast.tau, fast.events, fast.states) == (ref.tau, ref.events, ref.states)
+            _assert_same_path(fast, _step_loop(kernel, lower, upper, 150, master_rng(seed)))
             assert verify_coupling_path(fast).failures == _reference_verify(fast) == []
     assert len({k.spec.station_count for k in kernels}) > 1 and preferential > 0
 

@@ -4,7 +4,8 @@
 state, and mass pushed through it one kernel entry at a time. Chain moves come
 from ``reference_moves`` (``apply_transition`` plus a full canonicalization);
 pair-chain moves from ``reference_pair_moves`` (each copy moved by
-``CouplingKernel._move``, the lower one only when the served heads agree).
+``CouplingKernel._apply``, ``apply_transition`` plus a full canonicalization,
+the lower one only when the served heads agree).
 ``reachable_states`` is checked against ``headroom_closure``.
 """
 
@@ -105,7 +106,7 @@ def reference_moves(spec, reduced):
 def reference_pair_moves(spec):
     kt = CouplingKernel(spec)
     table = kt.table
-    move = kt._move
+    move = kt._apply
 
     def moves(pair):
         lower, upper = pair
