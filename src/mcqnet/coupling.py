@@ -480,6 +480,9 @@ class PairEngine(ExactEngine):
         self.kernel_tables = CouplingKernel(spec)
         super().__init__(spec, reduced=True, budget=budget)
 
+    def set_theta(self, theta) -> bool:
+        raise NotImplementedError("a PairEngine's kernel tables hold their own rates: build one per theta")
+
     def canonical(self, pair):
         start = self.kernel_tables.start(*pair)
         return start.lower, start.upper

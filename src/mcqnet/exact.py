@@ -14,22 +14,29 @@ the sum of its buffers' job counts. ``states`` is filled in bulk from the
 key rows when it is read.
 
 *Layer rows.* A state's one-step kernel is stored as a row of flat, doubling
-``int64`` target and ``float64`` probability buffers, built once, when the
-state first holds mass. Python works once per distinct buffer: its served
-branches (float ``allocate``, ``StationMoves.leave``: one job leaves station
-i and may still join station j) followed by the station's part of the
+``int32`` target and branch-index buffers, built once, when the state first
+holds mass. Python works once per distinct buffer: its served branches
+(float ``allocate``, ``StationMoves.leave``: one job leaves station i and
+may still join station j) followed by the station's part of the
 uniformization self-loop, the share of its departure event the branches
 leave; and its joins (``StationMoves.join``). The arrivals are the branches
 of a virtual source station that every state holds. The rows of all states
 that first hold mass at one step (a BFS layer) are then built from these
 tables with numpy gathers.
 
+*Scale-free rows.* An entry holds the index of its branch, whose probability
+is ``_br_p``'s, so the rows do not depend on the arrival rates:
+``set_theta`` moves an engine to new rates by recomputing the branch
+probabilities alone, and keeps its states, ids and rows.
+
 *Sorted supports.* A step gathers the rows of the support and sums ``mass *
 probability`` per target with one ``np.bincount``; the next support is the
-set of targets reached, marked and listed in id order. The engine checks the
-kernel mass (per buffer, against its station's share) and counts interned
-states against ``budget``, checked as targets are interned, so a run stops
-before it allocates past the budget.
+set of targets reached, marked and listed in id order. The rows of the
+leading ids are stored in id order from entry 0 (the run; from one start,
+every row), so a support of ids 0..L-1 reads its rows as one slice. The
+engine checks the kernel mass (per buffer, against its station's share) and
+counts interned states against ``budget``, checked as targets are interned,
+so a run stops before it allocates past the budget.
 
 *One path.* Every public call enters through ``_ids_of``, which interns the
 ``canonical`` form of each state it is given, so keys that share a canonical
@@ -141,11 +148,9 @@ class ExactEngine:
     """
 
     def __init__(self, spec: NetworkSpec, *, reduced: bool = False, budget: int = 10**6):
-        self.spec = spec
         self.reduced = reduced
         self.budget = budget
-        self.table = transition_table(spec)
-        self.rate = self.table.rate
+        self._point_at(spec)
         self._canon = state_canonicalizer(spec) if reduced else (lambda xi: xi)
         self._station_moves = StationMoves(spec, reduced)
         # Buffer keys. Key 0 is the source: a virtual station S that every
@@ -163,11 +168,7 @@ class ExactEngine:
         self._br_p = np.zeros(256)
         self._br_move = np.zeros((256, 4), dtype=np.int32)
         self._br_used = 0
-        # A departure event at station i has probability share[i]; what its
-        # branches leave of it is the station's part of the self-loop.
-        self._share = [max(spec.beta[k - 1] for k in at) / self.rate for at in spec.stations]
-        station_of = self._station_moves.station_of
-        self._store_branches([(0, [(p, (S, 0, station_of[k], k)) for k, p in self.table.arrivals])])
+        self._store_branches([(0, self._arrivals())])
         # States: a row of buffer keys each (the source's last), codes, kernel rows.
         self._n = 0
         self._cols = np.zeros((64, S + 1), dtype=np.int32)
@@ -178,8 +179,55 @@ class ExactEngine:
         self._row_start = np.zeros(64, dtype=np.int64)
         self._row_len = np.zeros(64, dtype=np.int64)  # 0: no row built yet
         self._targets = np.zeros(256, dtype=np.int32)  # state ids; 2**31 states would not fit in memory
-        self._probs = np.zeros(256, dtype=np.float64)
+        self._br_at = np.zeros(256, dtype=np.int32)  # each entry's branch; 2**31 branches would not fit either
         self._used = 0
+        # The rows of ids 0.._run-1 are stored in id order from entry 0 and end
+        # at entry _run_end, so a support 0..L-1 reads them as one slice.
+        self._run = self._run_end = 0
+
+    def _point_at(self, spec: NetworkSpec) -> None:
+        """Take the arrival rates of ``spec``: its transition table, the
+        uniformization rate, and each station's share of it."""
+        self.spec = spec
+        self.table = transition_table(spec)
+        self.rate = self.table.rate
+        # A departure event at station i has probability share[i]; what its
+        # branches leave of it is the station's part of the self-loop.
+        self._share = [max(spec.beta[k - 1] for k in at) / self.rate for at in spec.stations]
+
+    def _arrivals(self) -> list:
+        """The branches of the source: one arrival per class with a positive rate."""
+        S, station_of = self._stations, self._station_moves.station_of
+        return [(p, (S, 0, station_of[k], k)) for k, p in self.table.arrivals]
+
+    def set_theta(self, theta) -> bool:
+        """Point the engine at the arrival rates ``theta``, keeping its keys,
+        rows, ids and states: only branch probabilities depend on theta.
+
+        Every built key's branches are recomputed as a cold build computes
+        them (``_branches``, the self-loop remainder, the kernel-mass check),
+        so the laws are a fresh engine's bit for bit. Returns False and
+        changes nothing when a branch list would change: an arrival class
+        switching on or off, a self-loop appearing or vanishing. Rows read
+        each entry's probability from its branch, so they stay as they are.
+        """
+        was = self.spec, self.table, self.rate, self._share
+        self._point_at(self.spec.with_theta(theta))
+        fits = False
+        try:
+            keys = (self._br_len[: len(self._buf_station)] >= 0).nonzero()[0]
+            keys = keys[self._br_start[keys].argsort(kind="stable")]  # storage order, the source first
+            rows = [self._arrivals()] + [self._branch_list(k) for k in keys[1:].tolist()]
+            if [len(row) for row in rows] == self._br_len[keys].tolist():
+                branches = [branch for row in rows for branch in row]
+                moves = np.array([move for _, move in branches], dtype=np.int32).reshape(-1, 4)
+                fits = np.array_equal(moves, self._br_move[: self._br_used])
+        finally:
+            if not fits:
+                self.spec, self.table, self.rate, self._share = was
+        if fits:
+            self._br_p[: self._br_used] = [p for p, _ in branches]
+        return fits
 
     def canonical(self, xi) -> NetworkState:
         """The start state as the engine stores it; ``ValueError`` (or
@@ -266,26 +314,24 @@ class ExactEngine:
             self._br_p[used:start] = ps
             self._br_move[used:start] = moves
 
-    def _build_branches(self, keys) -> None:
-        """The served branches of each buffer key, then the station's self-loop:
-        the part of its departure event they leave, when above 1e-15."""
-        key, rows = self._key, []
-        for k in keys:
-            i, q = self._buf_station[k], self._buf_objs[k]
-            branches = [
-                (p, (i, key(i, b), i, 0) if j is None else (i, key(i, b), j, token))
-                for p, b, j, token in self._branches(i, q)
-            ]
-            served = sum(p for p, _ in branches)
-            if served > self._share[i] + 1e-12:
-                raise AssertionError(
-                    f"kernel mass exceeds one: station {i + 1} serves {served!r} "
-                    f"of its {self._share[i]!r} at {q}"
-                )
-            if self._share[i] - served > 1e-15:
-                branches.append((self._share[i] - served, (i, k, i, 0)))
-            rows.append((k, branches))
-        self._store_branches(rows)
+    def _branch_list(self, k: int) -> list:
+        """The served branches of buffer key k, then its station's self-loop:
+        the part of the departure event they leave, when above 1e-15."""
+        key = self._key
+        i, q = self._buf_station[k], self._buf_objs[k]
+        branches = [
+            (p, (i, key(i, b), i, 0) if j is None else (i, key(i, b), j, token))
+            for p, b, j, token in self._branches(i, q)
+        ]
+        served = sum(p for p, _ in branches)
+        if served > self._share[i] + 1e-12:
+            raise AssertionError(
+                f"kernel mass exceeds one: station {i + 1} serves {served!r} "
+                f"of its {self._share[i]!r} at {q}"
+            )
+        if self._share[i] - served > 1e-15:
+            branches.append((self._share[i] - served, (i, k, i, 0)))
+        return branches
 
     def _build_joins(self, keys: np.ndarray, tokens: np.ndarray) -> None:
         """Tabulate the (key, token) joins not known yet."""
@@ -368,7 +414,8 @@ class ExactEngine:
         keys = cols.ravel()  # state by state: stations 0..S-1, then the source
         lens = self._br_len[keys]
         if lens[lens.argmin()] < 0:
-            self._build_branches(sorted(set(keys[lens < 0].tolist())))
+            fresh = sorted(set(keys[lens < 0].tolist()))
+            self._store_branches([(k, self._branch_list(k)) for k in fresh])
             lens = self._br_len[keys]
         ends = lens.cumsum()
         entry = np.arange(ends[-1])
@@ -392,19 +439,27 @@ class ExactEngine:
         self._used = end = used + len(targets)
         if end > len(self._targets):
             self._targets = _grown(self._targets, end, 0)
-            self._probs = _grown(self._probs, end, 0.0)
+            self._br_at = _grown(self._br_at, end, 0)
         self._targets[used:end] = targets
-        self._probs[used:end] = self._br_p[at]
+        self._br_at[used:end] = at
         self._row_len[ids] = row_len
         row_ends += used - row_len
         self._row_start[ids] = row_ends
+        run = self._run
+        if used == self._run_end and ids[0] == run and ids[-1] == run + len(ids) - 1:
+            self._run, self._run_end = run + len(ids), end  # ids: distinct, ascending
 
-    def _rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row lengths of ``ids`` and the positions of their entries, building missing rows."""
+    def _rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+        """Row lengths of ``ids`` (distinct, ascending) and the positions of
+        their entries, building missing rows: one slice when ``ids`` is
+        0..L-1 within the run, else an index array."""
         lengths = self._row_len[ids]
         if len(ids) and not lengths[lengths.argmin()]:
             self._build_rows(ids[lengths == 0])
             lengths = self._row_len[ids]
+        count = len(ids)
+        if count and count <= self._run and ids[-1] == count - 1:
+            return lengths, slice(0, self._row_start[count - 1] + lengths[-1])
         ends = lengths.cumsum()
         at = (self._row_start[ids] + lengths - ends).repeat(lengths)
         at += np.arange(len(at))
@@ -416,7 +471,7 @@ class ExactEngine:
         """One step on arrays: the next support (in id order) and its mass."""
         lengths, at = self._rows(support)
         targets = self._targets[at]
-        out = np.bincount(targets, self._probs[at] * mass.repeat(lengths))
+        out = np.bincount(targets, self._br_p[self._br_at[at]] * mass.repeat(lengths))
         reached = np.zeros(len(out), dtype=bool)
         reached[targets] = True
         support = reached.nonzero()[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailureError
+from .errors import BracketFailureError, NegativeRateError
 from .exact import ExactEngine
 from .network import NetworkSpec, workload_matrix
 from .qprocess import empty_state
@@ -125,10 +125,18 @@ def monotonicity_table(
 
     Flags every increase along growing n (rows) and growing theta (columns)
     beyond the exact tolerance, or beyond three pooled standard errors in
-    Monte-Carlo mode. Violations are reported, never suppressed.
+    Monte-Carlo mode. Violations are reported, never suppressed. In exact
+    mode one engine serves every scale (``ExactEngine.set_theta``): its
+    states and rows are built once, and a fresh engine is built only where
+    a scale changes the kernel's branch lists (a scale of 0 switches the
+    arrivals off); the values are the per-scale fresh engines' bit for bit.
     """
     scales = tuple(float(a) for a in scales)
     steps = tuple(int(n) for n in steps)
+    if not all(math.isfinite(a) for a in scales):
+        raise ValueError(f"scales must be finite, got {scales}")
+    if min(scales, default=0.0) < 0:
+        raise NegativeRateError(f"arrival rates must be nonnegative: scale {min(scales)}")
     if list(scales) != sorted(scales) or list(steps) != sorted(steps):
         raise ValueError("scales and steps must be ascending")
     if mode not in ("exact", "mc"):
@@ -141,10 +149,12 @@ def monotonicity_table(
     _check_phi_args(min(steps), alpha, reps if mode == "mc" else None)
     values = np.zeros((len(scales), len(steps)))
     stderrs = np.zeros_like(values) if mode == "mc" else None
+    engine = None
     for a_idx, a in enumerate(scales):
         theta = tuple(a * t for t in spec.theta)
         if mode == "exact":
-            engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
+            if engine is None or not engine.set_theta(theta):
+                engine = ExactEngine(spec.with_theta(theta), reduced=reduced, budget=budget)
             series = engine.norm_series(
                 empty_state(spec), max(steps), lambda y: math.exp(-alpha * y)
             )
@@ -253,6 +263,8 @@ def _check_direction(spec: NetworkSpec, v) -> tuple[float, ...]:
     v = tuple(float(x) for x in v)
     if len(v) != spec.class_count:
         raise ValueError("direction length must equal the class count")
+    if not all(math.isfinite(x) for x in v):
+        raise ValueError(f"direction {v} must be finite")
     if any(x < 0 for x in v) or not any(x > 0 for x in v):
         raise ValueError("direction must be nonnegative and nonzero")
     return v

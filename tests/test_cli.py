@@ -314,8 +314,11 @@ def test_region_subcommand(tmp_path):
         (("region", "--spec", "mm1"), "a 2-D fan needs at least two classes"),
         (("threshold", "--spec", "mm1", "--direction", "1,1"),
          "direction length must equal the class count"),
+        # ran on to the spec check and exited 1 on "arrival rates must be nonnegative"
+        (("threshold", "--spec", "tandem2", "--direction", "nan,1"), "direction (nan, 1.0) must be finite"),
+        (("threshold", "--spec", "tandem2", "--direction", "inf,1"), "direction (inf, 1.0) must be finite"),
     ],
-    ids=["region", "threshold"],
+    ids=["region", "threshold", "threshold-nan", "threshold-inf"],
 )
 def test_ray_directions_must_fit_the_classes(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -444,6 +447,16 @@ def test_negative_arrival_rates_are_domain_errors(tmp_path, capsys, argv):
     # both ran with the negative rates and reported phi = 1
     assert run_cli("--out-dir", str(tmp_path), *argv) == 1
     assert "arrival rates must be nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scales", ["1,nan", "inf"])
+@pytest.mark.parametrize("mode", [(), ("--exact",)])
+def test_monotone_scales_must_be_finite(tmp_path, capsys, mode, scales):
+    # a NaN scale exited 1 from the spec check, and made the ascending check mean nothing
+    argv = ("monotone", "--spec", "mm1", "--scales", scales, "--steps", "2,3", *mode)
+    assert run_cli("--out-dir", str(tmp_path), *argv) == 2
+    assert "scales must be finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -411,3 +411,116 @@ def test_capped_closure_matches_headroom_loop_on_random_lines(reduced):
         )
         assert reachable_states(spec, 3, reduced=reduced) == headroom_closure(spec, 3, reduced, 3)
     assert policies == {"fcfs", "lcfs", "sbp"} and shared_castes
+
+
+# -- one engine across theta scales -------------------------------------------
+
+
+def assert_set_theta_matches_fresh_engines(spec, reduced, scales, n):
+    """An engine moved along ``scales`` by ``set_theta`` gives each fresh
+    engine's norm series, law support and mass, bit for bit."""
+    def f(y):
+        return math.exp(-0.3 * y)
+
+    start = empty_state(spec)
+    engine = None
+    for scale in scales:
+        theta = tuple(scale * t for t in spec.theta)
+        if engine is None:
+            engine = ExactEngine(spec.with_theta(theta), reduced=reduced)
+        else:
+            assert engine.set_theta(theta)
+        fresh = ExactEngine(spec.with_theta(theta), reduced=reduced)
+        assert engine.rate == fresh.rate
+        assert engine.norm_series(start, n, f) == fresh.norm_series(start, n, f)
+        support, mass = engine.law_arrays(start, n)
+        want_support, want_mass = fresh.law_arrays(start, n)
+        assert support.tolist() == want_support.tolist()
+        assert mass.tobytes() == want_mass.tobytes()
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_set_theta_matches_fresh_engines(name, reduced):
+    spec = builtin_fixture(name)
+    n = 40 if spec.class_count == 1 else 14
+    assert_set_theta_matches_fresh_engines(spec, reduced, (1.5, 0.5, 1.0), n)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+def test_set_theta_matches_fresh_engines_on_random_networks(reduced):
+    rng = np.random.default_rng(SEED_RANDOM_NETWORKS)
+    for _ in range(6):
+        assert_set_theta_matches_fresh_engines(random_batch_spec(rng), reduced, (0.5, 1.25, 0.8), 10)
+
+
+def _snapshot(engine):
+    used = engine._br_used
+    return (
+        engine.spec, engine.table, engine.rate, list(engine._share), used,
+        engine._br_p[:used].tobytes(), engine._br_move[:used].tobytes(),
+        engine._n, engine._used, engine._run, engine._run_end,
+    )
+
+
+def test_set_theta_refuses_a_branch_list_of_another_length():
+    spec = builtin_fixture("tandem2")  # theta (1, 0): class 2 never arrives
+    engine = ExactEngine(spec)
+    start = empty_state(spec)
+    support, mass = engine.law_arrays(start, 12)
+    before = _snapshot(engine)
+    assert not engine.set_theta((1.0, 0.5))  # class 2 switches on
+    assert not engine.set_theta((0.0, 0.0))  # class 1 switches off
+    served = engine._branches
+    # a full service leaves a self-loop when it serves half as fast
+    engine._branches = lambda i, q: [(p / 2, *rest) for p, *rest in served(i, q)]
+    assert not engine.set_theta((2.0, 0.0))
+    engine._branches = lambda i, q: [(2 * p, *rest) for p, *rest in served(i, q)]
+    with pytest.raises(AssertionError, match="kernel mass exceeds one"):
+        engine.set_theta((2.0, 0.0))
+    del engine._branches
+    assert _snapshot(engine) == before
+    again = engine.law_arrays(start, 12)
+    assert again[0].tolist() == support.tolist() and again[1].tobytes() == mass.tobytes()
+
+
+def test_pair_engine_has_no_set_theta():
+    engine = PairEngine(builtin_fixture("mm1"))
+    with pytest.raises(NotImplementedError):
+        engine.set_theta((0.5,))
+
+
+def _gathered(engine, ids):
+    """The entry positions of the rows of ``ids``, gathered row by row."""
+    return np.concatenate(
+        [np.arange(engine._row_start[x], engine._row_start[x] + engine._row_len[x]) for x in ids]
+    )
+
+
+@pytest.mark.parametrize("name", ["fcfs-reentrant", "lk-sbp"])
+def test_slice_read_equals_the_gather_after_a_second_start(name):
+    spec = builtin_fixture(name)
+    engine = ExactEngine(spec)
+    n = 8
+    first = engine.law_arrays(empty_state(spec), n)
+    run = engine._run
+    assert 0 < run == np.count_nonzero(engine._row_len[: engine._n])  # every row built so far
+    start = ((1,) * 10, (2,) * 10)  # far from empty: every state it reaches is new
+    engine.distribution(start, n)  # builds rows past the run
+    assert engine._run == run and engine._used > engine._run_end
+    for count in range(1, run + 1):
+        ids = np.arange(count)
+        lengths, at = engine._rows(ids)
+        assert isinstance(at, slice)
+        assert np.arange(engine._used)[at].tolist() == _gathered(engine, ids).tolist()
+    for support, _ in engine._sweep(start, n + 1):  # the last support's rows are new
+        lengths, at = engine._rows(support)
+        assert np.arange(engine._used)[at].tolist() == _gathered(engine, support.tolist()).tolist()
+    again = engine.law_arrays(empty_state(spec), n)
+    assert again[0].tolist() == first[0].tolist() and again[1].tobytes() == first[1].tobytes()
+    # from empty again, further: the next rows sit after the second start's
+    for support, _ in engine._sweep(empty_state(spec), n + 4):
+        lengths, at = engine._rows(support)
+        assert np.arange(engine._used)[at].tolist() == _gathered(engine, support.tolist()).tolist()
+    for xi in (empty_state(spec), start):
+        assert_same_law(engine, engine.distribution(xi, n + 4), ExactEngine(spec).distribution(xi, n + 4))

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from mcqnet.errors import BracketFailureError
+from mcqnet import stability
+from mcqnet.errors import BracketFailureError, NegativeRateError
 from mcqnet.exact import ExactEngine
-from mcqnet.network import builtin_fixture
+from mcqnet.network import FIXTURE_NAMES, builtin_fixture
 from mcqnet.qprocess import empty_state
 from mcqnet.rng import master_rng
 from mcqnet.sampling import PathSampler
@@ -202,6 +203,67 @@ def test_monotonicity_table_exact_mm1():
     assert table.clean
     assert table.values.shape == (3, 3)
     assert table.values[1, 0] == pytest.approx(MM1_TWO_STEP, abs=1e-12)
+
+
+def _fresh_table(spec, scales, steps, alpha, reduced):
+    """The exact table's values, one fresh engine per scale."""
+    def f(y):
+        return math.exp(-alpha * y)
+
+    rows = []
+    for a in scales:
+        engine = ExactEngine(spec.scale_theta(a), reduced=reduced)
+        series = engine.norm_series(empty_state(spec), max(steps), f)
+        rows.append([series[n] for n in steps])
+    return np.array(rows)
+
+
+def _counting_engines(monkeypatch):
+    built = []
+
+    class Counted(ExactEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0].theta)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "ExactEngine", Counted)
+    return built
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_monotonicity_table_exact_matches_fresh_engines(name, reduced, monkeypatch):
+    spec = builtin_fixture(name)
+    built = _counting_engines(monkeypatch)
+    scales, steps = (0.5, 1.0, 1.5), (2, 6, 12)
+    table = monotonicity_table(spec, scales, steps, 0.7, mode="exact", reduced=reduced)
+    assert len(built) == 1  # one engine serves every scale
+    assert table.values.tobytes() == _fresh_table(spec, scales, steps, 0.7, reduced).tobytes()
+
+
+def test_monotonicity_table_exact_scale_zero_falls_back_to_a_fresh_engine(monkeypatch):
+    built = _counting_engines(monkeypatch)
+    for scales in ((0.0, 1.0), (0.0, 0.5, 1.0)):
+        built.clear()
+        table = monotonicity_table(LK_PROP, scales, (3, 8), 1.0, mode="exact", reduced=True)
+        # scale 0 switches the arrivals off, and the next scale on again
+        assert [theta[0] for theta in built] == [0.0, scales[1]]
+        assert table.values.tobytes() == _fresh_table(LK_PROP, scales, (3, 8), 1.0, True).tobytes()
+        assert table.values[0].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_monotonicity_table_exact_checks_scales_before_any_engine(mode, rng, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(stability, "ExactEngine", no_engine)
+    monkeypatch.setattr(stability, "phi_estimate", no_engine)
+    for scales in ((1.0, math.nan), (math.nan, 1.0), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="scales must be finite"):
+            monotonicity_table(MM1, scales, (2, 4), 1.0, mode=mode, reps=10, rng=rng)
+    with pytest.raises(NegativeRateError, match="arrival rates must be nonnegative"):
+        monotonicity_table(MM1, (-1.0, 1.0), (2, 4), 1.0, mode=mode, reps=10, rng=rng)
 
 
 def test_monotonicity_table_mc_mm1(rng):
