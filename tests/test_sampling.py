@@ -591,6 +591,40 @@ def test_batch_streams_on_multi_class_stations_are_pinned(name):
     assert _stream_digest(spec, xi0, PINNED_SHAPES) == digest
 
 
+def random_start(rng, spec):
+    """0 to 4 jobs of each class, in random order at each station."""
+    return tuple(
+        tuple(int(k) for k in rng.permutation(
+            [k for k in classes for _ in range(int(rng.integers(0, 5)))]
+        ))
+        for classes in spec.stations
+    )
+
+
+# digests as in PINNED_BATCH, over seeded random networks (``random_batch_spec``,
+# multi-class and single-class in turn) from random loaded starts: rows with
+# several routing thresholds, and events whose slots split v at different ones
+PINNED_RANDOM = [
+    "62d954e9db400c0a24bc3c8512957ed48ab16465a56ec0aefc79944f8694257d",
+    "f4190e44c997aa996108e17e2155139f4d8a6b0d4bdf70b24daa5d0f68b6b673",
+    "3e2f1e710ad090faebe202952addd9ff5f252bd7b9c56c28cd1c21b73f2a4c23",
+    "cb7fc3d51935e2e6873c875d9a512ff23eac897bbbdd87c6a90c8501c7383a65",
+    "3d6468df39318fc01be745e1cb757bc6fdc8464ff5d6d2e0f0050c7295d9454b",
+    "51dd422b2c8d5082b75c93c19117654ce4f75da8e6e7c0746221e8562beba394",
+    "f8a3ac9b9161fce77eabd77ce8fea309a1daa4d73550e8a5f4c0756a4c6a0277",
+    "20255f0809e006efb710c6ae0559a9a955f4f143477a960ae429cfe49013a428",
+]
+
+
+def test_batch_streams_on_random_networks_are_pinned():
+    rng = np.random.default_rng(20261021)
+    digests = []
+    for case in range(8):
+        spec = random_batch_spec(rng, single_class=bool(case % 2))
+        digests.append(_stream_digest(spec, random_start(rng, spec), PINNED_SHAPES))
+    assert digests == PINNED_RANDOM
+
+
 def _kind(protocol) -> str:
     allocation = protocol.allocation
     return allocation.kind if allocation.order_insensitive else "hq-" + protocol.policy.kind
@@ -604,12 +638,7 @@ def test_batch_law_matches_exact_on_random_order_insensitive_specs():
     for case in range(14):
         spec = random_batch_spec(rng)
         kinds |= {_kind(p) for p, c in zip(spec.protocols, spec.stations) if len(c) > 1}
-        xi0 = tuple(
-            tuple(int(k) for k in rng.permutation(
-                [k for k in classes for _ in range(int(rng.integers(0, 5)))]
-            ))
-            for classes in spec.stations
-        )
+        xi0 = random_start(rng, spec)
         for start in (empty_state(spec), xi0):
             _assert_matches_exact(spec, start, 7, 20_000, seed=case, reduced=False)
     # the generated cases cover every multi-class rule
