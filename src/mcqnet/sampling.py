@@ -16,20 +16,23 @@ which every station is single-class, order-insensitive (proportional,
 preferential, egalitarian) or a multi-class FCFS head-of-queue station. It
 steps per-class count vectors, which is the whole state where every station
 is single-class or order-insensitive; a multi-class FCFS head-of-queue
-station adds a per-replication ring of class ids, since its head class is
-the one it serves. It draws its uniforms in blocks of steps and resolves each
-block's events and routing with array operations; the random stream is
-consumed exactly as by drawing per step. Then ``_BatchKernel.run`` applies
-the block's moves. On a single-class network whose routing has no cycle once
-self-routes are dropped, a block of enough steps is solved class by class
-with cumulative sums (Lindley's recursion, ``_BatchKernel.scan``). Every
-other block runs one loop over the steps. Where a station serves several
-classes, it picks each step's served class per replication (its slot) from
-the counts, from the head of a ring or from both; on a single-class network
-the event fixes each move and there is nothing to pick. The loop applies the
-move and, only when the spec has ring stations, pops and pushes the rings.
-Multi-class LCFS and SBP head-of-queue stations insert inside the queue and
-run on ``PathSampler`` only.
+station adds a per-replication ring of queued jobs, since its head class is
+the one it serves. It draws its uniforms in blocks of steps; the random
+stream is consumed exactly as by drawing per step. ``_BatchKernel`` compiles
+the spec into tables over keys, a key being an event and the bucket of the
+routing uniform among that event's thresholds, so that one gather per table
+resolves the move of every slot (each class a station could serve) at every
+step of a block. Then ``_BatchKernel.run`` applies the block's moves. On a
+single-class network whose routing has no cycle once self-routes are
+dropped, a block of enough steps is solved class by class with cumulative
+sums (Lindley's recursion, ``_BatchKernel.scan``). Every other block runs
+one loop over the steps. Where a station serves several classes, it picks
+each step's served slot per replication from the counts, from the head of a
+ring or from both; on a single-class network the event fixes each move and
+there is nothing to pick. The loop applies the move and, only when the spec
+has ring stations, pops and pushes the rings, whose heads and tails are
+absolute positions in one flat array. Multi-class LCFS and SBP head-of-queue
+stations insert inside the queue and run on ``PathSampler`` only.
 
 Both samplers check their start against the spec (``qprocess.check_state``):
 ``batch_terminal_norms`` once per call and ``PathSampler.reset`` whenever the
@@ -306,18 +309,19 @@ _BLOCK_UNIFORMS = 1 << 14
 # a routing cycle is solved by the Lindley scan rather than stepped by the
 # loop. A block holds max(1, 8192 // reps) steps; the loop's cost grows with
 # the steps and the scan's with the classes. Rep-steps/s of the scan over the
-# loop, from empty (median of 15 alternating runs, 2 shared cores, Python
-# 3.11, numpy 2.4; mm1, tandem2 and the test networks of test_sampling.py):
+# loop, from empty (8 blocks, median of 15 alternating runs, cell by cell the
+# median of 4 such tables; 2 shared cores, Python 3.11, numpy 2.4; mm1,
+# tandem2 and the test networks of test_sampling.py):
 #
 #   reps             64   128   256   390   512  1024  3000
 #   steps/block     128    64    32    21    16     8     2
-#   mm1 (1 class)  3.45  2.09  1.61  1.47  1.33  1.14  0.92
-#   tandem2 (2)    2.27  1.53  1.14  1.06  0.93  0.83  0.53
-#   branching (3)  1.68  1.25  1.00  0.94  0.80  0.68  0.50
-#   diamond (3)    1.81  1.23  1.07  0.78  0.65  0.60  0.44
-#   mid-exits (4)  1.26  0.90  0.74  0.74  0.62  0.53  0.36
+#   mm1 (1 class)  2.41  1.67  1.40  1.31  1.20  1.08  0.88
+#   tandem2 (2)    1.60  1.16  0.94  0.89  0.76  0.69  0.52
+#   branching (3)  1.29  1.08  0.89  0.82  0.70  0.67  0.51
+#   diamond (3)    1.21  0.91  0.78  0.72  0.61  0.58  0.45
+#   mid-exits (4)  1.02  0.74  0.61  0.59  0.49  0.48  0.34
 #
-# The scan breaks even near 4, 20, 30 and 60-90 steps with 1 to 4 classes.
+# The scan breaks even near 4, 40, 55-80 and 125 steps with 1 to 4 classes.
 _SCAN_MIN_STEPS = 16
 # Count held by the batch stepper's sink column; no run empties it.
 _SINK = 1 << 62
@@ -370,11 +374,13 @@ def batch_terminal_norms(
     at every step. Steps run in blocks: one ``rng.random((steps, 2, reps))``
     call yields the same doubles in the same order as two ``rng.random(reps)``
     calls per step. Within a block, groups of replications run one after the
-    other; everything that does not depend on the state (event, routing pick,
-    source and target column) is resolved for the whole group and block at
-    once, and a step then moves one job per replication from its source
-    column to its target column if the source is nonempty. Column 0 is a sink
-    that never empties: arrivals leave it and exits enter it.
+    other; everything that does not depend on the state is resolved for the
+    whole group and block at once. Each draw's key (its event and the bucket
+    of v among the event's routing thresholds) is computed once, and one
+    gather per table of ``_BatchKernel`` gives every slot's source and target
+    column. A step then moves one job per replication from its source column
+    to its target column if the source is nonempty. Column 0 is a sink that
+    never empties: arrivals leave it and exits enter it.
 
     On a single-class network whose routing has no cycle once self-routes are
     dropped (tandem lines, branching and merging feed-forward networks), a
@@ -396,11 +402,14 @@ def batch_terminal_norms(
     allocation. Here w is u rescaled within its event's interval: a uniform
     independent of the event and of v. A multi-class FCFS head-of-queue
     station serves its head, whose class the step reads from the station's
-    ring of class ids (``_FCFSRings``); a served job leaves the head, and a
-    job that enters such a station joins the tail of its ring. The rings hold
-    reps x (such stations) x cap small ints, where cap is a power of two at
-    least the longest queue of the run plus a block's steps. The loop touches
-    the rings only when the spec has such stations.
+    ring of slots (``_FCFSRings``); a served job leaves the head, and a job
+    that enters such a station joins the tail of its ring. Heads and tails
+    are absolute positions that only advance; when a tail would pass the end
+    of its row, every queue is re-laid from its row's start. The rings hold
+    reps x (such stations + 1) x cap small ints, where cap is a power of two
+    no larger than the one at or above twice the longest queue of the run
+    plus a block's steps (or the longest start queue). The loop touches the
+    rings only when the spec has such stations.
 
     ``xi0`` is checked against the spec once per call: a start that does not
     fit raises ``ValueError``.
@@ -421,7 +430,9 @@ def batch_terminal_norms(
     row = np.arange(reps) * kernel.columns
     rings = None
     if kernel.ring_stations:
-        rings = _FCFSRings([xi0[i] for i in kernel.ring_stations], reps, kernel.columns)
+        # each queued job as its slot: its class's place in the station's classes
+        queues = [[spec.stations[i].index(k) for k in xi0[i]] for i in kernel.ring_stations]
+        rings = _FCFSRings(queues, reps, kernel.slots)
     # a block resolves at most ``span`` (step, replication) pairs at once
     span = _BLOCK_UNIFORMS // (2 * kernel.slots)
     steps = max(1, span // reps)
@@ -436,48 +447,65 @@ def batch_terminal_norms(
 
 
 class _FCFSRings:
-    """Per-replication class rings of the multi-class FCFS head-of-queue stations.
+    """Per-replication slot rings of the multi-class FCFS head-of-queue stations.
 
-    With R ring stations, row ``rep * R + r`` of ``ring`` holds ring station
-    r's queue in replication rep, head first: its class ids sit at positions ``head``,
-    ``head + 1``, ..., ``head + length - 1``, each taken ``& (cap - 1)``,
-    where ``cap`` is a power of two. The last row is a scratch queue: steps
-    whose event serves no ring station pop it and moves whose target joins
-    no ring push to it, so that every step runs the same array operations.
-    Nothing read from it is used.
+    With R ring stations, each replication owns R + 1 rows of ``cap`` places
+    in the flat array ``ring``: row ``rep * (R + 1) + r`` holds ring station
+    r's queue in replication rep, and the last of its rows is a scratch
+    queue. A queued job is stored as its slot, the place of its class in its
+    station's classes. ``hpos`` and ``tpos`` are absolute positions in
+    ``ring``: a row's queue is ``ring[hpos:tpos]``, head first, and a row
+    starts at ``start``. A pop reads at ``hpos`` and advances it; a push
+    writes at ``tpos`` and advances it. Steps whose event serves no ring
+    station pop their scratch queue and moves whose target joins no ring push
+    to it, so that every step runs the same array operations; nothing read
+    from it is used.
     """
 
-    def __init__(self, queues, reps: int, columns: int):
+    def __init__(self, queues, reps: int, slots: int):
         self.stations = len(queues)
         longest = max(1, *map(len, queues))
         self.cap = 1 << (longest - 1).bit_length()
-        rows = reps * self.stations + 1
-        # class ids, the idle target column (``columns - 1``) included
-        self.ring = np.zeros((rows, self.cap), dtype=np.min_scalar_type(columns - 1))
-        self.head = np.zeros(rows, dtype=np.int64)
-        self.length = np.zeros(rows, dtype=np.int64)
+        rows = reps * (self.stations + 1)
+        self.ring = np.zeros(rows * self.cap, dtype=np.min_scalar_type(slots - 1))
+        self.start = np.arange(rows) * self.cap
+        self.hpos = self.start.copy()
+        self.tpos = self.start.copy()
+        places = self.ring.reshape(rows, self.cap)
         for r, q in enumerate(queues):
-            self.ring[r:-1:self.stations, : len(q)] = q
-            self.length[r:-1:self.stations] = len(q)
+            places[r :: self.stations + 1, : len(q)] = q
+            self.tpos[r :: self.stations + 1] += len(q)
 
     def reserve(self, steps: int) -> None:
         """Make room for ``steps`` more steps, each of which adds at most one
-        job per replication: double ``cap`` until it holds the longest queue
-        plus ``steps``, and re-lay each queue from its head to position 0."""
-        need = int(self.length[:-1].max(initial=0)) + steps
-        if need <= self.cap:
+        job per queue: empty the scratch queues and, when a tail would pass
+        its row's end, re-lay every queue from its row's start. A re-lay
+        first doubles ``cap`` until it holds twice the longest queue plus
+        ``steps``, so that tails run at least that far before the next."""
+        scratch = slice(self.stations, None, self.stations + 1)
+        self.hpos[scratch] = self.tpos[scratch] = self.start[scratch]
+        if int((self.tpos - self.start).max()) + steps <= self.cap:
             return
-        cap = 1 << (need - 1).bit_length()
-        ring = np.zeros((len(self.ring), cap), dtype=self.ring.dtype)
-        # rows in chunks, so that the positions take no more than a block's arrays
-        chunk = max(1, _BLOCK_UNIFORMS // self.cap)
-        for lo in range(0, len(ring), chunk):
-            rows = slice(lo, lo + chunk)
-            pos = self.head[rows, None] + np.arange(self.cap)
-            pos &= self.cap - 1
-            ring[rows, : self.cap] = np.take_along_axis(self.ring[rows], pos, axis=1)
+        length = self.tpos - self.hpos
+        longest = int(length.max())
+        cap = self.cap
+        while cap < 2 * (longest + steps):
+            cap *= 2
+        rows = len(self.start)
+        ring = self.ring if cap == self.cap else np.zeros(rows * cap, dtype=self.ring.dtype)
+        places = ring.reshape(rows, cap)
+        # rows in chunks, so that the positions take no more than a block's
+        # arrays; a chunk's queues are all read before any is written, and
+        # each is re-laid within its own row
+        chunk = max(1, _BLOCK_UNIFORMS // max(1, longest))
+        offsets = np.arange(longest)
+        for lo in range(0, rows, chunk):
+            part = slice(lo, lo + chunk)
+            places[part, :longest] = self.ring.take(self.hpos[part, None] + offsets, mode="clip")
         self.ring, self.cap = ring, cap
-        self.head[:] = 0
+        self.start = np.arange(rows) * cap
+        self.hpos = self.start.copy()
+        self.tpos = self.start + length
 
 
 class _BatchKernel:
@@ -486,21 +514,28 @@ class _BatchKernel:
     Count columns are 0 (the sink), 1..d (the classes) and, with multi-class
     stations, d + 1: a column that stays empty. A slot is a class a
     multi-class station can serve, in rank order under preferential
-    allocation and in the station's class order otherwise. The outcome tables
-    have one row per (event, slot): a step takes the outcome whose index is
-    the number of the row's thresholds at or below its routing uniform v, and
-    an outcome is a (source, target) column pair. Rows of arrivals and of
+    allocation and in the station's class order otherwise. Each event has
+    one outcome row per slot: a step takes the outcome whose index is the
+    number of the row's thresholds at or below its routing uniform v, and an
+    outcome is a (source, target) column pair. Rows of arrivals and of
     single-class stations repeat over the slots; idle outcomes and padded
     slots move a job from the empty column to itself, which moves nothing.
+
+    The rows are compiled into tables over keys. An event's thresholds below
+    one, over all its slot rows, cut [0, 1) into buckets, and the key of a
+    draw (u, v) is its event's first key plus the number of those thresholds
+    at or below v. Every row's outcome is constant on a bucket, so per key
+    ``src`` and ``dst`` hold every slot's source and target column and, with
+    rings, ``join`` the ring row its target joins (R, the scratch queue,
+    where it joins none) and ``push`` the slot it joins as. ``served`` gives
+    the ring row an event pops (R where it serves no ring station), and
+    ``ring_stations`` lists the multi-class FCFS head-of-queue stations.
 
     Per event, the slot columns are the count column of each slot at a
     multi-class order-insensitive station (the empty column elsewhere),
     ``slope`` rescales u to w (0 under preferential allocation, which draws
     nothing) and ``cap`` bounds each slot's count (1 under egalitarian
-    allocation). ``ring_stations`` lists the multi-class FCFS head-of-queue
-    stations; ``ring_of_event`` and ``ring_of_col`` give the ring an event
-    serves and the ring a class column joins (-1: none), and ``slot_of_col``
-    a ring class's slot.
+    allocation).
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -510,29 +545,29 @@ class _BatchKernel:
         zero = spec.class_count + 1
         # the empty column is needed by multi-class stations only
         self.columns = zero + (slots > 1)
-        rows = []
+        rows = []  # per event, a (thresholds, outcomes) row per slot
         slot_cols, slope, cap = [], [], []
-        self.ring_stations, ring_of_event = [], []
+        self.ring_stations, served = [], []
         self.counted = False  # any multi-class order-insensitive station
         lows = [0.0] + [cum for cum, _ in events[:-1]]
         for (cum, (kind, idx)), low in zip(events, lows):
             slot_cols.append([zero] * slots)
             slope.append(0.0)
             cap.append(_SINK)
-            ring_of_event.append(-1)
+            served.append(-1)
             if kind == "A":
-                rows += [((), ((0, idx),))] * slots
+                rows.append([((), ((0, idx),))] * slots)
                 continue
             classes = spec.stations[idx]
             if len(classes) == 1:
                 k = classes[0]
                 routes = table.routes[k]
-                rows += [(tuple(c for c, _ in routes), tuple((k, l) for _, l in routes))] * slots
+                rows.append([(tuple(c for c, _ in routes), tuple((k, l) for _, l in routes))] * slots)
                 continue
             allocation = spec.protocols[idx].allocation
             if allocation.kind == "hq":
                 # FCFS: the served slot is the head's, read from the ring
-                ring_of_event[-1] = len(self.ring_stations)
+                served[-1] = len(self.ring_stations)
                 self.ring_stations.append(idx)
             else:
                 self.counted = True
@@ -543,12 +578,13 @@ class _BatchKernel:
                 if allocation.kind == "egalitarian":
                     cap[-1] = 1
                 slot_cols[-1][: len(classes)] = classes
+            rows.append([])
             for k in classes:
                 scale, routes = table.branch[k]
                 # serve and route below the class's share of the event, idle above
                 bounds = tuple(c for c, _ in routes[:-1]) + (scale,)
-                rows.append((bounds, tuple((k, l) for _, l in routes) + ((zero, zero),)))
-            rows += [((), ((zero, zero),))] * (slots - len(classes))
+                rows[-1].append((bounds, tuple((k, l) for _, l in routes) + ((zero, zero),)))
+            rows[-1] += [((), ((zero, zero),))] * (slots - len(classes))
         self.event_cum = np.asarray([cum for cum, _ in events])
         self.ev_type = np.min_scalar_type(len(events))
         self.lows = np.asarray(lows)
@@ -557,37 +593,46 @@ class _BatchKernel:
         self.cap = np.asarray(cap, dtype=np.int64)
         self.drawn = any(slope)
         self.capped = 1 in cap
-        self.ring_of_event = np.asarray(ring_of_event, dtype=np.intp)
-        self.ring_of_col = np.full(self.columns, -1, dtype=np.intp)
-        self.slot_of_col = np.zeros(self.columns, dtype=np.intp)
+
+        ring_of_col, slot_of_col = {}, {}
         for r, i in enumerate(self.ring_stations):
             for j, k in enumerate(spec.stations[i]):
-                self.ring_of_col[k] = r
-                self.slot_of_col[k] = j
-
-        self.width = width = max(len(outcomes) for _, outcomes in rows)
-        self.thresholds = np.full((len(rows), width), 2.0)  # pads are never passed
-        src_of = np.zeros((len(rows), width), dtype=np.intp)
-        dst_of = np.zeros((len(rows), width), dtype=np.intp)
-        for r, (bounds, outcomes) in enumerate(rows):
-            self.thresholds[r, : len(bounds)] = bounds
-            # a pick past the outcomes (a routing law summing to just under
-            # one) sends the row's last source to the sink
-            src_of[r] = outcomes[-1][0]
-            for j, (k, l) in enumerate(outcomes):
-                src_of[r, j] = k
-                dst_of[r, j] = l
-        self.src_of = src_of.ravel()
-        self.dst_of = dst_of.ravel()
+                ring_of_col[k], slot_of_col[k] = r, j
+        rings = len(self.ring_stations)
+        self.served = np.asarray([rings if r < 0 else r for r in served], dtype=np.intp)
+        # a pick counts at most width - 1 thresholds of a row
+        width = max(len(outcomes) for event_rows in rows for _, outcomes in event_rows)
+        moves, first, cuts = [], [], []
+        for event_rows in rows:
+            picks = [bounds[: width - 1] for bounds, _ in event_rows]
+            cut = sorted({c for bounds in picks for c in bounds if c < 1.0})
+            first.append(len(moves))
+            cuts.append(cut)
+            for at in [-math.inf] + cut:  # each bucket's lowest v
+                moves.append([])
+                for bounds, (_, outcomes) in zip(picks, event_rows):
+                    j = sum(c <= at for c in bounds)
+                    # a pick past the outcomes (a routing law summing to just
+                    # under one) sends the row's last source to the sink
+                    k, l = outcomes[j] if j < len(outcomes) else (outcomes[-1][0], 0)
+                    # with one slot a self-route moves nothing, and neither
+                    # does a move from the sink to itself; with self-routes
+                    # gone, a move's target is never its source, which the
+                    # scan needs
+                    moves[-1].append((0, 0) if slots == 1 and k == l else (k, l))
+        self.first = np.asarray(first, dtype=np.intp)
+        self.cuts = np.full((len(events), max(map(len, cuts))), 2.0)  # pads are never passed
+        for e, cut in enumerate(cuts):
+            self.cuts[e, : len(cut)] = cut
+        self.src = np.asarray([[k for k, _ in key] for key in moves], dtype=np.intp)
+        self.dst = np.asarray([[l for _, l in key] for key in moves], dtype=np.intp)
+        self.join = np.asarray([[ring_of_col.get(l, rings) for _, l in key] for key in moves], dtype=np.intp)
+        self.push = np.asarray(
+            [[slot_of_col.get(l, 0) for _, l in key] for key in moves], dtype=np.min_scalar_type(slots - 1)
+        )
         self.order, self.feeders = None, set()
         if slots == 1:
-            # a self-route moves nothing, and neither does a move from the
-            # sink to itself; with self-routes gone, a move's target is never
-            # its source, which the scan needs
-            loop = self.src_of == self.dst_of
-            self.src_of[loop] = 0
-            self.dst_of[loop] = 0
-            edges = {(k, l) for k, l in zip(self.src_of.tolist(), self.dst_of.tolist()) if k and l}
+            edges = {(k, l) for k, routes in table.routes.items() for _, l in routes if l and l != k}
             self.order = _topological_order(spec.class_count, edges)
             # classes whose departures feed another class, not only the sink
             self.feeders = {k for k, _ in edges}
@@ -597,18 +642,19 @@ class _BatchKernel:
         whose count rows start at ``row`` in ``flat`` (and to their queues in
         ``rings``, which specs with ring stations need).
 
-        A block of at least ``_SCAN_MIN_STEPS`` steps per class on a network
-        with a scan ``order`` is solved by ``scan``. Every other block runs
-        one loop: the block resolves the move of every slot, and a step takes
-        each replication's slot from the counts at a multi-class
-        order-insensitive station (``count_slots``) and from the head of the
-        served ring at a ring station, then moves the slot's job where its
-        source is nonempty. A single-class network has one slot, which the
-        loop takes as it is; there the event and v fix each move, and the
-        loop gives the same counts as ``scan``. A move that happens pops the
-        served ring and pushes its target onto the tail of the target's ring;
-        each replication owns its queues, so these updates never meet twice
-        on a real queue, and the scratch queue takes the rest.
+        The block computes each draw's key and gathers every slot's move from
+        the key tables at once. A block of at least ``_SCAN_MIN_STEPS`` steps
+        per class on a network with a scan ``order`` is then solved by
+        ``scan``. Every other block runs one loop: a step takes each
+        replication's slot from the counts at a multi-class order-insensitive
+        station (``count_slots``) and from the head of the served ring at a
+        ring station, then moves the slot's job where its source is nonempty.
+        A single-class network has one slot, which the loop takes as it is;
+        there the event and v fix each move, and the loop gives the same
+        counts as ``scan``. A move that happens advances the head of the
+        served ring and the tail of the ring its target joins, where the
+        step writes the target's slot; each replication owns its rings, so
+        these updates never meet twice on one row.
         """
         # count the thresholds at or below each draw, leaving out the last:
         # a searchsorted clipped to the table, summed in the narrowest int type
@@ -616,72 +662,65 @@ class _BatchKernel:
         for cum in self.event_cum[:-1]:
             ev += u >= cum
         ev = ev.astype(np.intp)
-        steps, reps = ev.shape
-        if self.order is not None and steps >= _SCAN_MIN_STEPS * len(self.order):
-            code = self.codes(ev, v)
-            self.scan(flat, row, self.src_of.take(code), self.dst_of.take(code))
-            return
+        # without cuts, an event has one key: its own index
+        key = self.first.take(ev) if self.cuts.size else ev
+        for cut in self.cuts.T:
+            key += v >= cut.take(ev)
+        steps, reps = key.shape
         slots = self.slots
-        if rings is not None:
-            stations = rings.stations
-            ring, head, length, cap = rings.ring.reshape(-1), rings.head, rings.length, rings.cap
-            qbase = row // self.columns * stations
-            # every push writes at head + length: below cap, that is a free place
-            longest = int(length[qbase[0] : qbase[-1] + stations].max())
-            if longest + steps > cap:
-                raise RuntimeError(
-                    f"FCFS ring capacity {cap} cannot hold {longest} jobs plus {steps} steps"
-                )
-            mask = cap - 1
-            scratch = len(head) - 1
-            # the queue each [step, replication] event serves, and its first place in ``ring``
-            served = self.ring_of_event[ev]
-            at_ring = served >= 0
-            queue = np.where(at_ring, qbase + served, scratch)
-            place = queue * cap
-            joins = np.empty((steps, reps * slots), dtype=np.intp)
-            cls = np.empty(joins.shape, dtype=rings.ring.dtype)
-            base = np.arange(reps) * slots
         # per [step, replication * slots + slot]: source and target column
-        # and, with rings, the target's class id and the queue it joins;
-        # filled slot by slot, since numpy runs slowly over a short last axis
-        src = np.empty((steps, reps * slots), dtype=np.intp)
-        dst = np.empty_like(src)
-        rid = ev * slots if slots > 1 else ev
-        for j in range(slots):
-            code = self.codes(rid + j if j else rid, v)
-            col = self.dst_of.take(code)
-            np.add(self.src_of.take(code), row, out=src[:, j::slots])
-            np.add(col, row, out=dst[:, j::slots])
-            if rings is not None:
-                cls[:, j::slots] = col
-                target = self.ring_of_col[col]
-                joins[:, j::slots] = np.where(target >= 0, qbase + target, scratch)
+        src = self.src.take(key, axis=0).reshape(steps, reps * slots)
+        dst = self.dst.take(key, axis=0).reshape(steps, reps * slots)
+        if self.order is not None and steps >= _SCAN_MIN_STEPS * len(self.order):
+            self.scan(flat, row, src, dst)
+            return
+        at = np.repeat(row, slots) if slots > 1 else row
+        src += at
+        dst += at
         counted = self.count_slots(flat, row, ev, u) if self.counted else None
+        if rings is None:
+            for t, (s, d) in enumerate(zip(src, dst)):
+                # with one slot, nothing picks it: it is taken as it is
+                if counted is not None:
+                    slot = next(counted)
+                    s, d = s[slot], d[slot]
+                held = flat[s]
+                act = np.sign(held)  # 1 where the source holds a job: counts are never negative
+                flat[s] = held - act
+                flat[d] += act  # after the source update, so a sink-to-sink move nets zero
+            return
+        per = rings.stations + 1
+        qbase = row // self.columns * per
+        ring, hpos, tpos, cap = rings.ring, rings.hpos, rings.tpos, rings.cap
+        # every push writes at a tail: below its row's end, that is the row's own place
+        rows = slice(qbase[0], qbase[-1] + per)
+        tail = int((tpos[rows] - rings.start[rows]).max())
+        if tail + steps > cap:
+            raise RuntimeError(f"FCFS ring capacity {cap} cannot hold a tail at {tail} plus {steps} steps")
+        # the ring row each [step, replication] event pops, and each slot's target joins
+        queue = self.served.take(ev)
+        at_ring = queue < rings.stations if counted is not None else None
+        queue += qbase
+        joins = self.join.take(key, axis=0).reshape(steps, reps * slots)
+        joins += np.repeat(qbase, slots)
+        pushed = self.push.take(key, axis=0).reshape(steps, reps * slots)
+        base = np.arange(reps) * slots
         for t, (s, d) in enumerate(zip(src, dst)):
-            # with one slot, neither counts nor rings pick it: it is taken as it is
-            if slots > 1:
-                slot = None if counted is None else next(counted)
-                if rings is not None:
-                    q = queue[t]
-                    h = head[q]
-                    at_head = self.slot_of_col[ring[place[t] + (h & mask)]]
-                    at_head += base
-                    slot = at_head if slot is None else np.where(at_ring[t], at_head, slot)
-                s, d = s[slot], d[slot]
+            q = queue[t]
+            hp = hpos[q]
+            slot = base + ring[hp]
+            if counted is not None:
+                slot = np.where(at_ring[t], slot, next(counted))
+            s = s[slot]
             held = flat[s]
-            act = held > 0
+            act = np.sign(held)
             flat[s] = held - act
-            flat[d] += act  # after the source update, so a sink-to-sink move nets zero
-            if rings is not None:
-                head[q] = h + act
-                length[q] -= act
-                # read after the pop: a job routed back to its own station
-                # joins behind the rest of the queue
-                p = joins[t][slot]
-                size = length[p]
-                ring[p * cap + ((head[p] + size) & mask)] = cls[t][slot]
-                length[p] = size + act
+            flat[d[slot]] += act
+            hpos[q] = hp + act
+            p = joins[t][slot]
+            tp = tpos[p]
+            ring[tp] = pushed[t][slot]
+            tpos[p] = tp + act
 
     def scan(self, flat, row, src, dst) -> None:
         """Apply a block of [step, replication] moves of a single-class
@@ -722,14 +761,6 @@ class _BatchKernel:
             served[1:] &= x[:-1] > 0
             moved |= served
 
-    def codes(self, rid, v):
-        """Outcome codes (row * width + outcome) of table rows ``rid`` at
-        routing draws ``v``."""
-        code = rid * self.width
-        for column in self.thresholds.T[:-1]:
-            code += v >= column[rid]
-        return code
-
     def count_slots(self, flat, row, ev, u):
         """Per step, the index of the served slot in the [replication, slot]
         outcomes, read from the counts as the step comes.
@@ -759,7 +790,7 @@ class _BatchKernel:
             if cap is not None:
                 held = [np.minimum(h, cap[t]) for h in held]
             if w is None:
-                x = 0.0
+                x = 0  # an int: counts compare as ints
             else:
                 total = held[0]
                 for h in held[1:]:

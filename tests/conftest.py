@@ -30,12 +30,13 @@ SBP_HQ_LINE = dataclasses.replace(
 STATION_KINDS = ("hq-fcfs", "proportional", "preferential", "egalitarian")
 
 
-def random_batch_spec(rng, single_class: bool = False) -> NetworkSpec:
+def random_batch_spec(rng, single_class: bool = False, kinds=STATION_KINDS) -> NetworkSpec:
     """A seeded random network of at most 4 classes with transient random
     routing: every network the batch stepper runs.
 
-    By default it has at most 3 stations, each FCFS head-of-queue or
-    order-insensitive (``STATION_KINDS``), single-class stations included.
+    By default it has at most 3 stations, each of a kind drawn from ``kinds``
+    (FCFS head-of-queue or order-insensitive, ``STATION_KINDS``), single-class
+    stations included.
     With ``single_class`` every class has an FCFS station of its own, and half
     the networks route only forward along a random class order or back to the
     same class, so that they have no routing cycle once self-routes are
@@ -52,7 +53,7 @@ def random_batch_spec(rng, single_class: bool = False) -> NetworkSpec:
         stations = tuple(tuple(sorted(int(k) for k in part)) for part in np.split(np.asarray(order), cuts))
         protocols = []
         for classes in stations:
-            kind = str(rng.choice(STATION_KINDS))
+            kind = str(rng.choice(kinds))
             if kind == "hq-fcfs":
                 allocation = HQ
             elif kind == "preferential":

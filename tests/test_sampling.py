@@ -13,8 +13,11 @@ class step by step; there its terminal law is checked against the exact
 engine. At multi-class FCFS head-of-queue stations it serves the head of a
 ring of class ids: ``replay_terminal_norms`` replays the same draws one
 replication at a time on tuple states, and the norms must match it bit for
-bit. On multi-class networks the norms and the generator's next draw are
-also pinned by digest (``PINNED_BATCH``).
+bit, on the fcfs-reentrant line and on seeded random networks of FCFS
+stations, and the rings' capacity must follow the longest queue. On
+multi-class networks the norms and the generator's next draw are also pinned
+by digest (``PINNED_BATCH``, and ``PINNED_RANDOM`` over seeded random
+networks).
 """
 
 import dataclasses
@@ -466,6 +469,52 @@ def test_ring_capacity_check_survives_python_O():
         "    print('raised', exc)\n"
     )
     assert "raised FCFS ring capacity" in out
+
+
+def test_ring_stepper_matches_replay_on_random_fcfs_networks():
+    # every station FCFS head-of-queue, with branching routing: a row has a
+    # threshold per route below its class's share, and an event's keys cut v
+    # at the thresholds of all its slots
+    rng = np.random.default_rng(20261021)
+    rings = merged = 0
+    for case in range(10):
+        spec = random_batch_spec(rng, kinds=("hq-fcfs",))
+        kernel = sampling._BatchKernel(spec)
+        rings += len(kernel.ring_stations)
+        merged += int(((kernel.cuts < 1.0).sum(axis=1) >= 3).any())
+        xi0 = random_start(rng, spec)
+        # several blocks, then one step per block in two groups
+        for n, reps in [(150, 40), (5, 5000)]:
+            _assert_same_as_replay(spec, xi0, n, reps, seed=case)
+    assert rings >= 6 and merged >= 3, (rings, merged)
+
+
+def test_ring_capacity_follows_the_longest_queue(monkeypatch):
+    # at half the line's arrival rate the queues stay short while heads and
+    # tails travel far past cap: the rings re-lay again and again, and cap
+    # stays within the power of two at or above twice the longest queue of
+    # the run plus a block's steps
+    monkeypatch.setattr(sampling, "_BLOCK_UNIFORMS", 64)  # 2 steps per block of 8 replications
+    calls = []
+    reserve = sampling._FCFSRings.reserve
+
+    def spy(self, steps):
+        real = np.arange(len(self.start)) % (self.stations + 1) < self.stations
+        longest = int((self.tpos - self.hpos)[real].max())
+        tails = (self.tpos - self.start)[real]
+        reserve(self, steps)
+        relaid = bool(((self.tpos - self.start)[real] < tails).any())
+        calls.append((longest + steps, self.cap, relaid))
+
+    monkeypatch.setattr(sampling._FCFSRings, "reserve", spy)
+    _assert_same_as_replay(FCFS_LINE.scale_theta(0.5), FCFS_LOADED, 5000, 8, seed=3)
+    need = 0
+    for step_need, cap, _ in calls:
+        need = max(need, step_need)
+        assert cap <= 1 << (2 * need - 1).bit_length(), (cap, need)
+    relays = sum(relaid for _, _, relaid in calls)
+    # 28 re-lays with cap at most 32: the tails travel many times cap
+    assert len(calls) == 2500 and relays >= 20 and calls[-1][1] <= 32, (relays, calls[-1])
 
 
 # ---------------------------------------------------------------------------
