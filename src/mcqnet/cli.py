@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -27,6 +28,7 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +66,7 @@ from .stability import (
     threshold_bisection,
     threshold_robbins_monro,
 )
-from .coupling import CouplingKernel, path_streams, verify_coupling_path
+from .coupling import CouplingKernel, verify_coupling_path
 
 _DOMAIN_ERRORS = (
     NonTransientRoutingError,
@@ -94,66 +96,99 @@ def _load(args: argparse.Namespace) -> tuple[NetworkSpec, RoutingAnalysis]:
     return spec, validate(spec)
 
 
-class _BufferTexts(dict):
-    """Buffer -> its compact JSON text, e.g. ``[1,4]``, made on first lookup."""
-
-    def __missing__(self, q) -> str:
-        text = self[q] = "[" + ",".join(map(str, q)) + "]"
-        return text
+def _state_key(state) -> str:
+    """The compact JSON array of a state's buffers, e.g. ``[[1,4],[2]]``."""
+    return "[" + ",".join("[" + ",".join(map(str, q)) + "]" for q in state) + "]"
 
 
-def _state_key(state, texts: _BufferTexts | None = None) -> str:
-    """The compact JSON array of a state's buffers, e.g. ``[[1,4],[2]]``;
-    ``texts`` keeps each buffer's text across calls."""
-    if texts is None:
-        texts = _BufferTexts()
-    return "[" + ",".join(map(texts.__getitem__, state)) + "]"
+def _buffer_texts(engine: ExactEngine) -> list[str]:
+    """Each buffer key's compact JSON text, e.g. ``[1,4]``; key 0, the
+    source, is ""."""
+    classes = list(map(str, range(engine.spec.class_count + 1)))
+    buffers = engine.buffers[1:].tolist()
+    return [""] + ["[" + ",".join(map(classes.__getitem__, q)) + "]" for q in buffers]
+
+
+def _key_fields(engine: ExactEngine, ids: np.ndarray, texts: list[str]) -> tuple[str, list]:
+    """The format of a state key (``[%s,%s]`` for two stations) and, per
+    station, the buffer text of each state id: one text per distinct
+    buffer, no tuple state."""
+    by_key = np.array(texts, dtype=object)
+    columns = [by_key[keys].tolist() for keys in engine.key_rows(ids).T]
+    return "[" + ",".join(["%s"] * len(columns)) + "]", columns
 
 
 def _state_keys(engine: ExactEngine, ids: np.ndarray) -> list[str]:
-    """``_state_key`` of each state id, joined from its row of buffer keys:
-    one text per distinct buffer, no tuple state."""
-    texts = _BufferTexts()
-    by_key = np.array([""] + [texts[q] for q in engine.buffers[1:]], dtype=object)
-    columns = [by_key[keys].tolist() for keys in engine.key_rows(ids).T]
-    template = "[" + ",".join(["%s"] * len(columns)) + "]"  # "[%s,%s]" for two stations
-    return list(map(template.__mod__, zip(*columns)))
+    """``_state_key`` of each state id, joined from its row of buffer keys."""
+    key, columns = _key_fields(engine, ids, _buffer_texts(engine))
+    return list(map(key.__mod__, zip(*columns)))
+
+
+def _key_order(engine: ExactEngine, ids: np.ndarray, texts: list[str]) -> np.ndarray:
+    """The positions in ``ids`` that put their ``_state_keys`` in sorted
+    order, with no key made or compared: a ``lexsort`` over the rank of each
+    station's buffer text. A buffer text ends at its only ``]``, so none is
+    a prefix of another, and two keys compare as the first station texts
+    they differ in."""
+    rank = np.empty(len(texts), dtype=np.int64)
+    rank[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+    return np.lexsort(rank[engine.key_rows(ids)[:, ::-1].T])
+
+
+class _Entries(NamedTuple):
+    """A nonempty flat JSON object given as its entries in key order: entry
+    i is ``form % (fields[0][i], fields[1][i], ...)``, the text ``"key":
+    value`` as ``json.dumps`` writes it. ``_write_json`` writes it as that
+    object."""
+
+    form: str
+    fields: list[list]
 
 
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
-_JSON_CHUNK = 1024  # entries of a flat mapping per C-encoder call
+_JSON_CHUNK = 1024  # entries of a flat mapping per write
 
 
 def _write_json(fh, obj, depth: int = 0) -> None:
     """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)`` does,
-    nested ``depth`` levels deep.
+    nested ``depth`` levels deep; an ``_Entries`` is written as its object.
 
     A nonempty dict with str keys is sorted once. When its values are all
     scalars, its entries go out in chunks, each one ``json.dumps`` call of
     the C encoder with the indented item separator; otherwise each value is
-    written in turn, one level deeper. Anything else is the stdlib encoder's
-    text, re-indented to ``depth`` (encoded strings hold no raw newline).
+    written in turn, one level deeper. An ``_Entries`` goes out in chunks of
+    its formatted entries. Anything else is the stdlib encoder's text,
+    re-indented to ``depth`` (encoded strings hold no raw newline).
     """
-    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        pad = "\n" + "  " * (depth + 1)
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad
+    if type(obj) is _Entries:
+        entry, keys = obj.form.__mod__, obj.fields[0]
+
+        def chunk(start, end):
+            return sep.join(map(entry, zip(*(f[start:end] for f in obj.fields))))
+    elif type(obj) is dict and obj and set(map(type, obj)) == {str}:
         keys = sorted(obj)
         values = list(map(obj.__getitem__, keys))
-        if set(map(type, values)) <= _JSON_SCALARS:
-            sep = "," + pad
-            fh.write("{" + pad)
-            for start in range(0, len(keys), _JSON_CHUNK):
-                if start:
-                    fh.write(sep)
-                end = start + _JSON_CHUNK
-                chunk = dict(zip(keys[start:end], values[start:end]))
-                fh.write(json.dumps(chunk, separators=(sep, ": "))[1:-1])
-        else:
+        if not set(map(type, values)) <= _JSON_SCALARS:
             for i, (key, value) in enumerate(zip(keys, values)):
                 fh.write(("," if i else "{") + pad + json.dumps(key) + ": ")
                 _write_json(fh, value, depth + 1)
-        fh.write("\n" + "  " * depth + "}")
+            fh.write("\n" + "  " * depth + "}")
+            return
+
+        def chunk(start, end):
+            entries = dict(zip(keys[start:end], values[start:end]))
+            return json.dumps(entries, separators=(sep, ": "))[1:-1]
     else:
         fh.write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth))
+        return
+    fh.write("{" + pad)
+    for start in range(0, len(keys), _JSON_CHUNK):
+        if start:
+            fh.write(sep)
+        fh.write(chunk(start, start + _JSON_CHUNK))
+    fh.write("\n" + "  " * depth + "}")
 
 
 class _HashingSink(io.RawIOBase):
@@ -279,10 +314,14 @@ def _cmd_exact(args, spec, analysis, out) -> str:
     engine = ExactEngine(spec, reduced=args.reduced, budget=args.budget)
     support, mass = engine.law_arrays(empty_state(spec), args.steps)
     value = engine.norm_expectation(support, mass, lambda y: math.exp(-args.alpha * y))
+    texts = _buffer_texts(engine)
+    order = _key_order(engine, support, texts)
+    key, columns = _key_fields(engine, support[order], texts)
     payload = {
         "steps": args.steps,
         "functional": {"name": "exp-norm", "alpha": args.alpha, "value": value},
-        "distribution": dict(zip(_state_keys(engine, support), mass.tolist())),
+        # each entry formatted once; json writes a float as its repr
+        "distribution": _Entries(f'"{key}": %r', [*columns, mass[order].tolist()]),
     }
     out.write_json("exact_law.json", payload)
     return f"E[exp(-{args.alpha} * jobs)] at step {args.steps}: {value:.12g}"
@@ -343,8 +382,12 @@ def _cmd_couple(args, spec, analysis, out) -> str:
     kernel = CouplingKernel(spec)
     starts = kernel.starts(lower, upper)
     per_rep = []
-    for _ in range(args.reps):  # run_coupling's streams, from starts checked once
-        streams = path_streams(rng.spawn(1)[0], len(starts))
+    # Rep r runs its paths, from starts checked once, on the streams
+    # run_coupling gives on master.spawn(1)[0]: spawned from that child's
+    # seed sequence, without making the child's generator.
+    seeds, kind = rng.bit_generator.seed_seq, type(rng.bit_generator)
+    for _ in range(args.reps):
+        streams = [np.random.Generator(kind(s)) for s in seeds.spawn(1)[0].spawn(len(starts))]
         paths = [kernel.run(cs, args.steps, g) for cs, g in zip(starts, streams)]
         reports = [verify_coupling_path(p) for p in paths]
         ok = all(r.ok for r in reports)
@@ -453,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_int,
         default=1,
         help="accepted for compatibility but has no effect; it will be removed "
-        "(ROADMAP item 9)",
+        "(ROADMAP item 11)",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifest")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -536,11 +579,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Parse, load and validate the spec once, run the subcommand, write, print."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:

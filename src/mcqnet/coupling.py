@@ -366,14 +366,6 @@ def _interpolate(lower: NetworkState, upper: NetworkState) -> list[NetworkState]
     return chain
 
 
-def path_streams(parent, count: int) -> list:
-    """One stream per path: the next ``count`` children spawned from ``parent``.
-    ``run_coupling`` spawns from its ``rng``; ``mcqnet couple`` from each rep's
-    child of the master generator, so a rep's paths run on the streams
-    ``run_coupling`` gives on ``master.spawn(1)[0]``."""
-    return parent.spawn(count)
-
-
 def run_coupling(spec: NetworkSpec, xi, zeta, n: int, rng) -> list[CoupledPath]:
     """Instrumented coupled paths from xi inside zeta.
 
@@ -384,7 +376,7 @@ def run_coupling(spec: NetworkSpec, xi, zeta, n: int, rng) -> list[CoupledPath]:
     """
     kernel = CouplingKernel(spec)
     starts = kernel.starts(xi, zeta)
-    return [kernel.run(cs, n, g) for cs, g in zip(starts, path_streams(rng, len(starts)))]
+    return [kernel.run(cs, n, g) for cs, g in zip(starts, rng.spawn(len(starts)))]
 
 
 def verify_coupling_path(path: CoupledPath) -> InvariantReport:
@@ -395,11 +387,12 @@ def verify_coupling_path(path: CoupledPath) -> InvariantReport:
     recount of downward norm jumps, freezes are monotone and bounded by the
     step index, and the upper/lower departure counts obey the one-extra-
     departure relation split at the coupling time; and the recorded τ is the
-    first index with mark 0. Norms and pair classes are recomputed only for
-    state objects not seen at the previous step. A record that is the previous
-    step's record object (a non-move) is passed over when the previous step
-    added no failure and the step is not the recorded τ: every check then
-    gives the previous step's outcome.
+    first index with mark 0. A state object's norm is computed once per
+    path; pair classes are recomputed only for state objects not seen at the
+    previous step. A record that is the previous step's record object (a
+    non-move) is passed over when the previous step added no failure and the
+    step is not the recorded τ: every check then gives the previous step's
+    outcome.
     """
     failures: list[str] = []
     states = path.states
@@ -411,6 +404,7 @@ def verify_coupling_path(path: CoupledPath) -> InvariantReport:
     prev = None
     prev_lower = prev_upper = None
     low_norm = up_norm = cls = 0
+    norms: dict[int, int] = {}  # by id: the path keeps every state alive
     clean = False
     for m, cs in enumerate(states):
         if cs is prev and clean and m != tau:
@@ -430,11 +424,15 @@ def verify_coupling_path(path: CoupledPath) -> InvariantReport:
                 first_coupled = m
         prev_low_norm, prev_up_norm = low_norm, up_norm
         if lower is not prev_lower:
-            low_norm = state_norm(lower)
+            low_norm = norms.get(id(lower))
+            if low_norm is None:
+                low_norm = norms[id(lower)] = state_norm(lower)
         if upper is lower:
             up_norm = low_norm
         elif upper is not prev_upper:
-            up_norm = state_norm(upper)
+            up_norm = norms.get(id(upper))
+            if up_norm is None:
+                up_norm = norms[id(upper)] = state_norm(upper)
         if prev is not None:
             if prev.mark == 0 and cs.mark != 0:
                 failures.append(f"step {m}: left the absorbing coupled set")

@@ -33,7 +33,14 @@ probabilities alone, and keeps its states, ids and rows.
 probability`` per target with one ``np.bincount``; the next support is the
 set of targets reached, marked and listed in id order. The rows of the
 leading ids are stored in id order from entry 0 (the run; from one start,
-every row), so a support of ids 0..L-1 reads its rows as one slice. The
+every row), so a support of ids 0..L-1 reads its rows as one slice. A push
+whose next support is its own keeps its plan (row lengths, targets and
+entry probabilities) and hands its support array back; when a sweep pushes
+that array again, one ``repeat``, one multiply and one ``bincount`` make the
+step. Those are the same products summed in the same order, so the law is
+bit for bit the one a fresh gather gives. Rows never change once built, so
+only ``set_theta``, which changes the branch probabilities, drops the plan.
+This serves closed chains whose support has stopped changing. The
 engine checks the kernel mass (per buffer, against its station's share) and
 counts interned states against ``budget``, checked as targets are interned,
 so a run stops before it allocates past the budget.
@@ -184,6 +191,9 @@ class ExactEngine:
         # The rows of ids 0.._run-1 are stored in id order from entry 0 and end
         # at entry _run_end, so a support 0..L-1 reads them as one slice.
         self._run = self._run_end = 0
+        # (support, row lengths, targets, entry probabilities) of the last
+        # push, kept while that support maps to itself (see ``_push``).
+        self._plan = None
 
     def _point_at(self, spec: NetworkSpec) -> None:
         """Take the arrival rates of ``spec``: its transition table, the
@@ -227,6 +237,7 @@ class ExactEngine:
                 self.spec, self.table, self.rate, self._share = was
         if fits:
             self._br_p[: self._br_used] = [p for p, _ in branches]
+            self._plan = None  # its entry probabilities are the old rates'
         return fits
 
     def canonical(self, xi) -> NetworkState:
@@ -468,14 +479,28 @@ class ExactEngine:
     # -- propagation ---------------------------------------------------------
 
     def _push(self, support: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step on arrays: the next support (in id order) and its mass."""
+        """One step on arrays: the next support (in id order) and its mass.
+
+        A push whose support maps to itself keeps its plan (row lengths,
+        targets, entry probabilities) and returns the support array it was
+        given; pushing that array again reuses the plan.
+        """
+        plan = self._plan
+        if plan is not None and plan[0] is support:
+            _, lengths, targets, p = plan
+            return support, np.bincount(targets, p * mass.repeat(lengths))[support]
         lengths, at = self._rows(support)
         targets = self._targets[at]
-        out = np.bincount(targets, self._br_p[self._br_at[at]] * mass.repeat(lengths))
+        p = self._br_p[self._br_at[at]]
+        out = np.bincount(targets, p * mass.repeat(lengths))
         reached = np.zeros(len(out), dtype=bool)
         reached[targets] = True
-        support = reached.nonzero()[0]
-        return support, out[support]
+        reached = reached.nonzero()[0]
+        if len(reached) == len(support) and np.array_equal(reached, support):
+            self._plan = (support, lengths, targets, p)
+            return support, out[support]
+        self._plan = None
+        return reached, out[reached]
 
     def _sweep(self, xi0, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(support, mass) at steps 0..n from xi0; the mass drift is checked after the last."""

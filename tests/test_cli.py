@@ -749,3 +749,19 @@ def test_json_writer_raises_as_json_dump_does(tmp_path):
             json.dumps(payload, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             write_and_read(tmp_path, payload)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 6])
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_json_writer_streams_the_exact_law_as_json_dump(tmp_path, name, reduced, steps):
+    """``exact_law.json`` is streamed in key-row order without a dict, and is
+    byte for byte ``json.dump`` of its payload, sorted keys, plus a newline."""
+    argv = ["--out-dir", str(tmp_path), "exact", "--spec", name, "--steps", str(steps)]
+    assert run_cli(*argv, *(["--reduced"] if reduced else [])) == 0
+    data = read(tmp_path / "exact_law.json")
+    spec = builtin_fixture(name)
+    law = ExactEngine(spec, reduced=reduced).distribution(tuple(() for _ in spec.stations), steps)
+    payload = json.loads(data)
+    assert payload["distribution"] == {_state_key(state): p for state, p in law.items()}
+    assert data == json_dump_bytes(payload)

@@ -524,3 +524,54 @@ def test_slice_read_equals_the_gather_after_a_second_start(name):
         assert np.arange(engine._used)[at].tolist() == _gathered(engine, support.tolist()).tolist()
     for xi in (empty_state(spec), start):
         assert_same_law(engine, engine.distribution(xi, n + 4), ExactEngine(spec).distribution(xi, n + 4))
+
+
+CLOSED_CHAINS = [
+    ("tandem2", ((1, 1, 1, 1), (2, 2, 2, 2))),
+    ("lk-sbp", ((1, 4, 1), (2, 3))),
+]
+
+
+@pytest.mark.parametrize("name, start", CLOSED_CHAINS, ids=[name for name, _ in CLOSED_CHAINS])
+def test_sweep_reusing_its_plan_matches_fresh_pushes(name, start):
+    """With arrivals off the support stops changing; the sweep then pushes
+    from its kept plan, and every law and the functional series equal pushes
+    of a fresh copy of the support, which never reuse it."""
+    spec = builtin_fixture(name)
+    spec = spec.with_theta(tuple(0.0 for _ in spec.theta))
+    n = 300
+    engine = ExactEngine(spec)
+    reads = []
+    rows = engine._rows
+    engine._rows = lambda ids: reads.append(len(ids)) or rows(ids)
+    swept = list(engine._sweep(start, n))
+    fresh = ExactEngine(spec)
+    support, mass = fresh._ids_of([start]), np.ones(1)
+    pushed = [(support, mass)]
+    for _ in range(n):
+        support, mass = fresh._push(support.copy(), mass)
+        pushed.append((support, mass))
+    assert len(reads) < n // 2  # most steps reused the plan
+    for (s, m), (t, p) in zip(swept, pushed):
+        assert s.tolist() == t.tolist()
+        assert m.tobytes() == p.tobytes()
+    phi = lambda state: math.exp(-0.7 * state_norm(state))  # noqa: E731
+    states = fresh.states
+    want = [sum((m * np.array([phi(states[x]) for x in s.tolist()])).tolist()) for s, m in pushed]
+    assert ExactEngine(spec).functional_series(start, n, phi) == want
+
+
+@pytest.mark.parametrize("name, start", [*CLOSED_CHAINS, ("mm1", ((1, 1),))],
+                         ids=[name for name, _ in CLOSED_CHAINS] + ["mm1"])
+def test_engine_matches_dict_bfs_on_closed_chains(name, start):
+    # the mm1 drain moves a one-state support to another id before it settles
+    spec = builtin_fixture(name)
+    assert_engine_matches_dict_bfs(spec.with_theta(tuple(0.0 for _ in spec.theta)), False, (start,), 60)
+
+
+def test_set_theta_drops_the_kept_plan():
+    engine = ExactEngine(builtin_fixture("tandem2").with_theta((0.0, 0.0)))
+    *_, (support, _) = engine._sweep(((1, 1, 1, 1), (2, 2, 2, 2)), 200)
+    assert engine._plan[0] is support  # the drained support maps to itself
+    assert engine.set_theta((0.0, 0.0))
+    assert engine._plan is None
