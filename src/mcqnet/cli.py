@@ -12,7 +12,8 @@ to print), writes the manifest and prints. The manifest's ``wall_clock_s``
 covers the whole run: load, validate, solve and write.
 
 Exit codes: 0 success, 1 domain errors (non-transient routing, exceeded state
-budget, failed bracket, ...), 2 usage errors.
+budget, failed bracket, ...), 2 usage errors (also a spec file that cannot be
+read or an ``--out-dir`` that cannot be made).
 """
 
 from __future__ import annotations
@@ -101,40 +102,6 @@ def _state_key(state) -> str:
     return "[" + ",".join("[" + ",".join(map(str, q)) + "]" for q in state) + "]"
 
 
-def _buffer_texts(engine: ExactEngine) -> list[str]:
-    """Each buffer key's compact JSON text, e.g. ``[1,4]``; key 0, the
-    source, is ""."""
-    classes = list(map(str, range(engine.spec.class_count + 1)))
-    buffers = engine.buffers[1:].tolist()
-    return [""] + ["[" + ",".join(map(classes.__getitem__, q)) + "]" for q in buffers]
-
-
-def _key_fields(engine: ExactEngine, ids: np.ndarray, texts: list[str]) -> tuple[str, list]:
-    """The format of a state key (``[%s,%s]`` for two stations) and, per
-    station, the buffer text of each state id: one text per distinct
-    buffer, no tuple state."""
-    by_key = np.array(texts, dtype=object)
-    columns = [by_key[keys].tolist() for keys in engine.key_rows(ids).T]
-    return "[" + ",".join(["%s"] * len(columns)) + "]", columns
-
-
-def _state_keys(engine: ExactEngine, ids: np.ndarray) -> list[str]:
-    """``_state_key`` of each state id, joined from its row of buffer keys."""
-    key, columns = _key_fields(engine, ids, _buffer_texts(engine))
-    return list(map(key.__mod__, zip(*columns)))
-
-
-def _key_order(engine: ExactEngine, ids: np.ndarray, texts: list[str]) -> np.ndarray:
-    """The positions in ``ids`` that put their ``_state_keys`` in sorted
-    order, with no key made or compared: a ``lexsort`` over the rank of each
-    station's buffer text. A buffer text ends at its only ``]``, so none is
-    a prefix of another, and two keys compare as the first station texts
-    they differ in."""
-    rank = np.empty(len(texts), dtype=np.int64)
-    rank[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
-    return np.lexsort(rank[engine.key_rows(ids)[:, ::-1].T])
-
-
 class _Entries(NamedTuple):
     """A nonempty flat JSON object given as its entries in key order: entry
     i is ``form % (fields[0][i], fields[1][i], ...)``, the text ``"key":
@@ -145,49 +112,56 @@ class _Entries(NamedTuple):
     fields: list[list]
 
 
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
-_JSON_CHUNK = 1024  # entries of a flat mapping per write
+def _law_entries(engine: ExactEngine, support: np.ndarray, mass: np.ndarray) -> _Entries:
+    """The law ``mass`` on the state ids ``support`` as ``exact_law.json``'s
+    distribution: keyed by ``_state_key``, in sorted key order, with no key
+    made or compared and no tuple state.
+
+    Each distinct buffer's compact JSON text (``[1,4]``; key 0, the source,
+    is "") is made and ranked once, and one ``lexsort`` over each station's
+    rank orders the support: a buffer text ends at its only ``]``, so none
+    is a prefix of another, and two keys compare as the first station texts
+    they differ in. Each entry is then ``"[%s,%s]": %r`` (for two stations)
+    of its stations' texts and its mass; json writes a float as its repr.
+    """
+    classes = list(map(str, range(engine.spec.class_count + 1)))
+    buffers = engine.buffers[1:].tolist()
+    texts = [""] + ["[" + ",".join(map(classes.__getitem__, q)) + "]" for q in buffers]
+    rank = np.empty(len(texts), dtype=np.int64)
+    rank[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+    rows = engine.key_rows(support)
+    order = np.lexsort(rank[rows[:, ::-1].T])
+    by_key = np.array(texts, dtype=object)
+    columns = [by_key[keys].tolist() for keys in rows[order].T]
+    form = '"[' + ",".join(["%s"] * len(columns)) + ']": %r'
+    return _Entries(form, [*columns, mass[order].tolist()])
+
+
+_JSON_CHUNK = 1024  # entries of an ``_Entries`` per write
 
 
 def _write_json(fh, obj, depth: int = 0) -> None:
     """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)`` does,
     nested ``depth`` levels deep; an ``_Entries`` is written as its object.
 
-    A nonempty dict with str keys is sorted once. When its values are all
-    scalars, its entries go out in chunks, each one ``json.dumps`` call of
-    the C encoder with the indented item separator; otherwise each value is
-    written in turn, one level deeper. An ``_Entries`` goes out in chunks of
-    its formatted entries. Anything else is the stdlib encoder's text,
+    An ``_Entries`` goes out in chunks of ``_JSON_CHUNK`` formatted entries.
+    A nonempty dict with str keys is sorted once and written key by key,
+    each value one level deeper. Anything else is the stdlib encoder's text,
     re-indented to ``depth`` (encoded strings hold no raw newline).
     """
     pad = "\n" + "  " * (depth + 1)
-    sep = "," + pad
     if type(obj) is _Entries:
-        entry, keys = obj.form.__mod__, obj.fields[0]
-
-        def chunk(start, end):
-            return sep.join(map(entry, zip(*(f[start:end] for f in obj.fields))))
+        entry, sep = obj.form.__mod__, "," + pad
+        for start in range(0, len(obj.fields[0]), _JSON_CHUNK):
+            chunk = zip(*(f[start:start + _JSON_CHUNK] for f in obj.fields))
+            fh.write((sep if start else "{" + pad) + sep.join(map(entry, chunk)))
     elif type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        keys = sorted(obj)
-        values = list(map(obj.__getitem__, keys))
-        if not set(map(type, values)) <= _JSON_SCALARS:
-            for i, (key, value) in enumerate(zip(keys, values)):
-                fh.write(("," if i else "{") + pad + json.dumps(key) + ": ")
-                _write_json(fh, value, depth + 1)
-            fh.write("\n" + "  " * depth + "}")
-            return
-
-        def chunk(start, end):
-            entries = dict(zip(keys[start:end], values[start:end]))
-            return json.dumps(entries, separators=(sep, ": "))[1:-1]
+        for i, key in enumerate(sorted(obj)):
+            fh.write(("," if i else "{") + pad + json.dumps(key) + ": ")
+            _write_json(fh, obj[key], depth + 1)
     else:
         fh.write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth))
         return
-    fh.write("{" + pad)
-    for start in range(0, len(keys), _JSON_CHUNK):
-        if start:
-            fh.write(sep)
-        fh.write(chunk(start, start + _JSON_CHUNK))
     fh.write("\n" + "  " * depth + "}")
 
 
@@ -314,14 +288,10 @@ def _cmd_exact(args, spec, analysis, out) -> str:
     engine = ExactEngine(spec, reduced=args.reduced, budget=args.budget)
     support, mass = engine.law_arrays(empty_state(spec), args.steps)
     value = engine.norm_expectation(support, mass, lambda y: math.exp(-args.alpha * y))
-    texts = _buffer_texts(engine)
-    order = _key_order(engine, support, texts)
-    key, columns = _key_fields(engine, support[order], texts)
     payload = {
         "steps": args.steps,
         "functional": {"name": "exp-norm", "alpha": args.alpha, "value": value},
-        # each entry formatted once; json writes a float as its repr
-        "distribution": _Entries(f'"{key}": %r', [*columns, mass[order].tolist()]),
+        "distribution": _law_entries(engine, support, mass),
     }
     out.write_json("exact_law.json", payload)
     return f"E[exp(-{args.alpha} * jobs)] at step {args.steps}: {value:.12g}"
@@ -599,7 +569,7 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: e.g. an --out-dir that is a file
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     print(text)

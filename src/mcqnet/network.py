@@ -368,5 +368,6 @@ def dump_spec(spec: NetworkSpec, path) -> None:
 
 
 def load_spec(path) -> NetworkSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+    with open(path) as fh, _reading(f"spec file {str(path)!r}"):
+        data = json.load(fh)
+    return spec_from_dict(data)

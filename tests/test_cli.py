@@ -11,7 +11,7 @@ import pytest
 
 import mcqnet.cli
 import mcqnet.coupling
-from mcqnet.cli import _JSON_CHUNK, RunWriter, _state_key, _state_keys, main
+from mcqnet.cli import _JSON_CHUNK, RunWriter, _Entries, _state_key, main
 from mcqnet.coupling import CouplingKernel
 from mcqnet.exact import ExactEngine, reachable_states
 from mcqnet.network import FIXTURE_NAMES, builtin_fixture, dump_spec, load_spec, spec_to_dict
@@ -123,16 +123,6 @@ def test_state_key_is_the_compact_json_form(name):
     states = reachable_states(spec, 4) | reachable_states(spec, 4, reduced=True)
     for state in states:
         assert _state_key(state) == json.dumps([list(q) for q in state], separators=(",", ":"))
-
-
-@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_state_keys_from_key_rows_match_state_key(name, reduced):
-    spec = builtin_fixture(name).scale_theta(1.5)
-    engine = ExactEngine(spec, reduced=reduced)
-    support, _ = engine.law_arrays(tuple(() for _ in spec.stations), 12)
-    states = engine.states
-    assert _state_keys(engine, support) == [_state_key(states[x]) for x in support.tolist()]
 
 
 def test_simulate_csv(tmp_path):
@@ -549,6 +539,32 @@ def test_output_name_with_a_directory_part_is_a_usage_error(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_spec_file_that_is_not_json_is_a_usage_error_naming_it(tmp_path, capsys):
+    # printed "usage error: Expecting value: line 1 column 1 (char 0)"
+    path = tmp_path / "net.json"
+    path.write_text("not json")
+    out = tmp_path / "out"
+    assert run_cli("--out-dir", str(out), "validate", "--spec", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"spec file {str(path)!r} is malformed" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-a-file"])
+def test_out_dir_that_cannot_be_made_is_a_usage_error_naming_it(tmp_path, capsys, sub):
+    # died in os.makedirs with FileExistsError or NotADirectoryError
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    assert run_cli("--out-dir", str(out), "fixtures") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(out) in err
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert blocker.read_text() == ""
+
+
 def test_directory_spec_is_not_a_spec_file(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("--out-dir", str(out), "validate", "--spec", str(tmp_path)) == 1
@@ -743,6 +759,18 @@ def test_json_writer_matches_json_dump_on_fixed_values(tmp_path):
         assert write_and_read(tmp_path, payload) == json_dump_bytes(payload)
 
 
+@pytest.mark.parametrize("size", [_JSON_CHUNK, 2 * _JSON_CHUNK + 3])
+def test_json_writer_writes_entries_across_chunk_seams_as_json_dump(tmp_path, size):
+    rnd = random.Random(size)
+    keys = sorted({f"[[{rnd.randrange(10**6)}],[]]" for _ in range(2 * size)})[:size]
+    values = [rnd.choice([5e-324, 0.1, 1e16, 1e-7, rnd.random()]) for _ in keys]
+    law = dict(zip(keys, values))
+    assert len(law) == size
+    entries = _Entries('"%s": %r', [keys, values])
+    written = write_and_read(tmp_path, {"steps": 3, "distribution": entries, "z": {}})
+    assert written == json_dump_bytes({"steps": 3, "distribution": law, "z": {}})
+
+
 def test_json_writer_raises_as_json_dump_does(tmp_path):
     for payload in ({"a": 1, 2: 3}, {"a": {"b": object()}}):
         with pytest.raises(TypeError):
@@ -751,16 +779,19 @@ def test_json_writer_raises_as_json_dump_does(tmp_path):
             write_and_read(tmp_path, payload)
 
 
-@pytest.mark.parametrize("steps", [0, 1, 6])
+@pytest.mark.parametrize(
+    "steps, scale", [(0, 1.0), (1, 1.0), (6, 1.0), (12, 1.5)], ids=["0", "1", "6", "12-theta1.5"]
+)
 @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_json_writer_streams_the_exact_law_as_json_dump(tmp_path, name, reduced, steps):
+def test_json_writer_streams_the_exact_law_as_json_dump(tmp_path, name, reduced, steps, scale):
     """``exact_law.json`` is streamed in key-row order without a dict, and is
     byte for byte ``json.dump`` of its payload, sorted keys, plus a newline."""
-    argv = ["--out-dir", str(tmp_path), "exact", "--spec", name, "--steps", str(steps)]
+    argv = ["--out-dir", str(tmp_path), "exact", "--spec", name, "--steps", str(steps),
+            "--theta-scale", str(scale)]
     assert run_cli(*argv, *(["--reduced"] if reduced else [])) == 0
     data = read(tmp_path / "exact_law.json")
-    spec = builtin_fixture(name)
+    spec = builtin_fixture(name).scale_theta(scale)
     law = ExactEngine(spec, reduced=reduced).distribution(tuple(() for _ in spec.stations), steps)
     payload = json.loads(data)
     assert payload["distribution"] == {_state_key(state): p for state, p in law.items()}
